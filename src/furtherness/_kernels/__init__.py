@@ -6,9 +6,12 @@ default the compiled one is used when its build artifact imports, with a
 silent fallback otherwise.  Set ``FURTHERNESS_KERNEL=pure`` or ``=c`` to
 force a backend (forcing ``c`` without the build artifact raises).
 
-The compiled kernels pack point sets into single machine words, so they
-only handle spaces of at most 64 points; calls on larger spaces route to
-the pure versions automatically.
+The ten kernel functions are bound once, at import, so a call costs no
+dispatch.  With the pure backend they are the ``pure`` functions
+themselves.  The compiled kernels pack point sets into single machine
+words, so they only handle spaces of at most 64 points; with the compiled
+backend each bound function holds one branch that routes calls on larger
+spaces to the pure version.
 """
 
 from __future__ import annotations
@@ -42,47 +45,34 @@ backend: str = "pure" if _fast is pure else "c"
 _WORD_BITS = 64
 
 
-def _impl(n: int):
-    if n > _WORD_BITS and _fast is not pure:
-        return pure
-    return _fast
+def _bind(name: str):
+    """The kernel ``name`` of the live backend, bound once.
+
+    Compiled kernels are wrapped in the single branch that sends calls on
+    more than 64 points to the pure version.
+    """
+    slow = getattr(pure, name)
+    if _fast is pure:
+        return slow
+    fast = getattr(_fast, name)
+
+    def kernel(n, *args, **kwargs):
+        if n > _WORD_BITS:
+            return slow(n, *args, **kwargs)
+        return fast(n, *args, **kwargs)
+
+    kernel.__name__ = kernel.__qualname__ = name
+    kernel.__doc__ = slow.__doc__
+    return kernel
 
 
-def class_ids(n, basis):
-    return _impl(n).class_ids(n, basis)
-
-
-def further_matrix(n, basis):
-    return _impl(n).further_matrix(n, basis)
-
-
-def closure_mask(n, basis, a):
-    return _impl(n).closure_mask(n, basis, a)
-
-
-def interior_mask(n, basis, a):
-    return _impl(n).interior_mask(n, basis, a)
-
-
-def minimal_open_mask(n, basis, a):
-    return _impl(n).minimal_open_mask(n, basis, a)
-
-
-def point_to_set(n, flat, x, target):
-    return _impl(n).point_to_set(n, flat, x, target)
-
-
-def set_to_set(n, flat, a, b):
-    return _impl(n).set_to_set(n, flat, a, b)
-
-
-def center_radius(n, flat, a, target):
-    return _impl(n).center_radius(n, flat, a, target)
-
-
-def transitive_closure(n, rows):
-    return _impl(n).transitive_closure(n, rows)
-
-
-def enumerate_bases(n, t0_only=False):
-    return _impl(n).enumerate_bases(n, t0_only)
+class_ids = _bind("class_ids")
+further_matrix = _bind("further_matrix")
+closure_mask = _bind("closure_mask")
+interior_mask = _bind("interior_mask")
+minimal_open_mask = _bind("minimal_open_mask")
+point_to_set = _bind("point_to_set")
+set_to_set = _bind("set_to_set")
+center_radius = _bind("center_radius")
+transitive_closure = _bind("transitive_closure")
+enumerate_bases = _bind("enumerate_bases")

@@ -10,6 +10,11 @@ fallback for larger spaces.
 Distance values reported by ``point_to_set`` / ``set_to_set`` /
 ``center_radius`` use -1 for "infinite" (an empty side); callers translate
 that to ``math.inf`` at the API boundary.
+
+Every kernel here is a leaf: none calls another kernel of this module (the
+``class_ids`` and ``point_to_set`` loops are repeated inline where needed),
+so a wrapper installed around the bound kernels, such as a profiler or a
+call counter, sees exactly one call per use from outside.
 """
 
 from __future__ import annotations
@@ -39,7 +44,14 @@ def further_matrix(n, basis):
     ``basis[y]`` but not ``basis[x]``, which equals the least chain position
     at which y shows up when growing opens outward from ``basis[x]``.
     """
-    cls = class_ids(n, basis)
+    seen: dict[int, int] = {}
+    cls = []
+    for m in basis:
+        c = seen.get(m)
+        if c is None:
+            c = len(seen)
+            seen[m] = c
+        cls.append(c)
     cls_open = []
     for i in range(n):
         acc = 0
@@ -105,10 +117,15 @@ def set_to_set(n, flat, a, b):
     best = -1
     while a:
         low = a & -a
-        v = point_to_set(n, flat, low.bit_length() - 1, b)
-        if best < 0 or v < best:
-            best = v
         a ^= low
+        row = (low.bit_length() - 1) * n
+        t = b
+        while t:
+            tl = t & -t
+            v = flat[row + tl.bit_length() - 1]
+            if best < 0 or v < best:
+                best = v
+            t ^= tl
     return best
 
 
@@ -129,7 +146,15 @@ def center_radius(n, flat, a, target):
     while rest:
         low = rest & -rest
         rest ^= low
-        v = point_to_set(n, flat, low.bit_length() - 1, target)
+        row = (low.bit_length() - 1) * n
+        t = target
+        v = -1
+        while t:
+            tl = t & -t
+            w = flat[row + tl.bit_length() - 1]
+            if v < 0 or w < v:
+                v = w
+            t ^= tl
         if v > best:
             best = v
             center = low

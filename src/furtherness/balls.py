@@ -16,7 +16,7 @@ from .spaces import FinSpace, OpenFamily, PointLike, canonical_sets
 
 def ball(space: FinSpace, center: PointLike, radius: int, backward: bool = False) -> int:
     """Points with furtherness below ``radius`` from (or to) the center."""
-    if not isinstance(radius, int) or radius < 1:
+    if isinstance(radius, bool) or not isinstance(radius, int) or radius < 1:
         raise ZeroRadiusError()
     x = space.index(center)
     n = space.n

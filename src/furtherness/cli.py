@@ -217,7 +217,10 @@ def enumerate_cmd(n, t0_only, count_only):
 @click.option("--samples", default=1000, show_default=True, type=int)
 @click.option("--sample-n", default=6, show_default=True, type=int)
 @click.option("--seed", default=1, show_default=True, type=int)
-@click.option("--jobs", default=1, show_default=True, type=int, help="worker processes for sweeps")
+@click.option(
+    "--jobs", default=1, show_default=True, type=int,
+    help="worker processes for sweeps, at most one per CPU",
+)
 @click.option("--prop", "props", multiple=True, help="run one property (repeatable); default all")
 def verify(max_n, samples, sample_n, seed, jobs, props):
     """Run the theorem checkers; exit 2 if any property fails."""

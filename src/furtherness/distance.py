@@ -22,7 +22,8 @@ from functools import cached_property
 from typing import Union
 
 from . import _kernels as K
-from .spaces import FinSpace, PointLike, SetLike, mask_indices
+from .errors import SpaceError, UnknownLabelError
+from .spaces import FinSpace, PointLike, SetLike, _label_positions
 
 Further = Union[int, float]  # non-negative int, or math.inf
 
@@ -83,6 +84,7 @@ class FurtherMatrix:
     def __init__(self, labels: tuple[str, ...], flat: tuple[int, ...]):
         self.labels = tuple(labels)
         self.n = len(self.labels)
+        self._positions = _label_positions(self.labels)
         if len(flat) != self.n * self.n:
             raise ValueError("flat matrix length must be n*n")
         self.flat = tuple(flat)
@@ -94,10 +96,13 @@ class FurtherMatrix:
     def index(self, point: PointLike) -> int:
         if isinstance(point, str):
             try:
-                return self.labels.index(point)
-            except ValueError:
-                raise KeyError(point) from None
-        return int(point)
+                return self._positions[point]
+            except KeyError:
+                raise UnknownLabelError(point) from None
+        i = int(point)
+        if not 0 <= i < self.n:
+            raise SpaceError(f"point index {i} out of range")
+        return i
 
     def entry(self, x: PointLike, y: PointLike) -> int:
         return self.flat[self.index(x) * self.n + self.index(y)]

@@ -37,7 +37,9 @@ def default_labels(n: int) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def _bases(n: int, t0_only: bool) -> tuple[tuple[int, ...], ...]:
-    return tuple(K.enumerate_bases(n, t0_only))
+    """The enumerated bases, each validated once, as it enters the cache."""
+    labels = default_labels(n)
+    return tuple(FinSpace(labels, basis).basis for basis in K.enumerate_bases(n, t0_only))
 
 
 def enumerate_topologies(n: int, t0_only: bool = False) -> Iterator[FinSpace]:
@@ -48,7 +50,7 @@ def enumerate_topologies(n: int, t0_only: bool = False) -> Iterator[FinSpace]:
         raise SizeTooLargeError(n, ENUMERATION_LIMIT)
     labels = default_labels(n)
     for basis in _bases(n, t0_only):
-        yield FinSpace(labels, basis)
+        yield FinSpace._trusted(labels, basis)
 
 
 def count_topologies(n: int, t0_only: bool = False) -> int:

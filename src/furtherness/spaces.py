@@ -15,7 +15,7 @@ Point sets are bitmasks over point indices throughout the core API; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Union
 
@@ -76,11 +76,14 @@ class FinSpace:
 
     ``basis[i]`` is the bitmask of the minimal open set of point i.  The
     constructor validates the basis invariants; use :func:`from_open_sets`
-    to build a space from a full open family instead.
+    to build a space from a full open family instead.  The number of points
+    ``n`` and the mask ``full`` of all points are stored at construction.
     """
 
     labels: tuple[str, ...]
     basis: tuple[int, ...]
+    n: int = field(init=False, repr=False, compare=False)
+    full: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "labels", tuple(self.labels))
@@ -98,6 +101,8 @@ class FinSpace:
         if len(self.basis) != n:
             raise SpaceError("basis must assign one open set per point")
         full = (1 << n) - 1
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "full", full)
         for x, m in enumerate(self.basis):
             if m & ~full:
                 raise SpaceError(f"basic set of {self.labels[x]!r} is out of range")
@@ -108,17 +113,29 @@ class FinSpace:
                 if self.basis[y] & ~m:
                     raise BasisNotNestedError(self.labels[x], self.labels[y])
 
-    # -- size and coercion -------------------------------------------------
+    @classmethod
+    def _trusted(cls, labels: tuple[str, ...], basis: tuple[int, ...]) -> "FinSpace":
+        """A space built without validation, for bases already validated.
 
-    @property
-    def n(self) -> int:
-        return len(self.labels)
+        The rule is that every basis is validated once per process: only
+        the topology enumerator uses this, for bases it validated through
+        the normal constructor when it filled its cache, and the verifier's
+        worker processes, for bases their parent enumerated.  ``labels``
+        and ``basis`` must be tuples of str and int.  Every other path,
+        user-facing or derived, goes through the validating constructor.
+        """
+        sp = object.__new__(cls)
+        n = len(labels)
+        sp.__dict__.update(labels=labels, basis=basis, n=n, full=(1 << n) - 1)
+        return sp
 
-    @property
-    def full(self) -> int:
-        return (1 << self.n) - 1
+    # -- coercion ----------------------------------------------------------
 
     def index(self, point: PointLike) -> int:
+        if type(point) is int:
+            if 0 <= point < self.n:
+                return point
+            raise SpaceError(f"point index {point} out of range")
         if isinstance(point, str):
             try:
                 return self._label_index[point]

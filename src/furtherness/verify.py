@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
 import time
 from dataclasses import dataclass
 from multiprocessing import Pool
@@ -91,11 +92,18 @@ def _fail(space: FinSpace, **witness) -> dict:
 
 def _pool_task(args):
     name, n, basis = args
-    return _SPACE_CHECKS[name](FinSpace(default_labels(n), basis))
+    # the parent enumerated, hence validated, the basis
+    return _SPACE_CHECKS[name](FinSpace._trusted(default_labels(n), basis))
+
+
+def _workers(jobs: int) -> int:
+    """Worker processes for a sweep: ``jobs``, but at most one per CPU."""
+    return min(jobs, os.cpu_count() or 1)
 
 
 def _sweep(name: str, max_n: int, jobs: int) -> tuple[int, Optional[dict]]:
     check = _SPACE_CHECKS[name]
+    jobs = _workers(jobs)
     spaces = (
         sp for n in range(1, max_n + 1) for sp in enumerate_topologies(n)
     )

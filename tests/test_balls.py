@@ -92,3 +92,13 @@ def test_indiscrete_pair_stays_connected():
 def test_two_class_space_splits(e1):
     fam = set(symmetrized_topology(e1))
     assert 0b011 in fam and 0b100 in fam  # complementary proper opens
+
+
+def test_bool_radius_is_rejected(e2):
+    for radius in (True, False):
+        with pytest.raises(ZeroRadiusError):
+            ball(e2, "a", radius)
+        with pytest.raises(ZeroRadiusError):
+            ball(e2, "a", radius, backward=True)
+        with pytest.raises(ZeroRadiusError):
+            symmetrized_ball(e2, "a", radius)

@@ -5,6 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from furtherness import (
+    FurtherMatrix,
+    SpaceError,
+    UnknownLabelError,
     enumerate_topologies,
     furtherness,
     furtherness_matrix,
@@ -123,3 +126,30 @@ def test_range_bound_rows(e2):
 def test_unknown_label_raises(e2):
     with pytest.raises(Exception):
         furtherness(e2, "a", "nope")
+
+
+def test_matrix_index_out_of_range(e2):
+    m = furtherness_matrix(e2)
+    for bad in (-1, -5, e2.n, e2.n + 3):
+        with pytest.raises(SpaceError):
+            m.row(bad)
+        with pytest.raises(SpaceError):
+            m.col(bad)
+        with pytest.raises(SpaceError):
+            m.entry(bad, 0)
+        with pytest.raises(SpaceError):
+            m.entry(0, bad)
+    assert m.entry(3, 0) == m.entry("d", "a") == 1
+
+
+def test_matrix_unknown_label(e2):
+    m = furtherness_matrix(e2)
+    with pytest.raises(UnknownLabelError):
+        m.entry("nope", "a")
+    with pytest.raises(UnknownLabelError):
+        m.row("nope")
+
+
+def test_matrix_duplicate_labels_rejected():
+    with pytest.raises(SpaceError):
+        FurtherMatrix(("a", "a"), (0, 0, 0, 0))

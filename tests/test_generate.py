@@ -82,3 +82,18 @@ def test_random_space_validates():
     # construction runs the full basis validation, so surviving is the test
     for seed in range(200):
         random_space(6, seed)
+
+
+def test_enumerated_bases_are_validated(monkeypatch):
+    # a basis the enumerator got wrong must be caught when the cache fills
+    import furtherness.generate as G
+    from furtherness import BasisNotNestedError
+
+    G._bases.cache_clear()
+    bad = [(0b001, 0b010, 0b100), (0b011, 0b110, 0b100)]  # b is in U_a, U_b is not in U_a
+    monkeypatch.setattr(G.K, "enumerate_bases", lambda n, t0_only: bad)
+    try:
+        with pytest.raises(BasisNotNestedError):
+            list(enumerate_topologies(3))
+    finally:
+        G._bases.cache_clear()

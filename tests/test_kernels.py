@@ -109,3 +109,62 @@ def test_large_space_routes_to_pure():
 
 def test_backend_name_is_reported():
     assert backend in ("c", "pure")
+
+
+def _subsets(n):
+    return range(1 << n)
+
+
+def _members(mask):
+    return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
+
+
+def test_pure_leaf_kernels_against_brute_force():
+    # set_to_set, center_radius and further_matrix repeat the point_to_set
+    # and class_ids loops inline; hold them to those two kernels
+    for n, b in all_bases(3):
+        cls = pure.class_ids(n, b)
+        flat = pure.further_matrix(n, b)
+        for x in range(n):
+            for y in range(n):
+                grown = {cls[z] for z in _members(b[y])} - {cls[z] for z in _members(b[x])}
+                assert flat[x * n + y] == len(grown)
+        for a in _subsets(n):
+            for t in _subsets(n):
+                dists = {x: pure.point_to_set(n, flat, x, t) for x in _members(a)}
+                want = min(dists.values()) if a and t else -1
+                assert pure.set_to_set(n, flat, a, t) == want
+                if not a:
+                    want = (0, -1)
+                elif not t:
+                    want = (a, -1)
+                else:
+                    best = max(dists.values())
+                    want = (sum(1 << x for x, v in dists.items() if v == best), best)
+                assert pure.center_radius(n, flat, a, t) == want
+
+
+def test_compiled_binding_routes_large_spaces(monkeypatch):
+    from types import SimpleNamespace
+
+    from furtherness import _kernels
+
+    seen = []
+    fake = SimpleNamespace(point_to_set=lambda *args: seen.append(args) or "fast")
+    monkeypatch.setattr(_kernels, "_fast", fake)
+    bound = _kernels._bind("point_to_set")
+    assert bound.__name__ == "point_to_set"
+    assert bound(64, (0,) * 64 * 64, 0, 1) == "fast"
+    assert seen == [(64, (0,) * 64 * 64, 0, 1)]
+    n = 65
+    flat = tuple(range(n * n))
+    assert bound(n, flat, 1, 0b110) == pure.point_to_set(n, flat, 1, 0b110) == n + 1
+    assert len(seen) == 1
+
+
+@pytest.mark.skipif(backend != "pure", reason="compiled kernels are live")
+def test_pure_backend_binds_pure_functions():
+    from furtherness import _kernels
+
+    for name in ("class_ids", "further_matrix", "point_to_set", "enumerate_bases"):
+        assert getattr(_kernels, name) is getattr(pure, name)

@@ -1,4 +1,6 @@
+import dataclasses
 import itertools
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,9 @@ from furtherness import (
     NotClosedUnderIntersectionError,
     NotClosedUnderUnionError,
     PointNotInOwnBasisError,
+    SpaceError,
     UnknownLabelError,
+    enumerate_topologies,
     from_open_sets,
     mask_indices,
     random_space,
@@ -170,3 +174,42 @@ def test_subspace_of_everything_is_identity(e2):
 def test_iter_subsets_order(e2):
     fam = e2.open_family
     assert list(fam) == sorted(fam, key=lambda m: (bin(m).count("1"), tuple(mask_indices(m))))
+
+
+def test_enumerated_spaces_equal_validated_ones():
+    for n in range(1, 6):
+        for sp in enumerate_topologies(n):
+            checked = FinSpace(sp.labels, sp.basis)
+            assert sp == checked
+            assert hash(sp) == hash(checked)
+            assert (sp.n, sp.full) == (checked.n, checked.full) == (n, (1 << n) - 1)
+            assert type(sp.labels) is tuple and type(sp.basis) is tuple
+
+
+def test_size_fields_are_read_only(e2):
+    for name in ("n", "full", "labels", "basis"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(e2, name, 3)
+    assert (e2.n, e2.full) == (4, 0b1111)
+
+
+def test_size_fields_survive_pickle(e2):
+    trusted = next(iter(enumerate_topologies(3)))
+    for sp in (e2, trusted):
+        back = pickle.loads(pickle.dumps(sp))
+        assert back == sp and hash(back) == hash(sp)
+        assert (back.n, back.full) == (sp.n, sp.full)
+
+
+def test_index_and_mask_edge_cases(e2):
+    assert e2.index(True) == 1
+    assert e2.index(False) == 0
+    with pytest.raises(SpaceError):
+        FinSpace(("a",), (1,)).index(True)
+    for bad in (-1, e2.n):
+        with pytest.raises(SpaceError, match=f"point index {bad} out of range"):
+            e2.index(bad)
+    assert e2.mask(True) == 1
+    assert e2.mask([True, 3]) == 0b1010
+    with pytest.raises(SpaceError, match="mask 0x10 out of range for 4 points"):
+        e2.mask(1 << e2.n)

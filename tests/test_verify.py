@@ -99,3 +99,39 @@ def test_singleton_cap_applies():
     report = run_property("symmetrized-smallest-join", VerifyOptions(max_n=4))
     # capped at three points: 1 + 4 + 29 spaces
     assert report.checked == 34
+
+
+def test_jobs_clamped_to_cpu_count(monkeypatch):
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+    assert V._workers(10**6) == 2
+    assert V._workers(2) == 2
+    assert V._workers(1) == 1
+    monkeypatch.setattr(V.os, "cpu_count", lambda: None)
+    assert V._workers(8) == 1
+
+
+def test_sweep_starts_clamped_pool(monkeypatch):
+    # a stand-in pool that records its size and runs tasks in this process
+    sizes = []
+
+    class RecordingPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def imap(self, fn, tasks, chunksize=1):
+            return map(fn, tasks)
+
+        def terminate(self):
+            pass
+
+    monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(V, "Pool", RecordingPool)
+    report = run_property("triangle-inequality", VerifyOptions(max_n=3, jobs=10**6))
+    assert report.passed and report.checked == 34
+    assert sizes == [2]
