@@ -8,7 +8,6 @@ enumerated small spaces; the ``furtherness`` console script exposes the
 same machinery on space documents.
 """
 
-from ._kernels import backend as kernel_backend
 from .balls import (
     ball,
     ball_topology,
@@ -98,6 +97,10 @@ from .spaces import FinSpace, OpenFamily, from_minimal_basis, from_open_sets, ma
 from .verify import PROPERTIES, VerifyOptions, VerifyReport, run_all, run_property
 
 __version__ = "0.1.0"
+
+# The kernels have one implementation, the pure-Python ``_kernels`` module;
+# the name stays for tools that record which kernels ran.
+kernel_backend = "pure"
 
 __all__ = [
     "BallEntry",

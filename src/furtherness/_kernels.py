@@ -1,11 +1,11 @@
-"""Pure-Python kernels for word-level set algebra on finite spaces.
+"""Word-level set algebra on finite spaces: the kernels under every module.
 
 Point sets are bitmasks over point indices 0..n-1, and a space is handed to
 the kernels as its minimal basis: a sequence ``basis`` where ``basis[i]`` is
-the mask of the smallest open set containing point ``i``.  The compiled
-backend in ``_ckern`` implements the same functions with identical results
-and iteration order for n <= 64; this module is the reference and the
-fallback for larger spaces.
+the mask of the smallest open set containing point ``i``.  Python integers
+are unbounded, so the kernels take spaces of any size.  This module is the
+only implementation; the rest of the package calls it as
+``from . import _kernels as K``.
 
 Distance values reported by ``point_to_set`` / ``set_to_set`` /
 ``center_radius`` use -1 for "infinite" (an empty side); callers translate
@@ -13,8 +13,8 @@ that to ``math.inf`` at the API boundary.
 
 Every kernel here is a leaf: none calls another kernel of this module (the
 ``class_ids`` and ``point_to_set`` loops are repeated inline where needed),
-so a wrapper installed around the bound kernels, such as a profiler or a
-call counter, sees exactly one call per use from outside.
+so a wrapper installed around the kernels from outside, such as a profiler
+or a call counter, sees exactly one call per use.
 """
 
 from __future__ import annotations

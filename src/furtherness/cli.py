@@ -76,13 +76,7 @@ def matrix(file, as_json):
     if as_json:
         click.echo(json.dumps({"points": list(space.labels), "matrix": [list(r) for r in m.rows]}))
         return
-    width = max(len(lab) for lab in space.labels)
-    width = max(width, max(len(str(v)) for v in space.further_flat))
-    head = " " * (width + 2) + " ".join(lab.rjust(width) for lab in space.labels)
-    click.echo(head)
-    for x, lab in enumerate(space.labels):
-        row = " ".join(str(v).rjust(width) for v in m.row(x))
-        click.echo(f"{lab.rjust(width)}  {row}")
+    click.echo(str(m))
 
 
 @cli.command()

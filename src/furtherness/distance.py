@@ -22,8 +22,8 @@ from functools import cached_property
 from typing import Union
 
 from . import _kernels as K
-from .errors import SpaceError, UnknownLabelError
-from .spaces import FinSpace, PointLike, SetLike, _label_positions
+from .errors import SpaceError
+from .spaces import FinSpace, PointLike, SetLike
 
 Further = Union[int, float]  # non-negative int, or math.inf
 
@@ -82,11 +82,11 @@ class FurtherMatrix:
     """Square table of pairwise furtherness values."""
 
     def __init__(self, labels: tuple[str, ...], flat: tuple[int, ...]):
-        self.labels = tuple(labels)
-        self.n = len(self.labels)
-        self._positions = _label_positions(self.labels)
+        self._points = FinSpace.discrete(labels)
+        self.labels = self._points.labels
+        self.n = self._points.n
         if len(flat) != self.n * self.n:
-            raise ValueError("flat matrix length must be n*n")
+            raise SpaceError("flat matrix length must be n*n")
         self.flat = tuple(flat)
 
     @classmethod
@@ -94,15 +94,7 @@ class FurtherMatrix:
         return cls(space.labels, space.further_flat)
 
     def index(self, point: PointLike) -> int:
-        if isinstance(point, str):
-            try:
-                return self._positions[point]
-            except KeyError:
-                raise UnknownLabelError(point) from None
-        i = int(point)
-        if not 0 <= i < self.n:
-            raise SpaceError(f"point index {i} out of range")
-        return i
+        return self._points.index(point)
 
     def entry(self, x: PointLike, y: PointLike) -> int:
         return self.flat[self.index(x) * self.n + self.index(y)]

@@ -2,12 +2,15 @@
 
 Hasse mode draws the specialization order of the Kolmogorov quotient
 (transitive reduction, classes labeled by their members); lattice mode
-draws the cover graph of the open family under inclusion.  Node statements
-come in canonical set order and edges sorted, so output is byte-stable.
+draws the cover graph of the open family under inclusion, taking each
+open's covers from ``oracle.cover_successors``.  Node statements come in
+canonical set order and edges sorted, so output is byte-stable.
 """
 
 from __future__ import annotations
 
+from .errors import SpaceError
+from .oracle import cover_successors
 from .order import kolmogorov_quotient, specialization_preorder
 from .spaces import FinSpace
 
@@ -25,7 +28,7 @@ def export_dot(space: FinSpace, mode: str = "hasse") -> str:
         return _hasse(space)
     if mode == "lattice":
         return _lattice(space)
-    raise ValueError(f"unknown dot mode {mode!r}")
+    raise SpaceError(f"unknown dot mode {mode!r}")
 
 
 def _hasse(space: FinSpace) -> str:
@@ -44,20 +47,13 @@ def _hasse(space: FinSpace) -> str:
 
 
 def _lattice(space: FinSpace) -> str:
-    family = list(space.open_family)
+    family = space.open_family
     names = {o: _set_name(space.members(o)) for o in family}
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for o in family:
         lines.append(f"  {_quote(names[o])};")
     for a in family:
-        for b in family:
-            if a == b or (a & ~b):
-                continue
-            # b strictly contains a; keep only covering pairs
-            between = any(
-                w != a and w != b and not (a & ~w) and not (w & ~b) for w in family
-            )
-            if not between:
-                lines.append(f"  {_quote(names[a])} -> {_quote(names[b])};")
+        for b in cover_successors(space, a):
+            lines.append(f"  {_quote(names[a])} -> {_quote(names[b])};")
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -21,6 +21,14 @@ from functools import lru_cache
 from .spaces import FinSpace, PointLike, canonical_sets
 
 
+def _nothing_between(family, o: int, v: int) -> bool:
+    """Whether no member of ``family`` lies strictly between ``o`` and ``v``."""
+    for w in family:
+        if w != o and w != v and not (o & ~w) and not (w & ~v):
+            return False
+    return True
+
+
 @lru_cache(maxsize=1 << 15)
 def cover_successors(space: FinSpace, o: int) -> tuple[int, ...]:
     """Opens covering ``o``: strict supersets with nothing strictly between."""
@@ -34,16 +42,7 @@ def cover_successors(space: FinSpace, o: int) -> tuple[int, ...]:
         if v != o and v not in seen:
             seen.add(v)
             candidates.append(v)
-    out = []
-    for v in candidates:
-        between = False
-        for w in fam:
-            if w != o and w != v and not (o & ~w) and not (w & ~v):
-                between = True
-                break
-        if not between:
-            out.append(v)
-    return canonical_sets(out)
+    return canonical_sets(v for v in candidates if _nothing_between(fam, o, v))
 
 
 @dataclass(frozen=True)
@@ -69,9 +68,8 @@ class ChainWitness:
         for o, v in zip(self.opens, self.opens[1:]):
             if not (o & ~v == 0 and o != v):
                 raise ValueError("chain is not strictly increasing")
-            for w in fam:
-                if w != o and w != v and not (o & ~w) and not (w & ~v):
-                    raise ValueError("chain step is not a cover")
+            if not _nothing_between(fam, o, v):
+                raise ValueError("chain step is not a cover")
 
 
 def furtherness_oracle(space: FinSpace, x: PointLike, y: PointLike) -> tuple[int, ChainWitness]:

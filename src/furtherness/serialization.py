@@ -16,7 +16,7 @@ import json
 import math
 from typing import Any
 
-from .errors import DocumentSyntaxError, SchemaError
+from .errors import DocumentSyntaxError, SchemaError, SpaceError
 from .spaces import FinSpace, from_minimal_basis, from_open_sets
 
 
@@ -34,7 +34,7 @@ def space_to_document(space: FinSpace, form: str = "min_basis") -> dict:
             "points": list(space.labels),
             "opens": [list(space.members(o)) for o in space.open_family],
         }
-    raise ValueError(f"unknown document form {form!r}")
+    raise SpaceError(f"unknown document form {form!r}")
 
 
 def serialize_space(space: FinSpace) -> str:

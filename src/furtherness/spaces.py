@@ -129,6 +129,17 @@ class FinSpace:
         sp.__dict__.update(labels=labels, basis=basis, n=n, full=(1 << n) - 1)
         return sp
 
+    @classmethod
+    def discrete(cls, labels: Iterable[str]) -> "FinSpace":
+        """The discrete space on ``labels``: every point set is open.
+
+        Its ``mask``, ``index`` and ``members`` depend on the labels alone,
+        so it is also the validated label lookup for data that is not a
+        space yet (an open family, a basis given by labels, a matrix).
+        """
+        labels = tuple(labels)
+        return cls(labels, tuple(1 << i for i in range(len(labels))))
+
     # -- coercion ----------------------------------------------------------
 
     def index(self, point: PointLike) -> int:
@@ -252,44 +263,10 @@ class FinSpace:
         return f"FinSpace({','.join(self.labels)}; {sets})"
 
 
-def _label_positions(labels: tuple[str, ...]) -> dict[str, int]:
-    out: dict[str, int] = {}
-    for i, lab in enumerate(labels):
-        if lab in out:
-            raise DuplicateLabelError(lab)
-        out[lab] = i
-    return out
-
-
-def _coerce_mask(positions: dict[str, int], n: int, points: SetLike) -> int:
-    if isinstance(points, int):
-        if points & ~((1 << n) - 1):
-            raise SpaceError(f"mask {points:#x} out of range for {n} points")
-        return points
-    out = 0
-    for p in points:
-        if isinstance(p, str):
-            if p not in positions:
-                raise UnknownLabelError(p)
-            out |= 1 << positions[p]
-        else:
-            i = int(p)
-            if not 0 <= i < n:
-                raise SpaceError(f"point index {i} out of range")
-            out |= 1 << i
-    return out
-
-
-def _render(labels: tuple[str, ...], mask: int) -> tuple[str, ...]:
-    return tuple(labels[i] for i in mask_indices(mask))
-
-
 def from_minimal_basis(labels: Iterable[str], basis: Iterable[SetLike]) -> FinSpace:
     """Build a space from per-point minimal opens (masks or label lists)."""
-    labels = tuple(labels)
-    positions = _label_positions(labels)
-    masks = tuple(_coerce_mask(positions, len(labels), b) for b in basis)
-    return FinSpace(labels, masks)
+    points = FinSpace.discrete(labels)
+    return FinSpace(points.labels, tuple(points.mask(b) for b in basis))
 
 
 def from_open_sets(labels: Iterable[str], opens: Iterable[SetLike]) -> FinSpace:
@@ -300,13 +277,9 @@ def from_open_sets(labels: Iterable[str], opens: Iterable[SetLike]) -> FinSpace:
     The minimal basis is recovered by intersecting, for every point, all
     opens that contain it.
     """
-    labels = tuple(labels)
-    n = len(labels)
-    if n == 0:
-        raise EmptyInputError("point list")
-    positions = _label_positions(labels)
-    family = canonical_sets({_coerce_mask(positions, n, o) for o in opens})
-    full = (1 << n) - 1
+    points = FinSpace.discrete(labels)
+    family = canonical_sets({points.mask(o) for o in opens})
+    n, full = points.n, points.full
     if 0 not in family:
         raise MissingEmptyOrFullError("empty")
     if full not in family:
@@ -315,13 +288,9 @@ def from_open_sets(labels: Iterable[str], opens: Iterable[SetLike]) -> FinSpace:
     for i, a in enumerate(family):
         for b in family[i + 1 :]:
             if a | b not in have:
-                raise NotClosedUnderUnionError(
-                    (_render(labels, a), _render(labels, b))
-                )
+                raise NotClosedUnderUnionError((points.members(a), points.members(b)))
             if a & b not in have:
-                raise NotClosedUnderIntersectionError(
-                    (_render(labels, a), _render(labels, b))
-                )
+                raise NotClosedUnderIntersectionError((points.members(a), points.members(b)))
     basis = []
     for x in range(n):
         m = full
@@ -329,4 +298,4 @@ def from_open_sets(labels: Iterable[str], opens: Iterable[SetLike]) -> FinSpace:
             if (o >> x) & 1:
                 m &= o
         basis.append(m)
-    return FinSpace(labels, tuple(basis))
+    return FinSpace(points.labels, tuple(basis))

@@ -91,3 +91,13 @@ def brute_center_radius(family, a, target):
     dist = {x: brute_point_to_set(family, x, target) for x in a}
     radius = max(dist.values())
     return frozenset(x for x in a if dist[x] == radius), radius
+
+
+def brute_lattice_edges(family):
+    """Every covering pair (a, b) of the family, by a triple loop."""
+    return {
+        (a, b)
+        for a in family
+        for b in family
+        if a < b and not any(a < w < b for w in family)
+    }

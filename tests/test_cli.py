@@ -7,7 +7,7 @@ Everything goes through main() so the exit-code remap is under test:
 import json
 
 from furtherness import cli as C
-from furtherness import document_to_space, furtherness
+from furtherness import FinSpace, document_to_space, furtherness, furtherness_matrix
 from furtherness import verify as V
 
 
@@ -58,6 +58,15 @@ def test_matrix_table(space_file, e2, capsys):
         "c  0 0 0 0\n"
         "d  1 2 3 0\n"
     )
+
+
+def test_matrix_table_is_the_matrix_str(space_file, capsys):
+    # labels wider than every value, so the column width comes from them
+    sp = FinSpace(("alpha", "b", "gamma"), (0b001, 0b011, 0b111))
+    code, out, _ = run_cli(["matrix", space_file(sp)], capsys)
+    assert code == 0
+    assert out == str(furtherness_matrix(sp)) + "\n"
+    assert out.splitlines()[1] == "alpha      0     1     2"
 
 
 def test_matrix_json(space_file, e2, capsys):

@@ -153,3 +153,8 @@ def test_matrix_unknown_label(e2):
 def test_matrix_duplicate_labels_rejected():
     with pytest.raises(SpaceError):
         FurtherMatrix(("a", "a"), (0, 0, 0, 0))
+
+
+def test_matrix_length_mismatch_is_space_error():
+    with pytest.raises(SpaceError, match="flat matrix length must be n\\*n"):
+        FurtherMatrix(("a", "b"), (0, 0, 0))

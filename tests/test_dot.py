@@ -1,4 +1,7 @@
-from furtherness import FinSpace, export_dot
+import pytest
+
+from furtherness import FinSpace, SpaceError, enumerate_topologies, export_dot
+from oracles import brute_lattice_edges, family_from_basis
 
 E1_HASSE = """digraph hasse {
   rankdir=BT;
@@ -50,3 +53,27 @@ def test_lattice_singleton_space():
     text = export_dot(sp, "lattice")
     assert '"{}"' in text and '"{x}"' in text
     assert '  "{}" -> "{x}";' in text
+
+
+def _set_of(name):
+    return frozenset(filter(None, name.strip('"{}').split(",")))
+
+
+def test_lattice_edges_against_brute_force():
+    for n in range(1, 5):
+        for sp in enumerate_topologies(n):
+            family = family_from_basis(sp.labels, [frozenset(sp.members(m)) for m in sp.basis])
+            lines = export_dot(sp, "lattice").splitlines()
+            edges = [
+                tuple(_set_of(name) for name in ln.strip().rstrip(";").split(" -> "))
+                for ln in lines
+                if "->" in ln
+            ]
+            assert len(edges) == len(set(edges))
+            assert set(edges) == brute_lattice_edges(family)
+            assert len(lines) - len(edges) - 4 == len(family)
+
+
+def test_unknown_mode_is_space_error(e1):
+    with pytest.raises(SpaceError, match="unknown dot mode 'tree'"):
+        export_dot(e1, "tree")

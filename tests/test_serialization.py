@@ -6,6 +6,7 @@ from furtherness import (
     DocumentSyntaxError,
     NotClosedUnderUnionError,
     SchemaError,
+    SpaceError,
     document_to_space,
     enumerate_topologies,
     parse_space,
@@ -101,3 +102,8 @@ def test_schema_rejects_non_object():
 def test_schema_rejects_unknown_member():
     with pytest.raises(Exception):
         document_to_space({"points": ["a"], "min_basis": {"a": ["a", "z"]}})
+
+
+def test_unknown_document_form_is_space_error(e2):
+    with pytest.raises(SpaceError, match="unknown document form 'basis'"):
+        space_to_document(e2, form="basis")

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from furtherness import (
     BasisNotNestedError,
     DuplicateLabelError,
+    EmptyInputError,
     FinSpace,
     MissingEmptyOrFullError,
     NotClosedUnderIntersectionError,
@@ -17,6 +18,7 @@ from furtherness import (
     SpaceError,
     UnknownLabelError,
     enumerate_topologies,
+    from_minimal_basis,
     from_open_sets,
     mask_indices,
     random_space,
@@ -213,3 +215,22 @@ def test_index_and_mask_edge_cases(e2):
     assert e2.mask([True, 3]) == 0b1010
     with pytest.raises(SpaceError, match="mask 0x10 out of range for 4 points"):
         e2.mask(1 << e2.n)
+
+
+def test_discrete_space_is_the_label_lookup():
+    sp = FinSpace.discrete(["a", "b", "c"])
+    assert sp.basis == (0b001, 0b010, 0b100)
+    assert len(sp.open_family) == 8
+    assert sp.mask("ac") == 0b101 and sp.members(0b110) == ("b", "c")
+    # the builders coerce through it, so they raise what it raises
+    for build in (from_minimal_basis, from_open_sets):
+        with pytest.raises(EmptyInputError):
+            build((), [])
+        with pytest.raises(DuplicateLabelError):
+            build(("a", "a"), [0b11])
+        with pytest.raises(SpaceError, match="nonempty strings"):
+            build(("a", 1), [0b11])
+        with pytest.raises(UnknownLabelError):
+            build(("a", "b"), [["a"], ["z"]])
+        with pytest.raises(SpaceError, match="point index 5 out of range"):
+            build(("a", "b"), [[0], [5]])
