@@ -5,14 +5,19 @@ Hasse mode draws the specialization order of the Kolmogorov quotient
 draws the cover graph of the open family under inclusion, taking each
 open's covers from ``oracle.cover_successors``.  Node statements come in
 canonical set order and edges sorted, so output is byte-stable.
+
+The lattice costs O(n * |opens|**2), so it is refused for families of more
+than ``LATTICE_OPEN_LIMIT`` opens, the discrete space on ten points.
 """
 
 from __future__ import annotations
 
-from .errors import SpaceError
+from .errors import SizeTooLargeError, SpaceError
 from .oracle import cover_successors
 from .order import kolmogorov_quotient, specialization_preorder
 from .spaces import FinSpace
+
+LATTICE_OPEN_LIMIT = 1024
 
 
 def _quote(s: str) -> str:
@@ -48,6 +53,10 @@ def _hasse(space: FinSpace) -> str:
 
 def _lattice(space: FinSpace) -> str:
     family = space.open_family
+    if len(family) > LATTICE_OPEN_LIMIT:
+        raise SizeTooLargeError(
+            len(family), LATTICE_OPEN_LIMIT, "lattice export", "opens"
+        )
     names = {o: _set_name(space.members(o)) for o in family}
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for o in family:

@@ -91,10 +91,18 @@ class PreconditionViolatedError(SpaceError):
 
 
 class SizeTooLargeError(SpaceError):
-    def __init__(self, n: int, limit: int, what: str = "enumeration"):
+    """An operation whose cost grows exponentially got too large an input.
+
+    ``n`` is the size of the input and ``limit`` the largest size accepted,
+    both counted in ``unit``.
+    """
+
+    def __init__(
+        self, n: int, limit: int, what: str = "enumeration", unit: str = "points"
+    ):
         self.n = n
         self.limit = limit
-        super().__init__(f"{what} supports at most {limit} points, got {n}")
+        super().__init__(f"{what} supports at most {limit} {unit}, got {n}")
 
 
 class SchemaError(SpaceError):

@@ -18,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import SpaceError
 from .spaces import FinSpace, PointLike, canonical_sets
 
 
@@ -56,20 +57,20 @@ class ChainWitness:
         return len(self.opens) - 1
 
     def validate(self, space: FinSpace, x: PointLike) -> None:
-        """Raise unless this is a genuine nested run starting at x's open."""
+        """Raise ``SpaceError`` unless this is a nested run of covers from x's open."""
         if not self.opens:
-            raise ValueError("empty chain")
+            raise SpaceError("empty chain")
         if self.opens[0] != space.min_open(x):
-            raise ValueError("chain does not start at the minimal open of x")
+            raise SpaceError("chain does not start at the minimal open of x")
         fam = space.open_family
         for o in self.opens:
             if o not in fam:
-                raise ValueError("chain contains a non-open set")
+                raise SpaceError("chain contains a non-open set")
         for o, v in zip(self.opens, self.opens[1:]):
             if not (o & ~v == 0 and o != v):
-                raise ValueError("chain is not strictly increasing")
+                raise SpaceError("chain is not strictly increasing")
             if not _nothing_between(fam, o, v):
-                raise ValueError("chain step is not a cover")
+                raise SpaceError("chain step is not a cover")
 
 
 def furtherness_oracle(space: FinSpace, x: PointLike, y: PointLike) -> tuple[int, ChainWitness]:

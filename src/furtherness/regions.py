@@ -7,18 +7,25 @@ complement instead of the boundary.  ``union_analysis`` evaluates the
 predicted center and radius of a separated union from the per-part data
 and always carries the directly computed answer alongside, because the
 prediction is a claim under test here, not a shortcut.
+
+``region_report`` and ``quasi_report`` answer one subset per call and are
+the definition.  ``subset_table`` answers every subset of a space at once,
+for the verifier's sweeps, which check it against the per-query functions.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import _kernels as K
 from .distance import Further
-from .errors import EmptyOrFullSubsetError, PreconditionViolatedError
+from .errors import EmptyOrFullSubsetError, PreconditionViolatedError, SizeTooLargeError
 from .spaces import FinSpace, SetLike, mask_indices
+
+# a subset table holds about n * 2**n entries
+SUBSET_TABLE_LIMIT = 12
 
 
 @dataclass(frozen=True)
@@ -53,6 +60,107 @@ def quasi_report(space: FinSpace, subset: SetLike) -> QuasiReport:
     a = space.mask(subset)
     center, r = K.center_radius(space.n, space.further_flat, a, space.full & ~a)
     return QuasiReport(a, center, math.inf if r < 0 else r)
+
+
+class SubsetTable(NamedTuple):
+    """Region and quasi data of every subset of one space, indexed by mask.
+
+    ``closure[s]``, ``interior[s]``, ``boundary[s]``, ``center[s]`` and
+    ``radius[s]`` equal the fields of ``region_report(space, s)`` (with the
+    closure added), ``quasi_center[s]`` and ``quasi_radius[s]`` those of
+    ``quasi_report(space, s)``, and ``p2s[x][t]`` is
+    ``point_to_set(space, x, t)``; infinity is ``math.inf`` throughout.
+
+    A named tuple rather than a frozen dataclass: every command line
+    process imports this module and never builds a table, and the class
+    costs it a sixth of the time to define.
+    """
+
+    closure: tuple[int, ...]
+    interior: tuple[int, ...]
+    boundary: tuple[int, ...]
+    center: tuple[int, ...]
+    radius: tuple[Further, ...]
+    quasi_center: tuple[int, ...]
+    quasi_radius: tuple[Further, ...]
+    p2s: tuple[tuple[Further, ...], ...]
+
+
+def _centers(targets, p2s):
+    """Points of each subset furthest from its target, and that distance.
+
+    ``targets[a]`` is the target of subset ``a``.  Follows the
+    ``center_radius`` conventions: an empty subset has center 0, an empty
+    target makes the whole subset central, and both give infinity.
+    """
+    centers = []
+    radii = []
+    for a, t in enumerate(targets):
+        if not a or not t:
+            centers.append(a)
+            radii.append(math.inf)
+            continue
+        best = -1
+        center = 0
+        rest = a
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            v = p2s[low.bit_length() - 1][t]
+            if v > best:
+                best = v
+                center = low
+            elif v == best:
+                center |= low
+        centers.append(center)
+        radii.append(best)
+    return tuple(centers), tuple(radii)
+
+
+def subset_table(space: FinSpace) -> SubsetTable:
+    """One pass over all 2**n subsets of ``space``; see :class:`SubsetTable`.
+
+    The subsets of the first x + 1 points are those of the first x points,
+    without and with point x, so a set s gains x with closure
+    ``closure[s] | closure({x})`` and distance ``min(p2s[y][s], Ψ(y, x))``
+    from y.  Interiors are complements of closures of complements.  Raises
+    ``SizeTooLargeError`` above ``SUBSET_TABLE_LIMIT`` points, before
+    anything is allocated.
+    """
+    n = space.n
+    if n > SUBSET_TABLE_LIMIT:
+        raise SizeTooLargeError(n, SUBSET_TABLE_LIMIT, "subset table")
+    basis = space.basis
+    flat = space.further_flat
+    full = space.full
+    closure = [0]
+    for x in range(n):
+        point = 0
+        for y in range(n):
+            if (basis[y] >> x) & 1:
+                point |= 1 << y
+        closure += [c | point for c in closure]
+    # s ranges upward while full ^ s ranges downward
+    interior = [full ^ c for c in reversed(closure)]
+    boundary = [c & ~i for c, i in zip(closure, interior)]
+    p2s = []
+    for y in range(n):
+        row = [math.inf]
+        for v in flat[y * n : (y + 1) * n]:
+            row += [r if r < v else v for r in row]
+        p2s.append(tuple(row))
+    center, radius = _centers(boundary, p2s)
+    quasi_center, quasi_radius = _centers([full ^ s for s in range(full + 1)], p2s)
+    return SubsetTable(
+        closure=tuple(closure),
+        interior=tuple(interior),
+        boundary=tuple(boundary),
+        center=center,
+        radius=radius,
+        quasi_center=quasi_center,
+        quasi_radius=quasi_radius,
+        p2s=tuple(p2s),
+    )
 
 
 def are_separated(space: FinSpace, first: SetLike, second: SetLike) -> bool:

@@ -639,17 +639,18 @@ def _ball_basis(sp: FinSpace):
 @space_property("symmetrized-metric")
 def _symmetrized_metric(sp: FinSpace):
     n = sp.n
+    sym = [
+        B.symmetrized_furtherness(sp, x, y) for x in range(n) for y in range(n)
+    ]
     for x in range(n):
-        if B.symmetrized_furtherness(sp, x, x) != 0:
+        if sym[x * n + x] != 0:
             return _fail(sp, point=sp.labels[x])
         for y in range(n):
-            sxy = B.symmetrized_furtherness(sp, x, y)
-            if sxy != B.symmetrized_furtherness(sp, y, x):
+            sxy = sym[x * n + y]
+            if sxy != sym[y * n + x]:
                 return _fail(sp, pair=[sp.labels[x], sp.labels[y]])
             for z in range(n):
-                if sxy > B.symmetrized_furtherness(
-                    sp, x, z
-                ) + B.symmetrized_furtherness(sp, z, y):
+                if sxy > sym[x * n + z] + sym[z * n + y]:
                     return _fail(
                         sp, triple=[sp.labels[x], sp.labels[y], sp.labels[z]]
                     )
@@ -698,10 +699,10 @@ def _symmetrized_disconnected(sp: FinSpace):
 
 @space_property("point-set-closure")
 def _point_set_closure(sp: FinSpace):
-    for s in _subsets(sp):
-        cl = sp.closure(s)
-        for x in range(sp.n):
-            if D.point_to_set(sp, x, s) != D.point_to_set(sp, x, cl):
+    table = R.subset_table(sp)
+    for s, cl in enumerate(table.closure):
+        for x, row in enumerate(table.p2s):
+            if row[s] != row[cl]:
                 return _fail(sp, point=sp.labels[x], subset=_set(sp, s))
     return None
 
@@ -718,29 +719,38 @@ def _separation_obstruction(sp: FinSpace):
 
 @space_property("radius-zero-interior")
 def _radius_zero(sp: FinSpace):
+    table = R.subset_table(sp)
     for s in range(1, sp.full + 1):
-        rep = R.region_report(sp, s)
-        if (rep.radius == 0) != (rep.interior == 0):
+        interior = table.interior[s]
+        if (table.radius[s] == 0) != (interior == 0):
             return _fail(sp, subset=_set(sp, s))
-        if rep.interior == 0 and rep.center != s:
+        if interior == 0 and table.center[s] != s:
             return _fail(sp, subset=_set(sp, s))
     return None
 
 
 @space_property("center-in-interior")
 def _center_in_interior(sp: FinSpace):
+    table = R.subset_table(sp)
     for s in range(1, sp.full + 1):
-        rep = R.region_report(sp, s)
-        if rep.interior:
-            if rep.center & ~rep.interior:
+        interior = table.interior[s]
+        if interior:
+            if table.center[s] & ~interior:
                 return _fail(sp, subset=_set(sp, s))
-            if not rep.radius > 0:
+            if not table.radius[s] > 0:
                 return _fail(sp, subset=_set(sp, s))
     return None
 
 
 @space_property("radius-clopen")
 def _radius_clopen(sp: FinSpace):
+    """The clopen theorem on ``region_report``, which also checks the table.
+
+    The per-query report is the definition, and the other subset sweeps
+    read ``subset_table`` in its place, so a table entry that differs from
+    the report is a counterexample too, named by its field.
+    """
+    table = R.subset_table(sp)
     for s in _subsets(sp):
         rep = R.region_report(sp, s)
         clopen = sp.is_open(s) and sp.is_open(sp.full & ~s)
@@ -750,16 +760,28 @@ def _radius_clopen(sp: FinSpace):
             return _fail(sp, subset=_set(sp, s))
         if rep.center & ~s:
             return _fail(sp, subset=_set(sp, s))
+        # the interior lies inside s, which lies inside the closure
+        direct = {
+            "closure": rep.interior | rep.boundary,
+            "interior": rep.interior,
+            "boundary": rep.boundary,
+            "center": rep.center,
+            "radius": rep.radius,
+        }
+        for field, value in direct.items():
+            if getattr(table, field)[s] != value:
+                return _fail(sp, subset=_set(sp, s), table=field)
     return None
 
 
 @space_property("radius-monotone")
 def _radius_monotone(sp: FinSpace):
-    for s in _subsets(sp):
-        rep = R.region_report(sp, s)
-        if rep.radius > R.region_report(sp, rep.interior).radius:
+    table = R.subset_table(sp)
+    radius = table.radius
+    for s, r in enumerate(radius):
+        if r > radius[table.interior[s]]:
             return _fail(sp, subset=_set(sp, s))
-        if rep.radius > R.region_report(sp, sp.closure(s)).radius:
+        if r > radius[table.closure[s]]:
             return _fail(sp, subset=_set(sp, s))
     return None
 
@@ -771,6 +793,7 @@ def _subspace_radius(sp: FinSpace):
     grow.  The naive version with the subspace's own recomputed distance is
     false; a three-point counterexample is pinned in the test suite.
     """
+    table = R.subset_table(sp)
     for carrier in range(1, sp.full + 1):
         sub = sp.subspace(carrier)
         kept = list(mask_indices(carrier))
@@ -779,25 +802,23 @@ def _subspace_radius(sp: FinSpace):
                 if D.furtherness(sub, upos, vpos) > D.furtherness(sp, u, v):
                     return _fail(sp, pair=[sp.labels[u], sp.labels[v]],
                                  carrier=_set(sp, carrier))
+        sub_boundary = R.subset_table(sub).boundary
         for inner in range(1 << len(kept)):
             small = 0
             for pos, x in enumerate(kept):
                 if (inner >> pos) & 1:
                     small |= 1 << x
-            sub_rep = R.region_report(sub, inner)
             bd_in_x = 0
             for pos, x in enumerate(kept):
-                if (sub_rep.boundary >> pos) & 1:
+                if (sub_boundary[inner] >> pos) & 1:
                     bd_in_x |= 1 << x
-            if bd_in_x & ~R.region_report(sp, small).boundary:
+            if bd_in_x & ~table.boundary[small]:
                 return _fail(sp, subset=_set(sp, small), carrier=_set(sp, carrier))
             if small == 0 or bd_in_x == 0:
                 restricted: float = math.inf
             else:
-                restricted = max(
-                    D.point_to_set(sp, x, bd_in_x) for x in mask_indices(small)
-                )
-            if R.region_report(sp, small).radius > restricted:
+                restricted = max(table.p2s[x][bd_in_x] for x in mask_indices(small))
+            if table.radius[small] > restricted:
                 return _fail(sp, subset=_set(sp, small), carrier=_set(sp, carrier))
     return None
 
@@ -900,11 +921,21 @@ def _union_triples(opts: VerifyOptions):
 
 @space_property("quasi-ball-identity")
 def _quasi_ball(sp: FinSpace):
+    """Quasi-radius balls, which also checks the table's quasi and p2s fields."""
     n = sp.n
+    table = R.subset_table(sp)
     for s in range(1, sp.full):
         q = R.quasi_report(sp, s)
+        if (
+            table.quasi_center[s] != q.quasi_center
+            or table.quasi_radius[s] != q.quasi_radius
+        ):
+            return _fail(sp, subset=_set(sp, s), table="quasi")
+        rest = sp.full & ~s
         for x in mask_indices(s):
-            lim = D.point_to_set(sp, x, sp.full & ~s)
+            lim = D.point_to_set(sp, x, rest)
+            if table.p2s[x][rest] != lim:
+                return _fail(sp, subset=_set(sp, s), point=sp.labels[x], table="p2s")
             for r in range(1, n + 1):
                 inside = not (B.ball(sp, x, r) & ~s)
                 if inside != (r <= lim):
@@ -931,7 +962,7 @@ def _quasi_ball(sp: FinSpace):
 @custom_property("enumerator-counts")
 def _enumerator_counts(opts: VerifyOptions):
     want_all = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
-    want_t0 = {1: 1, 2: 3, 3: 19, 4: 219}
+    want_t0 = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
     checked = 0
     for n in range(1, min(opts.max_n, 5) + 1):
         seen = set()

@@ -183,6 +183,15 @@ def test_dot_modes(space_file, e1, capsys):
     assert '"{}"' in out
 
 
+def test_dot_lattice_refuses_large_open_family(space_file, capsys):
+    # the discrete space on 16 points has 65,536 opens
+    sp = FinSpace.discrete([f"p{i}" for i in range(16)])
+    code, out, err = run_cli(["dot", space_file(sp), "--lattice"], capsys)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "1024 opens, got 65536" in err
+
+
 def test_enumerate_count_only(capsys):
     code, out, _ = run_cli(["enumerate", "--n", "4", "--count-only"], capsys)
     assert code == 0

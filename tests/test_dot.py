@@ -1,6 +1,13 @@
 import pytest
 
-from furtherness import FinSpace, SpaceError, enumerate_topologies, export_dot
+from furtherness import (
+    FinSpace,
+    SizeTooLargeError,
+    SpaceError,
+    enumerate_topologies,
+    export_dot,
+)
+from furtherness.dot import LATTICE_OPEN_LIMIT
 from oracles import brute_lattice_edges, family_from_basis
 
 E1_HASSE = """digraph hasse {
@@ -77,3 +84,15 @@ def test_lattice_edges_against_brute_force():
 def test_unknown_mode_is_space_error(e1):
     with pytest.raises(SpaceError, match="unknown dot mode 'tree'"):
         export_dot(e1, "tree")
+
+
+def test_lattice_open_limit_is_inclusive():
+    # the discrete space on ten points has exactly the limit of opens
+    assert LATTICE_OPEN_LIMIT == 1 << 10
+    ten = FinSpace.discrete([str(i) for i in range(10)])
+    assert export_dot(ten, "lattice").startswith("digraph lattice {")
+    eleven = FinSpace.discrete([str(i) for i in range(11)])
+    with pytest.raises(SizeTooLargeError, match="at most 1024 opens, got 2048"):
+        export_dot(eleven, "lattice")
+    # the Hasse diagram has no such cap
+    assert export_dot(eleven, "hasse").startswith("digraph hasse {")

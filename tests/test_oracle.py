@@ -2,6 +2,7 @@ import pytest
 
 from furtherness import (
     ChainWitness,
+    SpaceError,
     cover_successors,
     enumerate_topologies,
     furtherness,
@@ -58,23 +59,29 @@ def test_all_minimal_chains_end_at_the_two_point_open(e2):
 
 
 def test_validate_rejects_wrong_start(e2):
-    with pytest.raises(ValueError):
+    with pytest.raises(SpaceError, match="does not start"):
         ChainWitness((e2.mask("ab"), e2.full)).validate(e2, "a")
 
 
 def test_validate_rejects_non_cover_step(e2):
     # {a} to {a,b,d} skips {a,b} and {a,d}
-    with pytest.raises(ValueError):
+    with pytest.raises(SpaceError, match="not a cover"):
         ChainWitness((e2.mask("a"), e2.mask("abd"))).validate(e2, "a")
 
 
 def test_validate_rejects_non_open(e2):
-    with pytest.raises(ValueError):
+    with pytest.raises(SpaceError, match="non-open"):
         ChainWitness((e2.mask("a"), e2.mask("ac"))).validate(e2, "a")
 
 
+def test_validate_rejects_repeated_open(e2):
+    # both sets are open and the start is right, but the step stands still
+    with pytest.raises(SpaceError, match="not strictly increasing"):
+        ChainWitness((e2.mask("a"), e2.mask("a"))).validate(e2, "a")
+
+
 def test_validate_rejects_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(SpaceError, match="empty chain"):
         ChainWitness(()).validate(None, 0)
 
 

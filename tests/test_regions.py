@@ -6,13 +6,18 @@ from furtherness import (
     EmptyOrFullSubsetError,
     FinSpace,
     PreconditionViolatedError,
+    SizeTooLargeError,
     are_separated,
     ball,
+    enumerate_topologies,
     largest_forward_balls,
+    point_to_set,
     quasi_report,
+    random_space,
     region_report,
     union_analysis,
 )
+from furtherness.regions import SUBSET_TABLE_LIMIT, subset_table
 
 
 def test_region_e1_no_interior(e1):
@@ -146,3 +151,51 @@ def test_radius_zero_iff_no_interior(e1, e2, q1):
         for mask in range(1, sp.full + 1):
             rep = region_report(sp, mask)
             assert (rep.radius == 0) == (rep.interior == 0)
+
+
+def _assert_table_is_the_definition(sp):
+    table = subset_table(sp)
+    for s in range(sp.full + 1):
+        rep = region_report(sp, s)
+        q = quasi_report(sp, s)
+        assert table.closure[s] == sp.closure(s)
+        assert table.interior[s] == sp.interior(s) == rep.interior
+        assert table.boundary[s] == sp.boundary(s) == rep.boundary
+        assert (table.center[s], table.radius[s]) == (rep.center, rep.radius)
+        assert (table.quasi_center[s], table.quasi_radius[s]) == (
+            q.quasi_center,
+            q.quasi_radius,
+        )
+        for x in range(sp.n):
+            assert table.p2s[x][s] == point_to_set(sp, x, s)
+
+
+def test_subset_table_matches_per_query_functions():
+    for n in range(1, 5):
+        for sp in enumerate_topologies(n):
+            _assert_table_is_the_definition(sp)
+    for seed in (1, 2, 3):
+        _assert_table_is_the_definition(random_space(6, seed))
+        _assert_table_is_the_definition(random_space(7, seed))
+
+
+def test_subset_table_shape(e2):
+    table = subset_table(e2)
+    size = 1 << e2.n
+    for field in ("closure", "interior", "boundary", "center", "radius"):
+        assert len(getattr(table, field)) == size
+    assert len(table.p2s) == e2.n and all(len(row) == size for row in table.p2s)
+    # empty target, empty subset and clopen full set are infinite
+    assert all(row[0] == math.inf for row in table.p2s)
+    assert table.radius[0] == table.radius[e2.full] == math.inf
+    assert table.quasi_radius[0] == table.quasi_radius[e2.full] == math.inf
+
+
+def test_subset_table_size_limit():
+    at_limit = random_space(SUBSET_TABLE_LIMIT, 1)
+    assert len(subset_table(at_limit).radius) == 1 << SUBSET_TABLE_LIMIT
+    # 2**40 subsets could never be allocated, so the refusal comes first
+    sp = FinSpace.discrete([f"p{i}" for i in range(40)])
+    with pytest.raises(SizeTooLargeError, match=f"at most {SUBSET_TABLE_LIMIT} points"):
+        subset_table(sp)
+    assert "further_flat" not in sp.__dict__

@@ -9,6 +9,7 @@ from furtherness import (
     run_all,
     run_property,
 )
+from furtherness import regions as R
 from furtherness import verify as V
 
 SMALL = VerifyOptions(max_n=3, samples=25, sample_n=5)
@@ -135,3 +136,41 @@ def test_sweep_starts_clamped_pool(monkeypatch):
     report = run_property("triangle-inequality", VerifyOptions(max_n=3, jobs=10**6))
     assert report.passed and report.checked == 34
     assert sizes == [2]
+
+
+_TABLE_CHECKS = [
+    ("radius-clopen", field, field)
+    for field in ("closure", "interior", "boundary", "center", "radius")
+] + [
+    ("quasi-ball-identity", "quasi_center", "quasi"),
+    ("quasi-ball-identity", "quasi_radius", "quasi"),
+    ("quasi-ball-identity", "p2s", "p2s"),
+]
+
+
+@pytest.mark.parametrize("prop, field, tag", _TABLE_CHECKS)
+def test_table_cross_check_catches_a_wrong_entry(monkeypatch, prop, field, tag):
+    # the region properties read subset_table, and these two hold it to
+    # region_report, quasi_report and point_to_set: one wrong entry, for the
+    # subset of the first point, must surface as a counterexample
+    real = R.subset_table
+
+    def one_wrong_entry(sp):
+        table = real(sp)
+        if sp.n < 3:
+            return table
+        if field == "p2s":
+            rows = [list(row) for row in table.p2s]
+            rows[0][sp.full & ~1] = -1  # from the point to the rest
+            return table._replace(p2s=tuple(map(tuple, rows)))
+        values = list(getattr(table, field))
+        values[1] = -1  # no mask or radius is negative
+        return table._replace(**{field: tuple(values)})
+
+    monkeypatch.setattr(R, "subset_table", one_wrong_entry)
+    report = run_property(prop, VerifyOptions(max_n=3, jobs=1))
+    assert not report.passed
+    ce = report.counterexample
+    assert ce["table"] == tag
+    assert ce["subset"] == [document_to_space(ce["space"]).labels[0]]
+    assert report.checked == 6  # 1 + 4 spaces, then the first on three points
