@@ -7,7 +7,9 @@ open's covers from ``oracle.cover_successors``.  Node statements come in
 canonical set order and edges sorted, so output is byte-stable.
 
 The lattice costs O(n * |opens|**2), so it is refused for families of more
-than ``LATTICE_OPEN_LIMIT`` opens, the discrete space on ten points.
+than ``LATTICE_OPEN_LIMIT`` opens, the discrete space on ten points.  The
+refusal comes from a search of the opens that stops one past the limit,
+before the family is built.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from __future__ import annotations
 from .errors import SizeTooLargeError, SpaceError
 from .oracle import cover_successors
 from .order import kolmogorov_quotient, specialization_preorder
-from .spaces import FinSpace
+from .spaces import FinSpace, _open_sets
 
 LATTICE_OPEN_LIMIT = 1024
 
@@ -52,11 +54,12 @@ def _hasse(space: FinSpace) -> str:
 
 
 def _lattice(space: FinSpace) -> str:
-    family = space.open_family
-    if len(family) > LATTICE_OPEN_LIMIT:
+    found = len(_open_sets(space.basis, stop=LATTICE_OPEN_LIMIT + 1))
+    if found > LATTICE_OPEN_LIMIT:
         raise SizeTooLargeError(
-            len(family), LATTICE_OPEN_LIMIT, "lattice export", "opens"
+            found, LATTICE_OPEN_LIMIT, "lattice export", "opens", at_least=True
         )
+    family = space.open_family
     names = {o: _set_name(space.members(o)) for o in family}
     lines = ["digraph lattice {", "  rankdir=BT;", "  node [shape=box];"]
     for o in family:

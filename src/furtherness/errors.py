@@ -94,15 +94,22 @@ class SizeTooLargeError(SpaceError):
     """An operation whose cost grows exponentially got too large an input.
 
     ``n`` is the size of the input and ``limit`` the largest size accepted,
-    both counted in ``unit``.
+    both counted in ``unit``; with ``at_least`` set, ``n`` is only a lower
+    bound, from a count that stopped early.
     """
 
     def __init__(
-        self, n: int, limit: int, what: str = "enumeration", unit: str = "points"
+        self,
+        n: int,
+        limit: int,
+        what: str = "enumeration",
+        unit: str = "points",
+        at_least: bool = False,
     ):
         self.n = n
         self.limit = limit
-        super().__init__(f"{what} supports at most {limit} {unit}, got {n}")
+        got = f"at least {n}" if at_least else str(n)
+        super().__init__(f"{what} supports at most {limit} {unit}, got {got}")
 
 
 class SchemaError(SpaceError):

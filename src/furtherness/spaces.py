@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Iterator, Union
+from typing import Iterable, Iterator, Optional, Union
 
 from . import _kernels as K
 from .errors import (
@@ -47,6 +47,25 @@ def mask_indices(mask: int) -> Iterator[int]:
 def canonical_sets(masks: Iterable[int]) -> tuple[int, ...]:
     """Sort point sets by cardinality, then by their sorted index lists."""
     return tuple(sorted(masks, key=lambda m: (m.bit_count(), tuple(mask_indices(m)))))
+
+
+def _open_sets(basis: tuple[int, ...], stop: Optional[int] = None) -> set[int]:
+    """The unions of basic sets, by breadth-first search from the empty set.
+
+    The search ends early, with ``stop`` opens found, when there are at
+    least that many.
+    """
+    seen = {0}
+    queue = [0]
+    for o in queue:
+        for b in basis:
+            v = o | b
+            if v not in seen:
+                seen.add(v)
+                if len(seen) == stop:
+                    return seen
+                queue.append(v)
+    return seen
 
 
 @dataclass(frozen=True)
@@ -194,15 +213,7 @@ class FinSpace:
     @cached_property
     def open_family(self) -> OpenFamily:
         """Every open set, i.e. every union of basic sets."""
-        seen = {0}
-        queue = [0]
-        for o in queue:
-            for b in self.basis:
-                v = o | b
-                if v not in seen:
-                    seen.add(v)
-                    queue.append(v)
-        return OpenFamily(self.n, canonical_sets(seen))
+        return OpenFamily(self.n, canonical_sets(_open_sets(self.basis)))
 
     def closure(self, points: SetLike) -> int:
         return K.closure_mask(self.n, self.basis, self.mask(points))

@@ -449,17 +449,18 @@ def _quotient_preserves(sp: FinSpace):
     if not q.space.is_t0:
         return _fail(sp)
     n = sp.n
+    m = q.space.n
+    flat = sp.further_flat
+    qflat = q.space.further_flat
+    class_of = q.class_of
     for x in range(n):
         for y in range(n):
-            same = q.class_of[x] == q.class_of[y]
-            both_zero = (
-                D.furtherness(sp, x, y) == 0 and D.furtherness(sp, y, x) == 0
-            )
+            v = flat[x * n + y]
+            same = class_of[x] == class_of[y]
+            both_zero = v == 0 and flat[y * n + x] == 0
             if same != both_zero:
                 return _fail(sp, pair=[sp.labels[x], sp.labels[y]])
-            if D.furtherness(q.space, q.class_of[x], q.class_of[y]) != D.furtherness(
-                sp, x, y
-            ):
+            if qflat[class_of[x] * m + class_of[y]] != v:
                 return _fail(sp, pair=[sp.labels[x], sp.labels[y]])
     again = O.kolmogorov_quotient(q.space)
     if again.space.n != q.space.n or again.space.basis != q.space.basis:
@@ -707,13 +708,41 @@ def _point_set_closure(sp: FinSpace):
     return None
 
 
+def _set_to_set_rows(table: R.SubsetTable) -> list[list]:
+    """``rows[a][b]`` is ``furtherness_to_set(space, a, b)`` for all masks.
+
+    A set is its lowest point and the rest, so its row is the elementwise
+    minimum of the rest's row and the point's ``p2s`` row; the empty set's
+    row is all infinity.
+    """
+    p2s = table.p2s
+    rows = [[math.inf] * len(p2s[0])]
+    for a in range(1, len(p2s[0])):
+        low = a & -a
+        point = p2s[low.bit_length() - 1]
+        rows.append([u if u < v else v for u, v in zip(rows[a ^ low], point)])
+    return rows
+
+
+def _minimal_opens(sp: FinSpace) -> list[int]:
+    """``sp.minimal_open(a)`` for every mask, with 0 for the empty set."""
+    opens = [0]
+    for a in range(1, sp.full + 1):
+        low = a & -a
+        opens.append(opens[a ^ low] | sp.basis[low.bit_length() - 1])
+    return opens
+
+
 @space_property("separation-obstruction")
 def _separation_obstruction(sp: FinSpace):
+    rows = _set_to_set_rows(R.subset_table(sp))
+    opens = _minimal_opens(sp)
     for a in range(1, sp.full + 1):
+        row = rows[a]
+        open_a = opens[a]
         for b in range(1, sp.full + 1):
-            if D.furtherness_to_set(sp, a, b) == 0:
-                if not (sp.minimal_open(a) & sp.minimal_open(b)):
-                    return _fail(sp, pair=[_set(sp, a), _set(sp, b)])
+            if row[b] == 0 and not (open_a & opens[b]):
+                return _fail(sp, pair=[_set(sp, a), _set(sp, b)])
     return None
 
 
@@ -786,6 +815,19 @@ def _radius_monotone(sp: FinSpace):
     return None
 
 
+def _relative_boundaries(table: R.SubsetTable, carrier: int):
+    """Each subset of ``carrier``, ascending, with its boundary in the
+    subspace on ``carrier``: ``C ∩ cl(A) ∩ cl(C ∖ A)``, in ambient masks.
+    """
+    closure = table.closure
+    small = 0
+    while True:
+        yield small, carrier & closure[small] & closure[carrier & ~small]
+        small = (small - carrier) & carrier
+        if not small:
+            return
+
+
 @space_property("subspace-radius-monotone")
 def _subspace_radius(sp: FinSpace):
     """Passing to a subspace shrinks distances and boundaries, so the radius
@@ -794,87 +836,138 @@ def _subspace_radius(sp: FinSpace):
     false; a three-point counterexample is pinned in the test suite.
     """
     table = R.subset_table(sp)
+    boundary = table.boundary
+    radius = table.radius
+    n = sp.n
+    flat = sp.further_flat
+    # rows[s] lists the p2s rows of the points of s
+    rows = [[table.p2s[x] for x in mask_indices(s)] for s in _subsets(sp)]
     for carrier in range(1, sp.full + 1):
-        sub = sp.subspace(carrier)
+        sub_flat = iter(sp.subspace(carrier).further_flat)
         kept = list(mask_indices(carrier))
-        for u, upos in ((x, p) for p, x in enumerate(kept)):
-            for v, vpos in ((x, p) for p, x in enumerate(kept)):
-                if D.furtherness(sub, upos, vpos) > D.furtherness(sp, u, v):
+        for u in kept:
+            for v in kept:
+                if next(sub_flat) > flat[u * n + v]:
                     return _fail(sp, pair=[sp.labels[u], sp.labels[v]],
                                  carrier=_set(sp, carrier))
-        sub_boundary = R.subset_table(sub).boundary
-        for inner in range(1 << len(kept)):
-            small = 0
-            for pos, x in enumerate(kept):
-                if (inner >> pos) & 1:
-                    small |= 1 << x
-            bd_in_x = 0
-            for pos, x in enumerate(kept):
-                if (sub_boundary[inner] >> pos) & 1:
-                    bd_in_x |= 1 << x
-            if bd_in_x & ~table.boundary[small]:
+        for small, bd_in_x in _relative_boundaries(table, carrier):
+            if bd_in_x & ~boundary[small]:
                 return _fail(sp, subset=_set(sp, small), carrier=_set(sp, carrier))
             if small == 0 or bd_in_x == 0:
                 restricted: float = math.inf
             else:
-                restricted = max(table.p2s[x][bd_in_x] for x in mask_indices(small))
-            if table.radius[small] > restricted:
+                restricted = max([row[bd_in_x] for row in rows[small]])
+            if radius[small] > restricted:
                 return _fail(sp, subset=_set(sp, small), carrier=_set(sp, carrier))
     return None
 
 
-def _qualifying_pairs(sp: FinSpace):
-    full = sp.full
-    closures = [sp.closure(s) for s in range(full + 1)]
-    clopen = [
-        s for s in range(full + 1) if sp.is_open(s) and sp.is_open(full & ~s)
-    ]
-    clopen = set(clopen)
+def _qualifying_pairs(table: R.SubsetTable):
+    """Separated pairs ``a < b`` of nonempty sets, neither clopen, ascending.
+
+    ``b`` misses the closure of ``a``, hence ``a`` too, so it runs over the
+    subsets of the rest in ascending order.  A set is clopen when its
+    interior and its closure are the set itself.
+    """
+    closure = table.closure
+    interior = table.interior
+    full = len(closure) - 1
     for a in range(1, full):
-        if a in clopen:
+        if interior[a] == a == closure[a]:
             continue
-        for b in range(a + 1, full + 1):
-            if b in clopen or (a & b):
-                continue
-            if (a & closures[b]) or (closures[a] & b):
-                continue
-            yield a, b
+        rest = full & ~closure[a]
+        b = (-rest) & rest  # the least nonempty subset of the rest
+        while b:
+            if b > a and not (interior[b] == b == closure[b] or a & closure[b]):
+                yield a, b
+            b = (b - rest) & rest
 
 
-def _check_union(sp: FinSpace, parts: list[int]) -> Optional[dict]:
+def _pair_union(table: R.SubsetTable, a: int, b: int):
+    """``union_analysis`` of a pair ``_qualifying_pairs`` proved, read from
+    the table: the case, the predicted center (0 when there is none) and
+    the larger radius of the two parts.
+    """
+    radius = table.radius
+    center = table.center
+    boundary = table.boundary
+    p2s = table.p2s
+    ra = radius[a]
+    rb = radius[b]
+    top = ra if ra > rb else rb
+    # a center of a top part drops out when it is closer to the other
+    # part's boundary than its own radius; radii are finite here
+    predicted = 0
+    for part, r, other in ((a, ra, boundary[b]), (b, rb, boundary[a])):
+        if r == top:
+            for c in mask_indices(center[part]):
+                if not p2s[c][other] < r:
+                    predicted |= 1 << c
+    tie = ra == rb
+    if predicted:
+        case = "tie-dominates" if tie else "max-dominates"
+    else:
+        case = "tie-collapses" if tie else "max-collapses"
+    return case, predicted, top
+
+
+def _union_verdict(sp, parts, case, predicted, top, center, radius):
     """Check exactly what the union theorems claim for this arity.
 
-    Pairs carry the full package: the max-radius bound, the prediction in
-    dominate cases, strict decrease in collapse cases.  Larger families only
-    claim the prediction when it is nonempty; their empty-prediction case
-    makes no promise beyond the direct computation existing.
+    ``predicted`` is the predicted center (0 when there is none), ``top``
+    the largest radius of the parts, ``center`` and ``radius`` those of the
+    union.  Pairs carry the full package: the max-radius bound, the
+    prediction in dominate cases, strict decrease in collapse cases.  Larger
+    families only claim the prediction when it is nonempty; their
+    empty-prediction case makes no promise beyond the direct computation
+    existing.
     """
-    ana = R.union_analysis(sp, parts)
-    top = max(rep.radius for rep in ana.reports)
     pair = len(parts) == 2
-    if pair and ana.direct.radius > top:
+    if pair and radius > top:
         return _fail(sp, parts=[_set(sp, p) for p in parts], bound="exceeded")
-    if ana.predicted_center is not None:
-        if (
-            ana.direct.center != ana.predicted_center
-            or ana.direct.radius != ana.predicted_radius
-        ):
+    if predicted:
+        if center != predicted or radius != top:
             return _fail(
                 sp,
                 parts=[_set(sp, p) for p in parts],
-                case=ana.case,
-                predicted=_set(sp, ana.predicted_center),
-                direct=_set(sp, ana.direct.center),
+                case=case,
+                predicted=_set(sp, predicted),
+                direct=_set(sp, center),
             )
-    elif pair and not ana.direct.radius < top:
-        return _fail(sp, parts=[_set(sp, p) for p in parts], case=ana.case)
+    elif pair and not radius < top:
+        return _fail(sp, parts=[_set(sp, p) for p in parts], case=case)
     return None
+
+
+def _check_union(sp: FinSpace, parts: list[int]) -> Optional[dict]:
+    """The union theorems on ``union_analysis``, the definition."""
+    ana = R.union_analysis(sp, parts)
+    top = max(rep.radius for rep in ana.reports)
+    # a prediction, when there is one, is nonempty and has radius top
+    predicted = ana.predicted_center or 0
+    return _union_verdict(
+        sp, parts, ana.case, predicted, top, ana.direct.center, ana.direct.radius
+    )
+
+
+def _check_union_pair(sp: FinSpace, table: R.SubsetTable, a: int, b: int):
+    """``_check_union(sp, [a, b])`` on a proven pair, read from the table.
+
+    ``_qualifying_pairs`` proves what ``union_analysis`` checks before it
+    computes, so the witnesses are the ones ``_check_union`` gives.
+    """
+    case, predicted, top = _pair_union(table, a, b)
+    union = a | b
+    return _union_verdict(
+        sp, [a, b], case, predicted, top, table.center[union], table.radius[union]
+    )
 
 
 @space_property("union-pairs")
 def _union_pairs(sp: FinSpace):
-    for a, b in _qualifying_pairs(sp):
-        w = _check_union(sp, [a, b])
+    table = R.subset_table(sp)
+    for a, b in _qualifying_pairs(table):
+        w = _check_union_pair(sp, table, a, b)
         if w is not None:
             return w
     return None
@@ -882,11 +975,12 @@ def _union_pairs(sp: FinSpace):
 
 @custom_property("union-random")
 def _union_random(opts: VerifyOptions):
+    """Up to ten pairs per random space, through ``union_analysis`` itself."""
     checked = 0
     for i in range(opts.samples):
         sp = random_space(opts.sample_n, opts.seed + i)
         taken = 0
-        for a, b in _qualifying_pairs(sp):
+        for a, b in _qualifying_pairs(R.subset_table(sp)):
             w = _check_union(sp, [a, b])
             checked += 1
             if w is not None:
@@ -903,7 +997,7 @@ def _union_triples(opts: VerifyOptions):
     for index, sp in enumerate(enumerate_topologies(5)):
         if index % 31:
             continue
-        pairs = set(_qualifying_pairs(sp))
+        pairs = set(_qualifying_pairs(R.subset_table(sp)))
         members = sorted({s for pair in pairs for s in pair})
         found = 0
         for trio in itertools.combinations(members, 3):
@@ -919,11 +1013,16 @@ def _union_triples(opts: VerifyOptions):
     return checked, None
 
 
+def _ball_table(sp: FinSpace) -> list[list[int]]:
+    """``balls[x][r - 1]`` is ``B.ball(sp, x, r)`` for radii 1 to n."""
+    return [[B.ball(sp, x, r) for r in range(1, sp.n + 1)] for x in range(sp.n)]
+
+
 @space_property("quasi-ball-identity")
 def _quasi_ball(sp: FinSpace):
     """Quasi-radius balls, which also checks the table's quasi and p2s fields."""
-    n = sp.n
     table = R.subset_table(sp)
+    balls = _ball_table(sp)
     for s in range(1, sp.full):
         q = R.quasi_report(sp, s)
         if (
@@ -936,8 +1035,8 @@ def _quasi_ball(sp: FinSpace):
             lim = D.point_to_set(sp, x, rest)
             if table.p2s[x][rest] != lim:
                 return _fail(sp, subset=_set(sp, s), point=sp.labels[x], table="p2s")
-            for r in range(1, n + 1):
-                inside = not (B.ball(sp, x, r) & ~s)
+            for r, ball in enumerate(balls[x], 1):
+                inside = not (ball & ~s)
                 if inside != (r <= lim):
                     return _fail(sp, subset=_set(sp, s), point=sp.labels[x], radius=r)
         entries = R.largest_forward_balls(sp, s)
@@ -946,7 +1045,7 @@ def _quasi_ball(sp: FinSpace):
             centers |= 1 << e.center
             if e.radius != q.quasi_radius:
                 return _fail(sp, subset=_set(sp, s))
-            if e.radius >= 1 and (e.ball != B.ball(sp, e.center, e.radius)):
+            if e.radius >= 1 and e.ball != balls[e.center][e.radius - 1]:
                 return _fail(sp, subset=_set(sp, s))
             if e.ball & ~s:
                 return _fail(sp, subset=_set(sp, s))

@@ -184,12 +184,13 @@ def test_dot_modes(space_file, e1, capsys):
 
 
 def test_dot_lattice_refuses_large_open_family(space_file, capsys):
-    # the discrete space on 16 points has 65,536 opens
+    # the discrete space on 16 points has 65,536 opens; the count stops
+    # one past the limit
     sp = FinSpace.discrete([f"p{i}" for i in range(16)])
     code, out, err = run_cli(["dot", space_file(sp), "--lattice"], capsys)
     assert code == 1
     assert out == ""
-    assert "error:" in err and "1024 opens, got 65536" in err
+    assert "error:" in err and "1024 opens, got at least 1025" in err
 
 
 def test_enumerate_count_only(capsys):

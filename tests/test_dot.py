@@ -8,6 +8,7 @@ from furtherness import (
     export_dot,
 )
 from furtherness.dot import LATTICE_OPEN_LIMIT
+from furtherness.spaces import _open_sets
 from oracles import brute_lattice_edges, family_from_basis
 
 E1_HASSE = """digraph hasse {
@@ -92,7 +93,23 @@ def test_lattice_open_limit_is_inclusive():
     ten = FinSpace.discrete([str(i) for i in range(10)])
     assert export_dot(ten, "lattice").startswith("digraph lattice {")
     eleven = FinSpace.discrete([str(i) for i in range(11)])
-    with pytest.raises(SizeTooLargeError, match="at most 1024 opens, got 2048"):
+    with pytest.raises(SizeTooLargeError, match="at most 1024 opens, got at least 1025"):
         export_dot(eleven, "lattice")
     # the Hasse diagram has no such cap
     assert export_dot(eleven, "hasse").startswith("digraph hasse {")
+
+
+def test_lattice_refuses_before_building_the_family():
+    # 2**30 opens: the refusal must come from a count that stops early
+    sp = FinSpace.discrete([f"p{i}" for i in range(30)])
+    with pytest.raises(SizeTooLargeError, match="got at least 1025"):
+        export_dot(sp, "lattice")
+    assert "open_family" not in sp.__dict__
+
+
+def test_open_search_stops_early():
+    basis = FinSpace.discrete([str(i) for i in range(12)]).basis
+    assert _open_sets(basis) == set(range(1 << 12))
+    assert len(_open_sets(basis, stop=1025)) == 1025
+    # a stop above the family's size changes nothing
+    assert _open_sets(basis, stop=5000) == _open_sets(basis)

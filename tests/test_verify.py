@@ -5,12 +5,17 @@ import pytest
 from furtherness import (
     PROPERTIES,
     VerifyOptions,
+    ball,
     document_to_space,
+    enumerate_topologies,
+    furtherness_to_set,
+    random_space,
     run_all,
     run_property,
 )
 from furtherness import regions as R
 from furtherness import verify as V
+from furtherness.spaces import mask_indices
 
 SMALL = VerifyOptions(max_n=3, samples=25, sample_n=5)
 
@@ -138,21 +143,34 @@ def test_sweep_starts_clamped_pool(monkeypatch):
     assert sizes == [2]
 
 
+# (property, table field, subset whose entry is wrong, wrong value,
+#  witness key and value that name the fault)
 _TABLE_CHECKS = [
-    ("radius-clopen", field, field)
+    ("radius-clopen", field, 0b001, -1, "table", field)
     for field in ("closure", "interior", "boundary", "center", "radius")
 ] + [
-    ("quasi-ball-identity", "quasi_center", "quasi"),
-    ("quasi-ball-identity", "quasi_radius", "quasi"),
-    ("quasi-ball-identity", "p2s", "p2s"),
+    ("quasi-ball-identity", "quasi_center", 0b001, -1, "table", "quasi"),
+    ("quasi-ball-identity", "quasi_radius", 0b001, -1, "table", "quasi"),
+    ("quasi-ball-identity", "p2s", 0b001, -1, "table", "p2s"),
+    # the union of the first two points, larger than both its parts
+    ("union-pairs", "radius", 0b011, 99, "bound", "exceeded"),
+    # the third point, not the two centers the theorem predicts
+    ("union-pairs", "center", 0b011, 0b100, "case", "tie-dominates"),
 ]
 
 
-@pytest.mark.parametrize("prop, field, tag", _TABLE_CHECKS)
-def test_table_cross_check_catches_a_wrong_entry(monkeypatch, prop, field, tag):
-    # the region properties read subset_table, and these two hold it to
-    # region_report, quasi_report and point_to_set: one wrong entry, for the
-    # subset of the first point, must surface as a counterexample
+@pytest.mark.parametrize(
+    "prop, field, subset, value, key, tag",
+    _TABLE_CHECKS,
+    ids=[f"{row[0]}-{row[1]}-{row[5]}" for row in _TABLE_CHECKS],
+)
+def test_table_cross_check_catches_a_wrong_entry(
+    monkeypatch, prop, field, subset, value, key, tag
+):
+    # the region properties read subset_table, radius-clopen and
+    # quasi-ball-identity hold it to region_report, quasi_report and
+    # point_to_set, and union-pairs checks the union theorem on it: one
+    # wrong entry must surface as a counterexample that names the subset
     real = R.subset_table
 
     def one_wrong_entry(sp):
@@ -161,16 +179,101 @@ def test_table_cross_check_catches_a_wrong_entry(monkeypatch, prop, field, tag):
             return table
         if field == "p2s":
             rows = [list(row) for row in table.p2s]
-            rows[0][sp.full & ~1] = -1  # from the point to the rest
+            rows[0][sp.full & ~subset] = value  # from the point to the rest
             return table._replace(p2s=tuple(map(tuple, rows)))
         values = list(getattr(table, field))
-        values[1] = -1  # no mask or radius is negative
+        values[subset] = value  # no mask or radius is negative
         return table._replace(**{field: tuple(values)})
 
     monkeypatch.setattr(R, "subset_table", one_wrong_entry)
     report = run_property(prop, VerifyOptions(max_n=3, jobs=1))
     assert not report.passed
     ce = report.counterexample
-    assert ce["table"] == tag
-    assert ce["subset"] == [document_to_space(ce["space"]).labels[0]]
-    assert report.checked == 6  # 1 + 4 spaces, then the first on three points
+    assert ce[key] == tag
+    members = list(document_to_space(ce["space"]).members(subset))
+    if prop == "union-pairs":
+        assert ce["parts"] == [[label] for label in members]
+        # 1 + 4 spaces, then the fourth on three points, the first where
+        # the first two points are separated
+        assert report.checked == 9
+    else:
+        assert ce["subset"] == members
+        assert report.checked == 6  # 1 + 4 spaces, then the first on three points
+
+
+def _fast_path_corpus():
+    for n in range(1, 5):
+        yield from enumerate_topologies(n)
+    for seed in (1, 2, 3):
+        yield random_space(6, seed)
+        yield random_space(7, seed)
+
+
+def _clopen(sp, s):
+    return sp.is_open(s) and sp.is_open(sp.full & ~s)
+
+
+def test_union_pair_core_matches_union_analysis():
+    # the table-fed qualifier and core against are_separated, is_open and
+    # the union_analysis definition, on every qualifying pair
+    pairs = 0
+    for sp in _fast_path_corpus():
+        table = R.subset_table(sp)
+        found = list(V._qualifying_pairs(table))
+        assert found == [
+            (a, b)
+            for a in range(1, sp.full + 1)
+            for b in range(a + 1, sp.full + 1)
+            if not (a & b or _clopen(sp, a) or _clopen(sp, b))
+            and R.are_separated(sp, a, b)
+        ]
+        for a, b in found:
+            ana = R.union_analysis(sp, [a, b])
+            case, predicted, top = V._pair_union(table, a, b)
+            assert case == ana.case
+            assert predicted == (ana.predicted_center or 0)
+            assert top == max(rep.radius for rep in ana.reports)
+            assert ana.predicted_radius in (None, top)
+            union = a | b
+            assert table.center[union] == ana.direct.center
+            assert table.radius[union] == ana.direct.radius
+            assert V._check_union_pair(sp, table, a, b) == V._check_union(sp, [a, b])
+        pairs += len(found)
+    assert pairs > 500  # 768 here
+
+
+def test_set_rows_and_minimal_opens_match_per_query():
+    for sp in _fast_path_corpus():
+        rows = V._set_to_set_rows(R.subset_table(sp))
+        opens = V._minimal_opens(sp)
+        assert len(rows) == len(opens) == sp.full + 1
+        assert opens[0] == 0
+        for a in range(sp.full + 1):
+            if a:
+                assert opens[a] == sp.minimal_open(a)
+            for b in range(sp.full + 1):
+                assert rows[a][b] == furtherness_to_set(sp, a, b)
+
+
+def test_relative_boundary_is_the_subspace_boundary():
+    for sp in _fast_path_corpus():
+        table = R.subset_table(sp)
+        for carrier in range(1, sp.full + 1):
+            kept = list(mask_indices(carrier))
+            sub_boundary = R.subset_table(sp.subspace(carrier)).boundary
+            got = list(V._relative_boundaries(table, carrier))
+            assert len(got) == len(sub_boundary)
+            for inner, (small, boundary) in enumerate(got):
+                # inner is small in the subspace's own point positions
+                assert small == sum(1 << x for p, x in enumerate(kept) if inner >> p & 1)
+                assert boundary == sum(
+                    1 << x for p, x in enumerate(kept) if sub_boundary[inner] >> p & 1
+                )
+
+
+def test_ball_table_is_ball():
+    for sp in _fast_path_corpus():
+        balls = V._ball_table(sp)
+        assert len(balls) == sp.n
+        for x in range(sp.n):
+            assert balls[x] == [ball(sp, x, r) for r in range(1, sp.n + 1)]
