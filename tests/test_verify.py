@@ -4,6 +4,7 @@ import pytest
 
 from furtherness import (
     PROPERTIES,
+    FinSpace,
     VerifyOptions,
     ball,
     document_to_space,
@@ -152,10 +153,10 @@ _TABLE_CHECKS = [
     ("quasi-ball-identity", "quasi_center", 0b001, -1, "table", "quasi"),
     ("quasi-ball-identity", "quasi_radius", 0b001, -1, "table", "quasi"),
     ("quasi-ball-identity", "p2s", 0b001, -1, "table", "p2s"),
-    # the union of the first two points, larger than both its parts
-    ("union-pairs", "radius", 0b011, 99, "bound", "exceeded"),
-    # the third point, not the two centers the theorem predicts
-    ("union-pairs", "center", 0b011, 0b100, "case", "tie-dominates"),
+    # the union of the first two points: its table reading differs from
+    # union_analysis on the space's first pair
+    ("union-pairs", "radius", 0b011, 99, "table", "union"),
+    ("union-pairs", "center", 0b011, 0b100, "table", "union"),
 ]
 
 
@@ -169,8 +170,9 @@ def test_table_cross_check_catches_a_wrong_entry(
 ):
     # the region properties read subset_table, radius-clopen and
     # quasi-ball-identity hold it to region_report, quasi_report and
-    # point_to_set, and union-pairs checks the union theorem on it: one
-    # wrong entry must surface as a counterexample that names the subset
+    # point_to_set, and union-pairs holds it to union_analysis on the first
+    # pair of every space: one wrong entry must surface as a counterexample
+    # that names the subset
     real = R.subset_table
 
     def one_wrong_entry(sp):
@@ -199,6 +201,24 @@ def test_table_cross_check_catches_a_wrong_entry(
     else:
         assert ce["subset"] == members
         assert report.checked == 6  # 1 + 4 spaces, then the first on three points
+
+
+def test_union_pair_verdict_names_the_broken_theorem():
+    # the Sierpinski-like space where {a} and {b} are separated with equal
+    # radii 2 and the union {a, b} has center {a, b} and radius 2
+    sp = FinSpace(("a", "b", "c"), (0b001, 0b010, 0b111))
+    table = R.subset_table(sp)
+    assert list(V._qualifying_pairs(table)) == [(0b001, 0b010)]
+    assert V._check_union_pair(sp, table, 0b001, 0b010) is None
+    radius = list(table.radius)
+    radius[0b011] = 99  # larger than both parts
+    w = V._check_union_pair(sp, table._replace(radius=tuple(radius)), 0b001, 0b010)
+    assert w["bound"] == "exceeded" and w["parts"] == [["a"], ["b"]]
+    center = list(table.center)
+    center[0b011] = 0b100  # not the two centers the theorem predicts
+    w = V._check_union_pair(sp, table._replace(center=tuple(center)), 0b001, 0b010)
+    assert w["case"] == "tie-dominates"
+    assert (w["predicted"], w["direct"]) == (["a", "b"], ["c"])
 
 
 def _fast_path_corpus():
