@@ -24,7 +24,7 @@ from .order import kolmogorov_quotient, product
 from .regions import quasi_report, region_report, union_analysis
 from .serialization import further_to_json, parse_space, serialize_space
 from .spaces import FinSpace
-from .verify import PROPERTIES, VerifyOptions, run_property
+from .verify import PROPERTIES, VerifyOptions, run_all
 
 
 def _load(path: str) -> FinSpace:
@@ -224,13 +224,10 @@ def verify(max_n, samples, sample_n, seed, jobs, props):
         if name not in PROPERTIES:
             known = ", ".join(sorted(PROPERTIES))
             raise click.UsageError(f"unknown property {name!r}; known: {known}")
-    failed = False
-    for name in names:
-        report = run_property(name, opts)
+    reports = run_all(names, opts)
+    for report in reports:
         click.echo(json.dumps(report.to_json()))
-        if not report.passed:
-            failed = True
-    if failed:
+    if not all(report.passed for report in reports):
         sys.exit(2)
 
 

@@ -39,11 +39,12 @@ def export_dot(space: FinSpace, mode: str = "hasse") -> str:
 
 
 def _hasse(space: FinSpace) -> str:
-    quotient = kolmogorov_quotient(space).space
-    names = [
-        _set_name(tuple(lab.split("|"))) for lab in quotient.labels
-    ]
-    order = specialization_preorder(quotient)
+    quotient = kolmogorov_quotient(space)
+    members: list[list[str]] = [[] for _ in range(quotient.space.n)]
+    for label, c in zip(space.labels, quotient.class_of):
+        members[c].append(label)
+    names = [_set_name(tuple(ms)) for ms in members]
+    order = specialization_preorder(quotient.space)
     lines = ["digraph hasse {", "  rankdir=BT;", "  node [shape=box];"]
     for name in names:
         lines.append(f"  {_quote(name)};")

@@ -126,7 +126,13 @@ def subset_table(space: FinSpace) -> SubsetTable:
     from y.  Interiors are complements of closures of complements.  Raises
     ``SizeTooLargeError`` above ``SUBSET_TABLE_LIMIT`` points, before
     anything is allocated.
+
+    The table is kept on the space object, as its distance matrix is, so
+    every reader of one space shares one build, and it goes with the space.
     """
+    table = space.__dict__.get("_subset_table")
+    if table is not None:
+        return table
     n = space.n
     if n > SUBSET_TABLE_LIMIT:
         raise SizeTooLargeError(n, SUBSET_TABLE_LIMIT, "subset table")
@@ -151,7 +157,7 @@ def subset_table(space: FinSpace) -> SubsetTable:
         p2s.append(tuple(row))
     center, radius = _centers(boundary, p2s)
     quasi_center, quasi_radius = _centers([full ^ s for s in range(full + 1)], p2s)
-    return SubsetTable(
+    table = SubsetTable(
         closure=tuple(closure),
         interior=tuple(interior),
         boundary=tuple(boundary),
@@ -161,6 +167,8 @@ def subset_table(space: FinSpace) -> SubsetTable:
         quasi_radius=quasi_radius,
         p2s=tuple(p2s),
     )
+    space.__dict__["_subset_table"] = table
+    return table
 
 
 def are_separated(space: FinSpace, first: SetLike, second: SetLike) -> bool:

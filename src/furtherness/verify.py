@@ -18,7 +18,7 @@ import math
 import os
 import time
 from dataclasses import dataclass
-from multiprocessing import Pool
+from functools import partial
 from typing import Callable, Optional
 
 from . import balls as B
@@ -66,20 +66,35 @@ class VerifyReport:
 
 # name -> runner(opts) -> (checked, counterexample | None)
 PROPERTIES: dict[str, Callable[[VerifyOptions], tuple[int, Optional[dict]]]] = {}
-# per-space checks, kept importable for worker processes
-_SPACE_CHECKS: dict[str, Callable[[FinSpace], Optional[dict]]] = {}
+# name -> (per-space check, size cap or None), kept importable for workers
+_SPACE_CHECKS: dict[str, tuple[Callable[[FinSpace], Optional[dict]], Optional[int]]] = {}
 
 
 def run_property(name: str, opts: Optional[VerifyOptions] = None) -> VerifyReport:
-    opts = opts or VerifyOptions()
-    runner = PROPERTIES[name]
-    t0 = time.perf_counter()
-    checked, counter = runner(opts)
-    return VerifyReport(name, checked, counter is None, counter, time.perf_counter() - t0)
+    return run_all([name], opts)[0]
 
 
 def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyReport]:
-    return [run_property(name, opts) for name in (names or PROPERTIES)]
+    """One report per entry of ``names`` (default: the registry), in order.
+
+    The space properties among ``names`` share one sweep of the corpus
+    (see ``_sweep``); each custom property runs its own runner.  A repeated
+    name is run once and its report repeated.
+    """
+    opts = opts or VerifyOptions()
+    names = list(names or PROPERTIES)
+    for name in names:
+        if name not in PROPERTIES:
+            raise KeyError(name)
+    distinct = list(dict.fromkeys(names))
+    reports = _sweep([name for name in distinct if name in _SPACE_CHECKS], opts)
+    for name in distinct:
+        if name not in reports:
+            t0 = time.perf_counter()
+            checked, counter = PROPERTIES[name](opts)
+            elapsed = time.perf_counter() - t0
+            reports[name] = VerifyReport(name, checked, counter is None, counter, elapsed)
+    return [reports[name] for name in names]
 
 
 def _set(space: FinSpace, mask: int) -> list[str]:
@@ -90,51 +105,104 @@ def _fail(space: FinSpace, **witness) -> dict:
     return {"space": space_to_document(space), **witness}
 
 
-def _pool_task(args):
-    name, n, basis = args
-    # the parent enumerated, hence validated, the basis
-    return _SPACE_CHECKS[name](FinSpace._trusted(default_labels(n), basis))
-
-
 def _workers(jobs: int) -> int:
     """Worker processes for a sweep: ``jobs``, but at most one per CPU."""
     return min(jobs, os.cpu_count() or 1)
 
 
-def _sweep(name: str, max_n: int, jobs: int) -> tuple[int, Optional[dict]]:
-    check = _SPACE_CHECKS[name]
-    jobs = _workers(jobs)
+def _run_checks(sp: FinSpace, plan) -> list[tuple[str, Optional[dict], float]]:
+    """Run each ``(name, size limit)`` of ``plan`` that admits ``sp``.
+
+    Gives ``(name, witness or None, seconds)`` per check run, in plan order.
+    """
+    out = []
+    for name, limit in plan:
+        if sp.n <= limit:
+            t0 = time.perf_counter()
+            witness = _SPACE_CHECKS[name][0](sp)
+            out.append((name, witness, time.perf_counter() - t0))
+    return out
+
+
+def _space_task(plan, task):
+    n, basis = task
+    # the parent enumerated, hence validated, the basis
+    return _run_checks(FinSpace._trusted(default_labels(n), basis), plan)
+
+
+def _sweep(names: list[str], opts: VerifyOptions) -> dict[str, VerifyReport]:
+    """Reports for the space properties ``names``, from one pass over the corpus.
+
+    Each space is built once, and every check that has not failed yet and
+    whose size cap admits the space runs on it, so the checks share the
+    space's cached matrix, open family and subset table.  A property counts
+    spaces up to its first counterexample, which is its first in
+    enumeration order; its ``seconds`` is its summed check time.  With more
+    than one job, one pool runs all the checks of a space in a worker,
+    which times them, and the results are merged in enumeration order.
+    """
+    if not names:
+        return {}
+    plan = []  # (name, size limit)
+    for name in names:
+        cap = _SPACE_CHECKS[name][1]
+        plan.append((name, min(opts.max_n, cap) if cap else opts.max_n))
+    live = dict(plan)  # the same, for the properties that have not failed
+    checked = dict.fromkeys(live, 0)
+    seconds = dict.fromkeys(live, 0.0)
+    found: dict[str, dict] = {}
+
+    def merge(results):
+        for name, witness, elapsed in results:
+            if name in live:
+                checked[name] += 1
+                seconds[name] += elapsed
+                if witness is not None:
+                    found[name] = witness
+                    del live[name]
+
     spaces = (
-        sp for n in range(1, max_n + 1) for sp in enumerate_topologies(n)
+        sp for n in range(1, max(live.values()) + 1) for sp in enumerate_topologies(n)
     )
-    checked = 0
+    jobs = _workers(opts.jobs)
     if jobs <= 1:
         for sp in spaces:
-            checked += 1
-            w = check(sp)
-            if w is not None:
-                return checked, w
-        return checked, None
-    tasks = ((name, sp.n, sp.basis) for sp in spaces)
-    with Pool(jobs) as pool:
-        # imap keeps enumeration order, so the first hit is deterministic
-        for w in pool.imap(_pool_task, tasks, chunksize=64):
-            checked += 1
-            if w is not None:
-                pool.terminate()
-                return checked, w
-    return checked, None
+            merge(_run_checks(sp, live.items()))
+            if not live:
+                break
+    else:
+        # imported here, since no other command needs it; the default start
+        # method, because checks registered at run time exist only in
+        # forked workers
+        from multiprocessing import Pool
+
+        tasks = ((sp.n, sp.basis) for sp in spaces)
+        with Pool(jobs) as pool:
+            # imap keeps enumeration order, so each first hit is deterministic;
+            # leaving the block terminates the pool
+            for results in pool.imap(partial(_space_task, plan), tasks, chunksize=64):
+                merge(results)
+                if not live:
+                    break
+    return {
+        name: VerifyReport(name, checked[name], name not in found, found.get(name), seconds[name])
+        for name, _ in plan
+    }
 
 
 def space_property(name: str, cap: Optional[int] = None):
-    """Register a per-space check swept over the enumerated corpus."""
+    """Register a per-space check swept over the enumerated corpus.
+
+    ``cap``, when given, is the largest space size it runs on, even when
+    ``max_n`` is larger.
+    """
 
     def deco(check: Callable[[FinSpace], Optional[dict]]):
-        _SPACE_CHECKS[name] = check
+        _SPACE_CHECKS[name] = (check, cap)
 
         def runner(opts: VerifyOptions):
-            limit = min(opts.max_n, cap) if cap else opts.max_n
-            return _sweep(name, limit, opts.jobs)
+            report = _sweep([name], opts)[name]
+            return report.checked, report.counterexample
 
         PROPERTIES[name] = runner
         return check
@@ -180,14 +248,16 @@ def _open_membership(sp: FinSpace):
         in_fam = s in fam
         if sp.is_open(s) != in_fam:
             return _fail(sp, subset=_set(sp, s))
-        if s and (sp.minimal_open(s) == s) != in_fam:
-            return _fail(sp, subset=_set(sp, s))
         if s:
             mo = sp.minimal_open(s)
-            smaller = [
-                o for o in fam if not (s & ~o) and o.bit_count() < mo.bit_count()
-            ]
-            if not sp.is_open(mo) or (s & ~mo) or smaller:
+            if (mo == s) != in_fam:
+                return _fail(sp, subset=_set(sp, s))
+            size = mo.bit_count()
+            if (
+                not sp.is_open(mo)
+                or (s & ~mo)
+                or any(not (s & ~o) and o.bit_count() < size for o in fam)
+            ):
                 return _fail(sp, subset=_set(sp, s), minimal=_set(sp, mo))
     return None
 

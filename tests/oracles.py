@@ -3,11 +3,14 @@
 Everything here works on frozensets of labels and scans the whole open
 family, so no bitmask trick, minimal-basis shortcut, counting formula, or
 candidate lemma from the package is shared.  Slow on purpose; meant for
-spaces with a handful of points.
+spaces with a handful of points.  ``own_sweep`` is the verifier's sweep in
+its plainest form: one property walking the enumerated corpus on its own.
 """
 
 from functools import reduce
 from itertools import chain, combinations
+
+from furtherness import enumerate_topologies
 
 
 def family_from_basis(labels, basis_sets):
@@ -101,3 +104,17 @@ def brute_lattice_edges(family):
         for b in family
         if a < b and not any(a < w < b for w in family)
     }
+
+
+def own_sweep(check, max_n):
+    """(spaces checked, first witness or None) of one per-space check run
+    alone over every labelled topology on at most ``max_n`` points, in
+    enumeration order, stopping at its first failure."""
+    checked = 0
+    for n in range(1, max_n + 1):
+        for sp in enumerate_topologies(n):
+            checked += 1
+            witness = check(sp)
+            if witness is not None:
+                return checked, witness
+    return checked, None

@@ -5,6 +5,10 @@ Everything goes through main() so the exit-code remap is under test:
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 from furtherness import cli as C
 from furtherness import FinSpace, document_to_space, furtherness, furtherness_matrix
@@ -225,6 +229,33 @@ def test_verify_single_property(capsys):
     report = json.loads(out.strip())
     assert report["prop"] == "zero-diagonal"
     assert report["passed"] is True
+
+
+def test_verify_reports_every_mention_in_order(capsys):
+    names = ["triangle-inequality", "enumerator-counts", "zero-diagonal", "triangle-inequality"]
+    argv = ["verify", "--jobs", "2", "--max-n", "3"]
+    for name in names:
+        argv += ["--prop", name]
+    code, out, _ = run_cli(argv, capsys)
+    assert code == 0
+    reports = [json.loads(line) for line in out.splitlines()]
+    assert [r["prop"] for r in reports] == names
+    assert [r["checked"] for r in reports] == [34, 34, 34, 34]
+    assert all(r["passed"] for r in reports)
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # the verifier imports multiprocessing only when it starts a pool
+    src = str(Path(C.__file__).resolve().parents[1])
+    probe = (
+        "import sys, furtherness.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert done.stdout.strip() == "[]"
 
 
 def test_verify_unknown_property(capsys):

@@ -56,6 +56,14 @@ def test_hasse_uses_quotient_classes(e1):
     assert '"{1,2}"' in text  # glued points render as one node
 
 
+def test_hasse_names_classes_by_member_labels():
+    # a "|" inside a label stays in it; the quotient joins members with "|"
+    head = "digraph hasse {\n  rankdir=BT;\n  node [shape=box];\n"
+    assert export_dot(FinSpace(("x|y",), (1,)), "hasse") == head + '  "{x|y}";\n}\n'
+    glued = FinSpace(("a|b", "c"), (0b11, 0b11))
+    assert export_dot(glued, "hasse") == head + '  "{a|b,c}";\n}\n'
+
+
 def test_lattice_singleton_space():
     sp = FinSpace(("x",), (1,))
     text = export_dot(sp, "lattice")

@@ -1,4 +1,5 @@
 import json
+import multiprocessing
 
 import pytest
 
@@ -17,6 +18,7 @@ from furtherness import (
 from furtherness import regions as R
 from furtherness import verify as V
 from furtherness.spaces import mask_indices
+from oracles import own_sweep
 
 SMALL = VerifyOptions(max_n=3, samples=25, sample_n=5)
 
@@ -138,10 +140,71 @@ def test_sweep_starts_clamped_pool(monkeypatch):
             pass
 
     monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(V, "Pool", RecordingPool)
+    # the sweep imports Pool from multiprocessing when it starts one
+    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
     report = run_property("triangle-inequality", VerifyOptions(max_n=3, jobs=10**6))
     assert report.passed and report.checked == 34
     assert sizes == [2]
+
+
+SPACE_PROPS = [name for name in PROPERTIES if name in V._SPACE_CHECKS]
+
+
+def _own_sweeps(names, max_n):
+    """(prop, checked, passed, counterexample) of each property, each
+    walking the corpus on its own up to its size cap."""
+    out = []
+    for name in names:
+        check, cap = V._SPACE_CHECKS[name]
+        checked, counter = own_sweep(check, min(max_n, cap) if cap else max_n)
+        out.append((name, checked, counter is None, counter))
+    return out
+
+
+def _verdicts(reports):
+    return [(r.prop, r.checked, r.passed, r.counterexample) for r in reports]
+
+
+@pytest.fixture(scope="module")
+def own_sweeps_n4():
+    return _own_sweeps(SPACE_PROPS, 4)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_sweep_matches_per_property_sweeps(own_sweeps_n4, jobs):
+    reports = run_all(SPACE_PROPS, VerifyOptions(max_n=4, jobs=jobs))
+    assert len(reports) == 41
+    assert _verdicts(reports) == own_sweeps_n4
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_one_sweep_keeps_each_first_failure(jobs):
+    # two false claims that fail at different spaces, beside a capped and an
+    # uncapped property that must still run to the end; a repeated name
+    # repeats its report
+    @V.space_property("fails-on-three-points")
+    def on_three(sp):
+        return V._fail(sp, n=sp.n) if sp.n == 3 else None
+
+    @V.space_property("fails-off-t0")
+    def off_t0(sp):
+        return None if sp.is_t0 else V._fail(sp, reason="not t0")
+
+    names = [
+        "fails-on-three-points", "symmetrized-smallest-join", "fails-off-t0",
+        "triangle-inequality", "fails-on-three-points",
+    ]
+    try:
+        reports = run_all(names, VerifyOptions(max_n=4, jobs=jobs))
+        assert _verdicts(reports) == _own_sweeps(names, 4)
+        # the indiscrete two-point space is the fifth; the first three-point
+        # space the sixth; the cap is 1 + 4 + 29 spaces, the corpus 389
+        assert [r.checked for r in reports] == [6, 34, 5, 389, 6]
+        assert [r.passed for r in reports] == [False, True, False, True, False]
+    finally:
+        for name in ("fails-on-three-points", "fails-off-t0"):
+            del PROPERTIES[name]
+            del V._SPACE_CHECKS[name]
 
 
 # (property, table field, subset whose entry is wrong, wrong value,
