@@ -274,10 +274,15 @@ def product(factors: Iterable[FinSpace]) -> FinSpace:
     return FinSpace(tuple(labels), tuple(basis))
 
 
-def _class_open_size(space: FinSpace, point: int) -> int:
-    """Number of indistinguishability classes inside the minimal open."""
-    cls = space.class_ids
-    return len({cls[y] for y in mask_indices(space.basis[point])})
+def _class_open_sizes(space: FinSpace) -> tuple[int, ...]:
+    """Per point, the number of indistinguishability classes inside its
+    minimal open; kept on the space object, as its distance matrix is."""
+    sizes = space.__dict__.get("_class_open_sizes")
+    if sizes is None:
+        cls = space.class_ids
+        sizes = tuple(len({cls[y] for y in mask_indices(m)}) for m in space.basis)
+        space.__dict__["_class_open_sizes"] = sizes
+    return sizes
 
 
 def product_furtherness(
@@ -291,12 +296,14 @@ def product_furtherness(
     Uses only the factor distances and the class counts of the target
     minimal opens, so the product space itself is never built.
     """
-    a, b = p
-    c, d = q
-    fx = furtherness(space_x, a, c)
-    fy = furtherness(space_y, b, d)
-    size_c = _class_open_size(space_x, space_x.index(c))
-    size_d = _class_open_size(space_y, space_y.index(d))
+    a = space_x.index(p[0])
+    b = space_y.index(p[1])
+    c = space_x.index(q[0])
+    d = space_y.index(q[1])
+    fx = space_x.further_flat[a * space_x.n + c]
+    fy = space_y.further_flat[b * space_y.n + d]
+    size_c = _class_open_sizes(space_x)[c]
+    size_d = _class_open_sizes(space_y)[d]
     return fx * size_d + fy * size_c - fx * fy
 
 
@@ -316,7 +323,7 @@ def product_furtherness_nfold(
     whole = 1
     left = 1
     for f, a, c in zip(factors, ps, qs):
-        size = _class_open_size(f, f.index(c))
+        size = _class_open_sizes(f)[f.index(c)]
         whole *= size
         left *= size - furtherness(f, a, c)
     return whole - left

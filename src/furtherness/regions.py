@@ -9,8 +9,10 @@ and always carries the directly computed answer alongside, because the
 prediction is a claim under test here, not a shortcut.
 
 ``region_report`` and ``quasi_report`` answer one subset per call and are
-the definition.  ``subset_table`` answers every subset of a space at once,
-for the verifier's sweeps, which check it against the per-query functions.
+the definition.  ``subset_table`` answers the region questions for every
+subset of a space at once, and ``quasi_table`` the quasi ones from it, on
+demand, for the verifier's sweeps, which check both against the per-query
+functions.
 """
 
 from __future__ import annotations
@@ -63,13 +65,13 @@ def quasi_report(space: FinSpace, subset: SetLike) -> QuasiReport:
 
 
 class SubsetTable(NamedTuple):
-    """Region and quasi data of every subset of one space, indexed by mask.
+    """Region data of every subset of one space, indexed by mask.
 
     ``closure[s]``, ``interior[s]``, ``boundary[s]``, ``center[s]`` and
     ``radius[s]`` equal the fields of ``region_report(space, s)`` (with the
-    closure added), ``quasi_center[s]`` and ``quasi_radius[s]`` those of
-    ``quasi_report(space, s)``, and ``p2s[x][t]`` is
-    ``point_to_set(space, x, t)``; infinity is ``math.inf`` throughout.
+    closure added), and ``p2s[x][t]`` is ``point_to_set(space, x, t)``;
+    infinity is ``math.inf`` throughout.  The quasi data, which few readers
+    need, comes from :func:`quasi_table`.
 
     A named tuple rather than a frozen dataclass: every command line
     process imports this module and never builds a table, and the class
@@ -81,8 +83,6 @@ class SubsetTable(NamedTuple):
     boundary: tuple[int, ...]
     center: tuple[int, ...]
     radius: tuple[Further, ...]
-    quasi_center: tuple[int, ...]
-    quasi_radius: tuple[Further, ...]
     p2s: tuple[tuple[Further, ...], ...]
 
 
@@ -156,19 +156,31 @@ def subset_table(space: FinSpace) -> SubsetTable:
             row += [r if r < v else v for r in row]
         p2s.append(tuple(row))
     center, radius = _centers(boundary, p2s)
-    quasi_center, quasi_radius = _centers([full ^ s for s in range(full + 1)], p2s)
     table = SubsetTable(
         closure=tuple(closure),
         interior=tuple(interior),
         boundary=tuple(boundary),
         center=center,
         radius=radius,
-        quasi_center=quasi_center,
-        quasi_radius=quasi_radius,
         p2s=tuple(p2s),
     )
     space.__dict__["_subset_table"] = table
     return table
+
+
+def quasi_table(space: FinSpace) -> tuple[tuple[int, ...], tuple[Further, ...]]:
+    """``(quasi_center, quasi_radius)`` of every subset, indexed by mask.
+
+    Entry ``s`` of each equals that field of ``quasi_report(space, s)``: the
+    centers and radii against the complements, read from the subset
+    table's ``p2s``.  Kept on the space object, as the subset table is.
+    """
+    quasi = space.__dict__.get("_quasi_table")
+    if quasi is None:
+        full = space.full
+        quasi = _centers([full ^ s for s in range(full + 1)], subset_table(space).p2s)
+        space.__dict__["_quasi_table"] = quasi
+    return quasi
 
 
 def are_separated(space: FinSpace, first: SetLike, second: SetLike) -> bool:

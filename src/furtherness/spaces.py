@@ -28,12 +28,17 @@ from .errors import (
     NotClosedUnderIntersectionError,
     NotClosedUnderUnionError,
     PointNotInOwnBasisError,
+    SizeTooLargeError,
     SpaceError,
     UnknownLabelError,
 )
 
 PointLike = Union[int, str]
 SetLike = Union[int, Iterable[PointLike]]
+
+# opens in the largest family built: the discrete space on twelve points,
+# as large as a subset table goes
+OPEN_FAMILY_LIMIT = 1 << 12
 
 
 def mask_indices(mask: int) -> Iterator[int]:
@@ -212,8 +217,18 @@ class FinSpace:
 
     @cached_property
     def open_family(self) -> OpenFamily:
-        """Every open set, i.e. every union of basic sets."""
-        return OpenFamily(self.n, canonical_sets(_open_sets(self.basis)))
+        """Every open set, i.e. every union of basic sets.
+
+        Raises ``SizeTooLargeError`` past ``OPEN_FAMILY_LIMIT`` opens; the
+        search stops one past the limit, so the refusal comes before the
+        family is built.
+        """
+        opens = _open_sets(self.basis, stop=OPEN_FAMILY_LIMIT + 1)
+        if len(opens) > OPEN_FAMILY_LIMIT:
+            raise SizeTooLargeError(
+                len(opens), OPEN_FAMILY_LIMIT, "open family", "opens", at_least=True
+            )
+        return OpenFamily(self.n, canonical_sets(opens))
 
     def closure(self, points: SetLike) -> int:
         return K.closure_mask(self.n, self.basis, self.mask(points))

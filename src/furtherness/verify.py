@@ -27,6 +27,7 @@ from . import order as O
 from . import oracle as ORC
 from . import regions as R
 from .dot import export_dot
+from .errors import SpaceError
 from .generate import (
     default_labels,
     enumerate_topologies,
@@ -79,9 +80,15 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
 
     The space properties among ``names`` share one sweep of the corpus
     (see ``_sweep``); each custom property runs its own runner.  A repeated
-    name is run once and its report repeated.
+    name is run once and its report repeated.  Raises ``SpaceError`` when
+    ``max_n`` is below 1 or ``samples`` below 0, where every sweep would
+    check nothing and pass.
     """
     opts = opts or VerifyOptions()
+    if opts.max_n < 1:
+        raise SpaceError(f"max_n must be at least 1, got {opts.max_n}")
+    if opts.samples < 0:
+        raise SpaceError(f"samples must be at least 0, got {opts.samples}")
     names = list(names or PROPERTIES)
     for name in names:
         if name not in PROPERTIES:
@@ -240,10 +247,37 @@ def _family_closure(sp: FinSpace):
     return None
 
 
+def _open_hulls(family: set[int], full: int) -> list[int]:
+    """``hulls[s]`` is the intersection of the opens of ``family`` that
+    contain ``s``, for every mask ``s`` up to ``full``.
+
+    The smallest open superset of a set is the intersection of the opens
+    containing it (Stong 1966), so a set that is not open has the same hull
+    as every one-point extension inside that hull, and the hull is the
+    intersection of the hulls of all its one-point extensions.  Supersets
+    come first, from ``full`` down.
+    """
+    hulls = [0] * (full + 1)
+    for s in range(full, -1, -1):
+        if s in family:
+            hulls[s] = s
+            continue
+        hull = full
+        rest = full & ~s
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            hull &= hulls[s | low]
+        hulls[s] = hull
+    return hulls
+
+
 @space_property("open-membership")
 def _open_membership(sp: FinSpace):
-    """is_open, family membership, and minimal-open fixpoint all agree."""
+    """is_open, family membership, and minimal-open fixpoint all agree, and
+    the minimal open is the intersection of the opens containing the set."""
     fam = set(sp.open_family)
+    hulls = _open_hulls(fam, sp.full)
     for s in _subsets(sp):
         in_fam = s in fam
         if sp.is_open(s) != in_fam:
@@ -252,12 +286,7 @@ def _open_membership(sp: FinSpace):
             mo = sp.minimal_open(s)
             if (mo == s) != in_fam:
                 return _fail(sp, subset=_set(sp, s))
-            size = mo.bit_count()
-            if (
-                not sp.is_open(mo)
-                or (s & ~mo)
-                or any(not (s & ~o) and o.bit_count() < size for o in fam)
-            ):
+            if mo != hulls[s] or mo not in fam:
                 return _fail(sp, subset=_set(sp, s), minimal=_set(sp, mo))
     return None
 
@@ -615,6 +644,7 @@ def _product_formula(opts: VerifyOptions):
         for right in corpus:
             prod = O.product([left, right])
             checked += 1
+            flat = iter(prod.further_flat)  # rows and columns in (ax, ay) order
             for ax in range(left.n):
                 for ay in range(right.n):
                     for cx in range(left.n):
@@ -622,9 +652,7 @@ def _product_formula(opts: VerifyOptions):
                             got = O.product_furtherness(
                                 left, right, (ax, ay), (cx, cy)
                             )
-                            direct = D.furtherness(
-                                prod, ax * right.n + ay, cx * right.n + cy
-                            )
+                            direct = next(flat)
                             if got != direct:
                                 return checked, {
                                     "left": space_to_document(left),
@@ -1111,21 +1139,24 @@ def _ball_table(sp: FinSpace) -> list[list[int]]:
 
 @space_property("quasi-ball-identity")
 def _quasi_ball(sp: FinSpace):
-    """Quasi-radius balls, which also checks the table's quasi and p2s fields."""
+    """Quasi-radius balls, which also checks the quasi table and the subset
+    table's p2s field."""
     table = R.subset_table(sp)
+    quasi_center, quasi_radius = R.quasi_table(sp)
     balls = _ball_table(sp)
     for s in range(1, sp.full):
-        q = R.quasi_report(sp, s)
-        if (
-            table.quasi_center[s] != q.quasi_center
-            or table.quasi_radius[s] != q.quasi_radius
-        ):
-            return _fail(sp, subset=_set(sp, s), table="quasi")
         rest = sp.full & ~s
+        # p2s first, since the quasi table is read from it
+        lims = []
         for x in mask_indices(s):
             lim = D.point_to_set(sp, x, rest)
             if table.p2s[x][rest] != lim:
                 return _fail(sp, subset=_set(sp, s), point=sp.labels[x], table="p2s")
+            lims.append((x, lim))
+        q = R.quasi_report(sp, s)
+        if quasi_center[s] != q.quasi_center or quasi_radius[s] != q.quasi_radius:
+            return _fail(sp, subset=_set(sp, s), table="quasi")
+        for x, lim in lims:
             for r, ball in enumerate(balls[x], 1):
                 inside = not (ball & ~s)
                 if inside != (r <= lim):

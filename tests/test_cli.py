@@ -264,6 +264,19 @@ def test_verify_unknown_property(capsys):
     assert "unknown property" in err
 
 
+def test_verify_rejects_an_empty_corpus(capsys):
+    # no space has fewer than one point and no count is negative, so these
+    # would check nothing and pass
+    for argv, why in (
+        (["--max-n", "0"], "max_n must be at least 1, got 0"),
+        (["--max-n", "-3", "--prop", "triangle-inequality"], "got -3"),
+        (["--samples", "-1", "--prop", "random-valid"], "samples must be at least 0, got -1"),
+    ):
+        code, out, err = run_cli(["verify", *argv], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and why in err
+
+
 def test_verify_failure_exits_two(capsys):
     name = "cli-bogus-claim"
 

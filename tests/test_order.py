@@ -134,6 +134,34 @@ def test_product_formula_matches_direct(sierp, sierp_xy, e2):
             assert product_furtherness(left, right, (px, py), (qx, qy)) == direct
 
 
+def _wrapper_product_furtherness(space_x, space_y, p, q):
+    # the closed form through the per-query wrappers, as first written
+    def class_open_size(space, point):
+        cls = space.class_ids
+        return len({cls[y] for y in range(space.n) if space.basis[point] >> y & 1})
+
+    (a, b), (c, d) = p, q
+    fx = furtherness(space_x, a, c)
+    fy = furtherness(space_y, b, d)
+    size_c = class_open_size(space_x, space_x.index(c))
+    size_d = class_open_size(space_y, space_y.index(d))
+    return fx * size_d + fy * size_c - fx * fy
+
+
+def test_product_formula_reads_the_wrapper_formula():
+    corpus = [sp for n in range(1, 4) for sp in enumerate_topologies(n)]
+    for left, right in itertools.product(corpus, repeat=2):
+        for ax, ay, cx, cy in itertools.product(
+            range(left.n), range(right.n), range(left.n), range(right.n)
+        ):
+            p, q = (ax, ay), (cx, cy)
+            want = _wrapper_product_furtherness(left, right, p, q)
+            assert product_furtherness(left, right, p, q) == want
+            labels_p = (left.labels[ax], right.labels[ay])
+            labels_q = (left.labels[cx], right.labels[cy])
+            assert product_furtherness(left, right, labels_p, labels_q) == want
+
+
 def test_nfold_formula(sierp, sierp_xy, e1):
     factors = [sierp, sierp_xy, e1]
     prod = product(factors)

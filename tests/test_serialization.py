@@ -1,11 +1,14 @@
 import json
+import time
 
 import pytest
 
 from furtherness import (
     DocumentSyntaxError,
+    FinSpace,
     NotClosedUnderUnionError,
     SchemaError,
+    SizeTooLargeError,
     SpaceError,
     document_to_space,
     enumerate_topologies,
@@ -13,6 +16,8 @@ from furtherness import (
     serialize_space,
     space_to_document,
 )
+from furtherness.order import identity_map, is_continuous_by_preimages
+from furtherness.spaces import OPEN_FAMILY_LIMIT
 
 E2_OPENS_DOC = (
     '{"points":["a","b","c","d"],"opens":[[],["a"],["d"],["a","b"],["a","d"],'
@@ -107,3 +112,20 @@ def test_schema_rejects_unknown_member():
 def test_unknown_document_form_is_space_error(e2):
     with pytest.raises(SpaceError, match="unknown document form 'basis'"):
         space_to_document(e2, form="basis")
+
+
+def test_opens_form_refuses_a_huge_family():
+    # the discrete space on twelve points has exactly the limit of opens
+    assert OPEN_FAMILY_LIMIT == 1 << 12
+    twelve = FinSpace.discrete([f"p{i}" for i in range(12)])
+    assert len(space_to_document(twelve, form="opens")["opens"]) == 1 << 12
+    # 2**18 opens: the refusal comes from a count that stops one past it
+    big = FinSpace.discrete([f"p{i}" for i in range(18)])
+    start = time.perf_counter()
+    with pytest.raises(SizeTooLargeError, match="at most 4096 opens, got at least 4097"):
+        space_to_document(big, form="opens")
+    assert time.perf_counter() - start < 1
+    assert "open_family" not in big.__dict__
+    # every other reader of the family refuses the same way
+    with pytest.raises(SizeTooLargeError, match="open family"):
+        is_continuous_by_preimages(identity_map(big))

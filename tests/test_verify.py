@@ -6,6 +6,7 @@ import pytest
 from furtherness import (
     PROPERTIES,
     FinSpace,
+    SpaceError,
     VerifyOptions,
     ball,
     document_to_space,
@@ -16,6 +17,7 @@ from furtherness import (
     run_property,
 )
 from furtherness import regions as R
+from furtherness import spaces as S
 from furtherness import verify as V
 from furtherness.spaces import mask_indices
 from oracles import own_sweep
@@ -102,6 +104,14 @@ def test_parallel_sweep_finds_same_counterexample():
 def test_unknown_property_raises():
     with pytest.raises(KeyError):
         run_property("no-such-property", SMALL)
+
+
+@pytest.mark.parametrize("bad", [dict(max_n=0), dict(max_n=-1), dict(samples=-1)])
+def test_empty_corpus_is_refused(bad):
+    with pytest.raises(SpaceError, match="must be at least"):
+        run_all(opts=VerifyOptions(**bad))
+    with pytest.raises(SpaceError, match="must be at least"):
+        run_property("triangle-inequality", VerifyOptions(**bad))
 
 
 def test_singleton_cap_applies():
@@ -232,16 +242,21 @@ def test_table_cross_check_catches_a_wrong_entry(
     monkeypatch, prop, field, subset, value, key, tag
 ):
     # the region properties read subset_table, radius-clopen and
-    # quasi-ball-identity hold it to region_report, quasi_report and
-    # point_to_set, and union-pairs holds it to union_analysis on the first
-    # pair of every space: one wrong entry must surface as a counterexample
-    # that names the subset
-    real = R.subset_table
+    # quasi-ball-identity hold it to region_report and point_to_set, and
+    # union-pairs holds it to union_analysis on the first pair of every
+    # space; quasi-ball-identity holds quasi_table to quasi_report: one
+    # wrong entry must surface as a counterexample that names the subset
+    quasi = ("quasi_center", "quasi_radius")
+    real = R.quasi_table if field in quasi else R.subset_table
 
     def one_wrong_entry(sp):
         table = real(sp)
         if sp.n < 3:
             return table
+        if field in quasi:
+            values = [list(column) for column in table]
+            values[quasi.index(field)][subset] = value
+            return tuple(map(tuple, values))
         if field == "p2s":
             rows = [list(row) for row in table.p2s]
             rows[0][sp.full & ~subset] = value  # from the point to the rest
@@ -250,7 +265,7 @@ def test_table_cross_check_catches_a_wrong_entry(
         values[subset] = value  # no mask or radius is negative
         return table._replace(**{field: tuple(values)})
 
-    monkeypatch.setattr(R, "subset_table", one_wrong_entry)
+    monkeypatch.setattr(R, "quasi_table" if field in quasi else "subset_table", one_wrong_entry)
     report = run_property(prop, VerifyOptions(max_n=3, jobs=1))
     assert not report.passed
     ce = report.counterexample
@@ -360,3 +375,53 @@ def test_ball_table_is_ball():
         assert len(balls) == sp.n
         for x in range(sp.n):
             assert balls[x] == [ball(sp, x, r) for r in range(1, sp.n + 1)]
+
+
+def test_open_hulls_are_smallest_open_supersets():
+    for sp in _fast_path_corpus():
+        fam = sorted(sp.open_family, key=int.bit_count)
+        hulls = V._open_hulls(set(fam), sp.full)
+        assert len(hulls) == sp.full + 1
+        for s in range(sp.full + 1):
+            # the first open containing s, by size, is the smallest
+            assert hulls[s] == next(o for o in fam if not s & ~o)
+
+
+def test_open_membership_catches_a_larger_minimal_open(monkeypatch):
+    real = S.FinSpace.minimal_open
+
+    def too_large(self, points):
+        mo = real(self, points)
+        return mo if mo == points else self.full  # still open, not minimal
+
+    monkeypatch.setattr(S.FinSpace, "minimal_open", too_large)
+    report = run_property("open-membership", VerifyOptions(max_n=3))
+    assert not report.passed
+    ce = report.counterexample
+    sp = document_to_space(ce["space"])
+    assert ce["minimal"] == list(sp.labels)
+    subset = sp.mask(ce["subset"])
+    assert real(sp, subset) != sp.full and not sp.is_open(subset)
+
+
+N5_PAR_PROPS = [
+    "radius-monotone", "point-set-closure", "union-pairs", "symmetrized-metric",
+    "quotient-preserves", "open-membership",
+]
+
+
+def test_six_sweep_properties_build_no_quasi_table(monkeypatch):
+    built = []
+    real = R.quasi_table
+
+    def counted(sp):
+        built.append(sp)
+        return real(sp)
+
+    monkeypatch.setattr(R, "quasi_table", counted)
+    reports = run_all(N5_PAR_PROPS, VerifyOptions(max_n=4))
+    assert all(r.passed for r in reports) and [r.checked for r in reports] == [389] * 6
+    assert built == []
+    # the one reader does ask for it
+    assert run_property("quasi-ball-identity", VerifyOptions(max_n=2)).passed
+    assert len(built) == 5
