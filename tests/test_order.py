@@ -135,7 +135,7 @@ def test_product_formula_matches_direct(sierp, sierp_xy, e2):
 
 
 def _wrapper_product_furtherness(space_x, space_y, p, q):
-    # the closed form through the per-query wrappers, as first written
+    # the closed form through the per-query wrappers, one call per value
     def class_open_size(space, point):
         cls = space.class_ids
         return len({cls[y] for y in range(space.n) if space.basis[point] >> y & 1})

@@ -17,7 +17,6 @@ from furtherness import (
     run_property,
 )
 from furtherness import regions as R
-from furtherness import spaces as S
 from furtherness import verify as V
 from furtherness.spaces import mask_indices
 from oracles import own_sweep
@@ -247,7 +246,8 @@ def test_table_cross_check_catches_a_wrong_entry(
     # space; quasi-ball-identity holds quasi_table to quasi_report: one
     # wrong entry must surface as a counterexample that names the subset
     quasi = ("quasi_center", "quasi_radius")
-    real = R.quasi_table if field in quasi else R.subset_table
+    patched = "quasi_table" if field in quasi else "subset_table"
+    real = getattr(R, patched)
 
     def one_wrong_entry(sp):
         table = real(sp)
@@ -265,7 +265,7 @@ def test_table_cross_check_catches_a_wrong_entry(
         values[subset] = value  # no mask or radius is negative
         return table._replace(**{field: tuple(values)})
 
-    monkeypatch.setattr(R, "quasi_table" if field in quasi else "subset_table", one_wrong_entry)
+    monkeypatch.setattr(R, patched, one_wrong_entry)
     report = run_property(prop, VerifyOptions(max_n=3, jobs=1))
     assert not report.passed
     ce = report.counterexample
@@ -388,13 +388,13 @@ def test_open_hulls_are_smallest_open_supersets():
 
 
 def test_open_membership_catches_a_larger_minimal_open(monkeypatch):
-    real = S.FinSpace.minimal_open
+    real = FinSpace.minimal_open
 
     def too_large(self, points):
         mo = real(self, points)
         return mo if mo == points else self.full  # still open, not minimal
 
-    monkeypatch.setattr(S.FinSpace, "minimal_open", too_large)
+    monkeypatch.setattr(FinSpace, "minimal_open", too_large)
     report = run_property("open-membership", VerifyOptions(max_n=3))
     assert not report.passed
     ce = report.counterexample
