@@ -17,9 +17,7 @@ for an empty side.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Union
+from typing import NamedTuple, Union
 
 from . import _kernels as K
 from .errors import SpaceError
@@ -51,8 +49,7 @@ def point_to_set(space: FinSpace, x: PointLike, target: SetLike) -> Further:
     return math.inf if v < 0 else v
 
 
-@dataclass(frozen=True)
-class MatrixReport:
+class MatrixReport(NamedTuple):
     """Structural read-off of a furtherness matrix.
 
     All sets are masks over the matrix's point order.  ``row_zeros[x]`` is

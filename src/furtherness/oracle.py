@@ -15,8 +15,8 @@ no-open-in-between scan against the full family.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .errors import SpaceError
 from .spaces import FinSpace, PointLike, canonical_sets
@@ -46,8 +46,7 @@ def cover_successors(space: FinSpace, o: int) -> tuple[int, ...]:
     return canonical_sets(v for v in candidates if _nothing_between(fam, o, v))
 
 
-@dataclass(frozen=True)
-class ChainWitness:
+class ChainWitness(NamedTuple):
     """A nested run of opens, each step a cover in the open-set lattice."""
 
     opens: tuple[int, ...]

@@ -9,17 +9,14 @@ that translation.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Mapping, Sequence, Union
+from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .distance import furtherness
 from .errors import EmptyInputError, PreconditionViolatedError, SpaceError
-from .spaces import FinSpace, PointLike, mask_indices
+from .spaces import FinSpace, Frozen, PointLike, mask_indices
 
 
-@dataclass(frozen=True)
-class Preorder:
+class Preorder(NamedTuple):
     """Reflexive transitive relation; ``below[y]`` masks {x | x <= y}."""
 
     labels: tuple[str, ...]
@@ -32,7 +29,7 @@ class Preorder:
     def leq(self, x: int, y: int) -> bool:
         return bool((self.below[y] >> x) & 1)
 
-    @cached_property
+    @property
     def is_antisymmetric(self) -> bool:
         return len(set(self.below)) == self.n
 
@@ -66,8 +63,7 @@ def order_to_space(order: Preorder) -> FinSpace:
     return FinSpace(order.labels, order.below)
 
 
-@dataclass(frozen=True)
-class QuotientResult:
+class QuotientResult(NamedTuple):
     """Identification of mutually 0-far points.
 
     ``class_of[x]`` is the class index of original point x and
@@ -100,21 +96,19 @@ def kolmogorov_quotient(space: FinSpace) -> QuotientResult:
     return QuotientResult(FinSpace(labels, tuple(basis)), cls, tuple(reps))
 
 
-@dataclass(frozen=True)
-class SpaceMap:
+class SpaceMap(Frozen):
     """A total map between spaces, by codomain index per domain point."""
 
-    domain: FinSpace
-    codomain: FinSpace
-    image: tuple[int, ...]
+    _fields = ("domain", "codomain", "image")
 
-    def __post_init__(self):
-        object.__setattr__(self, "image", tuple(self.image))
-        if len(self.image) != self.domain.n:
+    def __init__(self, domain: FinSpace, codomain: FinSpace, image: Iterable[int]):
+        image = tuple(image)
+        if len(image) != domain.n:
             raise SpaceError("map must assign an image to every domain point")
-        for i in self.image:
-            if not 0 <= i < self.codomain.n:
+        for i in image:
+            if not 0 <= i < codomain.n:
                 raise SpaceError(f"image index {i} out of codomain range")
+        self.__dict__.update(domain=domain, codomain=codomain, image=image)
 
     def __call__(self, x: PointLike) -> int:
         return self.image[self.domain.index(x)]

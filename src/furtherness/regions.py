@@ -18,7 +18,6 @@ functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Optional, Sequence
 
 from . import _kernels as K
@@ -30,8 +29,7 @@ from .spaces import FinSpace, SetLike, mask_indices
 SUBSET_TABLE_LIMIT = 12
 
 
-@dataclass(frozen=True)
-class RegionReport:
+class RegionReport(NamedTuple):
     """Center/radius of a subset against its own boundary (all masks)."""
 
     subset: int
@@ -49,8 +47,7 @@ def region_report(space: FinSpace, subset: SetLike) -> RegionReport:
     return RegionReport(a, interior, boundary, center, math.inf if r < 0 else r)
 
 
-@dataclass(frozen=True)
-class QuasiReport:
+class QuasiReport(NamedTuple):
     """Center/radius of a subset against its complement (all masks)."""
 
     subset: int
@@ -72,10 +69,6 @@ class SubsetTable(NamedTuple):
     closure added), and ``p2s[x][t]`` is ``point_to_set(space, x, t)``;
     infinity is ``math.inf`` throughout.  The quasi data, which few readers
     need, comes from :func:`quasi_table`.
-
-    A named tuple rather than a frozen dataclass: every command line
-    process imports this module and never builds a table, and the class
-    costs it a sixth of the time to define.
     """
 
     closure: tuple[int, ...]
@@ -190,8 +183,7 @@ def are_separated(space: FinSpace, first: SetLike, second: SetLike) -> bool:
     return not (a & space.closure(b)) and not (space.closure(a) & b)
 
 
-@dataclass(frozen=True)
-class UnionAnalysis:
+class UnionAnalysis(NamedTuple):
     """Predicted versus direct center/radius of a separated union.
 
     ``tilde_sets[j]`` holds the centers of input j sitting closer to some
@@ -291,8 +283,7 @@ def union_analysis(space: FinSpace, subsets: Sequence[SetLike]) -> UnionAnalysis
     )
 
 
-@dataclass(frozen=True)
-class BallEntry:
+class BallEntry(NamedTuple):
     """One largest contained forward ball; ``contained`` marks nesting."""
 
     center: int

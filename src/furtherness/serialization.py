@@ -83,6 +83,8 @@ def parse_space(text: str) -> FinSpace:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"not valid JSON: {e}") from None
+    except RecursionError:
+        raise DocumentSyntaxError("document nests too deeply to parse") from None
     return document_to_space(doc)
 
 

@@ -15,7 +15,6 @@ Point sets are bitmasks over point indices throughout the core API; the
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
@@ -73,12 +72,47 @@ def _open_sets(basis: tuple[int, ...], stop: Optional[int] = None) -> set[int]:
     return seen
 
 
-@dataclass(frozen=True)
-class OpenFamily:
+class Frozen:
+    """Base of the immutable records that keep a ``__dict__``.
+
+    Their fields are written once, straight into ``__dict__`` (as is every
+    ``cached_property``); assignment and deletion raise ``AttributeError``.
+    Records of one class compare, hash and print by the fields named in
+    ``_fields``.
+    """
+
+    _fields: tuple[str, ...] = ()
+
+    def _key(self) -> tuple:
+        values = self.__dict__
+        return tuple(values[name] for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self):
+        return hash(self._key())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class OpenFamily(Frozen):
     """A topology given extensionally, in canonical order."""
 
-    n: int
-    opens: tuple[int, ...]
+    _fields = ("n", "opens")
+
+    def __init__(self, n: int, opens: tuple[int, ...]):
+        self.__dict__.update(n=n, opens=opens)
 
     @cached_property
     def _lookup(self) -> frozenset[int]:
@@ -94,8 +128,7 @@ class OpenFamily:
         return len(self.opens)
 
 
-@dataclass(frozen=True)
-class FinSpace:
+class FinSpace(Frozen):
     """A finite topological space with labeled points.
 
     ``basis[i]`` is the bitmask of the minimal open set of point i.  The
@@ -104,38 +137,34 @@ class FinSpace:
     ``n`` and the mask ``full`` of all points are stored at construction.
     """
 
-    labels: tuple[str, ...]
-    basis: tuple[int, ...]
-    n: int = field(init=False, repr=False, compare=False)
-    full: int = field(init=False, repr=False, compare=False)
+    _fields = ("labels", "basis")
 
-    def __post_init__(self):
-        object.__setattr__(self, "labels", tuple(self.labels))
-        object.__setattr__(self, "basis", tuple(int(m) for m in self.basis))
-        if not self.labels:
+    def __init__(self, labels: Iterable[str], basis: Iterable[int]):
+        labels = tuple(labels)
+        basis = tuple(int(m) for m in basis)
+        if not labels:
             raise EmptyInputError("point list")
         seen: set[str] = set()
-        for lab in self.labels:
+        for lab in labels:
             if not isinstance(lab, str) or not lab:
                 raise SpaceError(f"point labels must be nonempty strings, got {lab!r}")
             if lab in seen:
                 raise DuplicateLabelError(lab)
             seen.add(lab)
-        n = len(self.labels)
-        if len(self.basis) != n:
+        n = len(labels)
+        if len(basis) != n:
             raise SpaceError("basis must assign one open set per point")
         full = (1 << n) - 1
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "full", full)
-        for x, m in enumerate(self.basis):
+        for x, m in enumerate(basis):
             if m & ~full:
-                raise SpaceError(f"basic set of {self.labels[x]!r} is out of range")
+                raise SpaceError(f"basic set of {labels[x]!r} is out of range")
             if not (m >> x) & 1:
-                raise PointNotInOwnBasisError(self.labels[x])
-        for x, m in enumerate(self.basis):
+                raise PointNotInOwnBasisError(labels[x])
+        for x, m in enumerate(basis):
             for y in mask_indices(m):
-                if self.basis[y] & ~m:
-                    raise BasisNotNestedError(self.labels[x], self.labels[y])
+                if basis[y] & ~m:
+                    raise BasisNotNestedError(labels[x], labels[y])
+        self.__dict__.update(labels=labels, basis=basis, n=n, full=full)
 
     @classmethod
     def _trusted(cls, labels: tuple[str, ...], basis: tuple[int, ...]) -> "FinSpace":

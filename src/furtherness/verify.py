@@ -17,9 +17,8 @@ import itertools
 import math
 import os
 import time
-from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import balls as B
 from . import distance as D
@@ -27,8 +26,9 @@ from . import order as O
 from . import oracle as ORC
 from . import regions as R
 from .dot import export_dot
-from .errors import SpaceError
+from .errors import SizeTooLargeError, SpaceError
 from .generate import (
+    ENUMERATION_LIMIT,
     default_labels,
     enumerate_topologies,
     family_generated_bases,
@@ -38,8 +38,7 @@ from .serialization import parse_space, serialize_space, space_to_document
 from .spaces import FinSpace, mask_indices
 
 
-@dataclass
-class VerifyOptions:
+class VerifyOptions(NamedTuple):
     max_n: int = 4
     samples: int = 1000
     sample_n: int = 6
@@ -47,8 +46,7 @@ class VerifyOptions:
     jobs: int = 1
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     prop: str
     checked: int
     passed: bool
@@ -147,6 +145,8 @@ def _sweep(names: list[str], opts: VerifyOptions) -> dict[str, VerifyReport]:
     enumeration order; its ``seconds`` is its summed check time.  With more
     than one job, one pool runs all the checks of a space in a worker,
     which times them, and the results are merged in enumeration order.
+    Raises ``SizeTooLargeError`` before it enumerates anything when a
+    property would sweep past ``ENUMERATION_LIMIT`` points.
     """
     if not names:
         return {}
@@ -155,6 +155,9 @@ def _sweep(names: list[str], opts: VerifyOptions) -> dict[str, VerifyReport]:
         cap = _SPACE_CHECKS[name][1]
         plan.append((name, min(opts.max_n, cap) if cap else opts.max_n))
     live = dict(plan)  # the same, for the properties that have not failed
+    top = max(live.values())
+    if top > ENUMERATION_LIMIT:
+        raise SizeTooLargeError(top, ENUMERATION_LIMIT)
     checked = dict.fromkeys(live, 0)
     seconds = dict.fromkeys(live, 0.0)
     found: dict[str, dict] = {}
@@ -168,9 +171,7 @@ def _sweep(names: list[str], opts: VerifyOptions) -> dict[str, VerifyReport]:
                     found[name] = witness
                     del live[name]
 
-    spaces = (
-        sp for n in range(1, max(live.values()) + 1) for sp in enumerate_topologies(n)
-    )
+    spaces = (sp for n in range(1, top + 1) for sp in enumerate_topologies(n))
     jobs = _workers(opts.jobs)
     if jobs <= 1:
         for sp in spaces:

@@ -6,6 +6,7 @@ Everything goes through main() so the exit-code remap is under test:
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -46,7 +47,7 @@ def test_missing_file_is_input_error(capsys):
 
 
 def test_missing_required_option(space_file, e2, capsys):
-    # click usage errors exit 2 by default; the contract remaps them to 1
+    # argparse usage errors exit 2 by default; the contract remaps them to 1
     code, _, err = run_cli(["region", space_file(e2)], capsys)
     assert code == 1
     assert "--subset" in err
@@ -245,17 +246,26 @@ def test_verify_reports_every_mention_in_order(capsys):
 
 
 def test_cli_import_loads_no_multiprocessing():
-    # the verifier imports multiprocessing only when it starts a pool
+    # the verifier imports multiprocessing only when it starts a pool; the
+    # command line runs on the standard library without click or
+    # dataclasses, and its import still loads every module of the package
     src = str(Path(C.__file__).resolve().parents[1])
     probe = (
-        "import sys, furtherness.cli; "
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'))"
+        "import json, sys, furtherness.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'click', 'dataclasses', 'furtherness'))))"
     )
     done = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=60, check=True,
     )
-    assert done.stdout.strip() == "[]"
+    loaded = set(json.loads(done.stdout))
+    assert not {m for m in loaded if not m.startswith("furtherness")}
+    for name in (
+        "verify", "dot", "order", "generate", "oracle", "regions", "balls",
+        "serialization", "distance", "spaces", "_kernels",
+    ):
+        assert f"furtherness.{name}" in loaded
 
 
 def test_verify_unknown_property(capsys):
@@ -301,3 +311,59 @@ def test_help_exits_zero(capsys):
     code, out, _ = run_cli(["--help"], capsys)
     assert code == 0
     assert "furtherness" in out.lower() or "Usage" in out
+
+
+def test_no_command_prints_usage(capsys):
+    code, out, err = run_cli([], capsys)
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: furtherness")
+    assert "verify" in out
+
+
+def test_verify_help_shows_defaults(capsys):
+    code, out, _ = run_cli(["verify", "--help"], capsys)
+    assert code == 0
+    text = " ".join(out.split())  # help lines wrap with the terminal width
+    for flag, default in (
+        ("--max-n", 4), ("--samples", 1000), ("--sample-n", 6), ("--seed", 1), ("--jobs", 1),
+    ):
+        assert re.search(rf"{flag} [A-Z_]+ [^-\[\]]*default: {default}\b", text), flag
+
+
+def test_usage_errors_exit_one(space_file, e2, capsys):
+    doc = space_file(e2)
+    for argv in (
+        ["matrix", doc, "--bogus"],
+        ["balls", doc, "--center", "a", "--radius", "two"],
+        ["bogus-command", doc],
+        ["region", doc, "--sub", "a"],
+        ["verify", "--prop", "bogus"],
+        ["enumerate", "--n", "2", "--count"],
+    ):
+        code, out, err = run_cli(argv, capsys)
+        assert (code, out) == (1, ""), argv
+        assert "error:" in err, argv
+
+
+def test_undecodable_document_is_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes('{"points":["\xe9"],"min_basis":{"\xe9":["\xe9"]}}'.encode("latin-1"))
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "UTF-8" in err
+
+
+def test_deeply_nested_document_is_input_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run_cli(["validate", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "nests too deeply" in err
+
+
+def test_verify_refuses_past_the_enumeration_limit(capsys):
+    code, out, err = run_cli(
+        ["verify", "--max-n", "9", "--prop", "triangle-inequality"], capsys
+    )
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "got 9" in err

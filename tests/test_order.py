@@ -1,10 +1,13 @@
 import itertools
+import pickle
 
 import pytest
 
 from furtherness import (
     FinSpace,
     PreconditionViolatedError,
+    SpaceError,
+    SpaceMap,
     beat_points,
     core,
     enumerate_topologies,
@@ -182,3 +185,22 @@ def test_product_single_factor(e2):
 def test_map_requires_total_assignment(sierp, e2):
     with pytest.raises(Exception):
         space_map(e2, sierp, {"a": "a"})
+
+
+def test_space_map_is_a_value(e2, sierp):
+    f = space_map(e2, sierp, {lab: "a" for lab in e2.labels})
+    same = SpaceMap(FinSpace(e2.labels, e2.basis), sierp, (0, 0, 0, 0))
+    assert f == same and hash(f) == hash(same)
+    assert f != SpaceMap(e2, sierp, (0, 0, 0, 1))
+    back = pickle.loads(pickle.dumps(f))
+    assert back == f and hash(back) == hash(f) and back("d") == 0
+    with pytest.raises(AttributeError):
+        f.image = (1, 1, 1, 1)
+    assert f.image == (0, 0, 0, 0)
+    assert repr(f) == f"SpaceMap(domain={e2!r}, codomain={sierp!r}, image=(0, 0, 0, 0))"
+
+
+def test_space_map_rejects_a_bad_image(e2, sierp):
+    for image in ((0, 0, 0), (0, 0, 0, 2), (0, 0, 0, -1)):
+        with pytest.raises(SpaceError):
+            SpaceMap(e2, sierp, image)

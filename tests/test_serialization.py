@@ -70,6 +70,12 @@ def test_bad_json_is_syntax_error():
         parse_space("{not json")
 
 
+def test_deep_nesting_is_syntax_error():
+    # json.loads recurses once per bracket and overflows the stack
+    with pytest.raises(DocumentSyntaxError, match="nests too deeply"):
+        parse_space("[" * 100000 + "]" * 100000)
+
+
 def test_schema_requires_points():
     with pytest.raises(SchemaError):
         document_to_space({"min_basis": {}})

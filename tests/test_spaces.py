@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import pickle
 
@@ -189,10 +188,27 @@ def test_enumerated_spaces_equal_validated_ones():
 
 
 def test_size_fields_are_read_only(e2):
-    for name in ("n", "full", "labels", "basis"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+    before = {name: getattr(e2, name) for name in ("n", "full", "labels", "basis")}
+    for name in before:
+        with pytest.raises(AttributeError):
             setattr(e2, name, 3)
+        with pytest.raises(AttributeError):
+            delattr(e2, name)
+    assert {name: getattr(e2, name) for name in before} == before
     assert (e2.n, e2.full) == (4, 0b1111)
+
+
+def test_open_family_is_a_value(e2):
+    fam = e2.open_family
+    same = FinSpace(e2.labels, e2.basis).open_family
+    assert fam is not same and fam == same and hash(fam) == hash(same)
+    assert fam != e2.opposite().open_family
+    back = pickle.loads(pickle.dumps(fam))
+    assert back == fam and hash(back) == hash(fam)
+    assert list(back) == list(fam) and 0b1111 in back
+    with pytest.raises(AttributeError):
+        fam.opens = ()
+    assert repr(fam).startswith("OpenFamily(n=4, opens=(0, ")
 
 
 def test_size_fields_survive_pickle(e2):

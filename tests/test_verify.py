@@ -1,11 +1,13 @@
 import json
 import multiprocessing
+import time
 
 import pytest
 
 from furtherness import (
     PROPERTIES,
     FinSpace,
+    SizeTooLargeError,
     SpaceError,
     VerifyOptions,
     ball,
@@ -117,6 +119,21 @@ def test_singleton_cap_applies():
     report = run_property("symmetrized-smallest-join", VerifyOptions(max_n=4))
     # capped at three points: 1 + 4 + 29 spaces
     assert report.checked == 34
+
+
+@pytest.mark.parametrize("max_n", [6, 9])
+def test_sweep_past_the_enumeration_limit_is_refused_first(max_n):
+    # the refusal comes before the sweep, not after every space on <= 5 points
+    names = ["triangle-inequality", "subspace-radius-monotone"]
+    start = time.perf_counter()
+    with pytest.raises(SizeTooLargeError, match=f"at most 5 points, got {max_n}$"):
+        run_all(names, VerifyOptions(max_n=max_n))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_capped_property_ignores_a_large_max_n():
+    report = run_property("roundtrip-identity", VerifyOptions(max_n=9))
+    assert report.passed and report.checked == 34
 
 
 def test_jobs_clamped_to_cpu_count(monkeypatch):
