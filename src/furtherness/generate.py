@@ -65,14 +65,24 @@ def family_generated_bases(n: int, t0_only: bool = False) -> frozenset[tuple[int
     """Cross-generator: bases of all union/intersection-closed families.
 
     Scans every subfamily of the proper nonempty subsets (plus the empty and
-    full sets), keeps the closed ones, and reads off each minimal basis.
-    Exponential in 2^n, hence the low size cap; exists purely to check the
-    relation enumerator against an unrelated construction.
+    full sets), keeps the closed ones, and reads off each minimal basis;
+    the T0 answer is those bases with pairwise distinct rows.  Exponential
+    in 2^n, hence the low size cap; exists purely to check the relation
+    enumerator against an unrelated construction.
     """
     if n < 1:
         raise SpaceError("need at least one point")
     if n > _FAMILY_LIMIT:
         raise SizeTooLargeError(n, _FAMILY_LIMIT, "family enumeration")
+    bases = _family_scan(n)
+    if t0_only:
+        return frozenset(basis for basis in bases if len(set(basis)) == n)
+    return bases
+
+
+@lru_cache(maxsize=None)
+def _family_scan(n: int) -> frozenset[tuple[int, ...]]:
+    """The scan behind ``family_generated_bases``, run once per n."""
     full = (1 << n) - 1
     propers = list(range(1, full))
     out = set()
@@ -102,8 +112,6 @@ def family_generated_bases(n: int, t0_only: bool = False) -> frozenset[tuple[int
                 if (o >> x) & 1:
                     m &= o
             basis.append(m)
-        if t0_only and len(set(basis)) != n:
-            continue
         out.add(tuple(basis))
     return frozenset(out)
 

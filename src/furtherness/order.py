@@ -8,7 +8,6 @@ that translation.
 
 from __future__ import annotations
 
-import itertools
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .distance import furtherness
@@ -242,29 +241,30 @@ def product(factors: Iterable[FinSpace]) -> FinSpace:
     """Product space; points are factor-index tuples in row-major order.
 
     The minimal open of a tuple is the product of the factor minimal opens;
-    labels join the factor labels with a comma.
+    labels join the factor labels with a comma.  Factors are multiplied in
+    one at a time: point p of the product so far becomes the block of
+    points p * k to p * k + k - 1 for a k-point factor, so the minimal open
+    of (p, j) holds ``f.basis[j] << (q * k)`` for each q in that of p.
     """
     factors = list(factors)
     if not factors:
         raise EmptyInputError("factor list")
-    sizes = [f.n for f in factors]
-
-    def flat_index(tup: tuple[int, ...]) -> int:
-        idx = 0
-        for size, i in zip(sizes, tup):
-            idx = idx * size + i
-        return idx
-
-    labels = []
-    basis = []
-    for tup in itertools.product(*(range(s) for s in sizes)):
-        labels.append(",".join(f.labels[i] for f, i in zip(factors, tup)))
-        m = 0
-        for member in itertools.product(
-            *(mask_indices(f.basis[i]) for f, i in zip(factors, tup))
-        ):
-            m |= 1 << flat_index(member)
-        basis.append(m)
+    first, *rest = factors
+    labels = list(first.labels)
+    basis = list(first.basis)
+    for f in rest:
+        size = f.n
+        opens = f.basis
+        labels = [f"{left},{right}" for left in labels for right in f.labels]
+        grown = []
+        for m in basis:
+            shifts = [q * size for q in mask_indices(m)]
+            for u in opens:
+                acc = 0
+                for shift in shifts:
+                    acc |= u << shift
+                grown.append(acc)
+        basis = grown
     return FinSpace(tuple(labels), tuple(basis))
 
 

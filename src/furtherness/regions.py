@@ -10,9 +10,10 @@ prediction is a claim under test here, not a shortcut.
 
 ``region_report`` and ``quasi_report`` answer one subset per call and are
 the definition.  ``subset_table`` answers the region questions for every
-subset of a space at once, and ``quasi_table`` the quasi ones from it, on
-demand, for the verifier's sweeps, which check both against the per-query
-functions.
+subset of a space at once, ``closure_table`` only its closure, interior
+and boundary half, and ``quasi_table`` the quasi ones from the subset
+table, on demand, for the verifier's sweeps, which check them against the
+per-query functions.
 """
 
 from __future__ import annotations
@@ -61,14 +62,28 @@ def quasi_report(space: FinSpace, subset: SetLike) -> QuasiReport:
     return QuasiReport(a, center, math.inf if r < 0 else r)
 
 
+class ClosureTable(NamedTuple):
+    """Topology data of every subset of one space, indexed by mask.
+
+    ``closure[s]``, ``interior[s]`` and ``boundary[s]`` equal
+    ``space.closure(s)``, ``space.interior(s)`` and the boundary field of
+    ``region_report(space, s)``.
+    """
+
+    closure: tuple[int, ...]
+    interior: tuple[int, ...]
+    boundary: tuple[int, ...]
+
+
 class SubsetTable(NamedTuple):
     """Region data of every subset of one space, indexed by mask.
 
     ``closure[s]``, ``interior[s]``, ``boundary[s]``, ``center[s]`` and
     ``radius[s]`` equal the fields of ``region_report(space, s)`` (with the
     closure added), and ``p2s[x][t]`` is ``point_to_set(space, x, t)``;
-    infinity is ``math.inf`` throughout.  The quasi data, which few readers
-    need, comes from :func:`quasi_table`.
+    infinity is ``math.inf`` throughout.  The first three fields are those
+    of :func:`closure_table`, and the quasi data, which few readers need,
+    comes from :func:`quasi_table`.
     """
 
     closure: tuple[int, ...]
@@ -110,27 +125,25 @@ def _centers(targets, p2s):
     return tuple(centers), tuple(radii)
 
 
-def subset_table(space: FinSpace) -> SubsetTable:
-    """One pass over all 2**n subsets of ``space``; see :class:`SubsetTable`.
+def closure_table(space: FinSpace) -> ClosureTable:
+    """One pass over all 2**n subsets of ``space``; see :class:`ClosureTable`.
 
     The subsets of the first x + 1 points are those of the first x points,
     without and with point x, so a set s gains x with closure
-    ``closure[s] | closure({x})`` and distance ``min(p2s[y][s], Ψ(y, x))``
-    from y.  Interiors are complements of closures of complements.  Raises
-    ``SizeTooLargeError`` above ``SUBSET_TABLE_LIMIT`` points, before
-    anything is allocated.
+    ``closure[s] | closure({x})``.  Interiors are complements of closures
+    of complements.  Needs no distances.  Raises ``SizeTooLargeError``
+    above ``SUBSET_TABLE_LIMIT`` points, before anything is allocated.
 
     The table is kept on the space object, as its distance matrix is, so
     every reader of one space shares one build, and it goes with the space.
     """
-    table = space.__dict__.get("_subset_table")
+    table = space.__dict__.get("_closure_table")
     if table is not None:
         return table
     n = space.n
     if n > SUBSET_TABLE_LIMIT:
         raise SizeTooLargeError(n, SUBSET_TABLE_LIMIT, "subset table")
     basis = space.basis
-    flat = space.further_flat
     full = space.full
     closure = [0]
     for x in range(n):
@@ -142,6 +155,26 @@ def subset_table(space: FinSpace) -> SubsetTable:
     # s ranges upward while full ^ s ranges downward
     interior = [full ^ c for c in reversed(closure)]
     boundary = [c & ~i for c, i in zip(closure, interior)]
+    table = ClosureTable(tuple(closure), tuple(interior), tuple(boundary))
+    space.__dict__["_closure_table"] = table
+    return table
+
+
+def subset_table(space: FinSpace) -> SubsetTable:
+    """One pass over all 2**n subsets of ``space``; see :class:`SubsetTable`.
+
+    The topology half is :func:`closure_table`.  By the same recurrence, a
+    set s gains point x at distance ``min(p2s[y][s], Ψ(y, x))`` from y.
+    Raises ``SizeTooLargeError`` above ``SUBSET_TABLE_LIMIT`` points,
+    before anything is allocated.  Kept on the space object, as the
+    closure table is.
+    """
+    table = space.__dict__.get("_subset_table")
+    if table is not None:
+        return table
+    closure, interior, boundary = closure_table(space)
+    n = space.n
+    flat = space.further_flat
     p2s = []
     for y in range(n):
         row = [math.inf]
@@ -150,9 +183,9 @@ def subset_table(space: FinSpace) -> SubsetTable:
         p2s.append(tuple(row))
     center, radius = _centers(boundary, p2s)
     table = SubsetTable(
-        closure=tuple(closure),
-        interior=tuple(interior),
-        boundary=tuple(boundary),
+        closure=closure,
+        interior=interior,
+        boundary=boundary,
         center=center,
         radius=radius,
         p2s=tuple(p2s),

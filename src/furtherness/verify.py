@@ -78,19 +78,30 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
 
     The space properties among ``names`` share one sweep of the corpus
     (see ``_sweep``); each custom property runs its own runner.  A repeated
-    name is run once and its report repeated.  Raises ``SpaceError`` when
-    ``max_n`` is below 1 or ``samples`` below 0, where every sweep would
-    check nothing and pass.
+    name is run once and its report repeated.  Raises ``SpaceError`` before
+    anything runs when ``max_n`` is below 1 or ``samples`` below 0, where
+    every sweep would check nothing and pass, when ``jobs`` is below 1, or
+    when a selected sampler cannot build spaces of ``sample_n`` points.
     """
     opts = opts or VerifyOptions()
     if opts.max_n < 1:
         raise SpaceError(f"max_n must be at least 1, got {opts.max_n}")
     if opts.samples < 0:
         raise SpaceError(f"samples must be at least 0, got {opts.samples}")
+    if opts.jobs < 1:
+        raise SpaceError(f"jobs must be at least 1, got {opts.jobs}")
     names = list(names or PROPERTIES)
     for name in names:
         if name not in PROPERTIES:
             raise KeyError(name)
+    samplers = {"union-random", "random-valid"}.intersection(names)
+    if samplers and opts.sample_n < 1:
+        raise SpaceError(f"sample_n must be at least 1, got {opts.sample_n}")
+    if "union-random" in samplers and opts.sample_n > R.SUBSET_TABLE_LIMIT:
+        raise SpaceError(
+            f"sample_n must be at most {R.SUBSET_TABLE_LIMIT} for union-random,"
+            f" got {opts.sample_n}"
+        )
     distinct = list(dict.fromkeys(names))
     reports = _sweep([name for name in distinct if name in _SPACE_CHECKS], opts)
     for name in distinct:
@@ -965,7 +976,7 @@ def _subspace_radius(sp: FinSpace):
     return None
 
 
-def _qualifying_pairs(table: R.SubsetTable):
+def _qualifying_pairs(table: R.ClosureTable):
     """Separated pairs ``a < b`` of nonempty sets, neither clopen, ascending.
 
     ``b`` misses the closure of ``a``, hence ``a`` too, so it runs over the
@@ -1075,7 +1086,7 @@ def _union_pairs(sp: FinSpace):
     reading that differs is a counterexample, named by ``table="union"``.
     """
     table = R.subset_table(sp)
-    pairs = _qualifying_pairs(table)
+    pairs = _qualifying_pairs(R.closure_table(sp))
     first = next(pairs, None)
     if first is None:
         return None
@@ -1095,12 +1106,16 @@ def _union_pairs(sp: FinSpace):
 
 @custom_property("union-random")
 def _union_random(opts: VerifyOptions):
-    """Up to ten pairs per random space, through ``union_analysis`` itself."""
+    """Up to ten pairs per random space, through ``union_analysis`` itself.
+
+    The pairs come from the closure table, so a space with none builds no
+    distances.
+    """
     checked = 0
     for i in range(opts.samples):
         sp = random_space(opts.sample_n, opts.seed + i)
         taken = 0
-        for a, b in _qualifying_pairs(R.subset_table(sp)):
+        for a, b in _qualifying_pairs(R.closure_table(sp)):
             w = _check_union(sp, [a, b])
             checked += 1
             if w is not None:
@@ -1117,7 +1132,7 @@ def _union_triples(opts: VerifyOptions):
     for index, sp in enumerate(enumerate_topologies(5)):
         if index % 31:
             continue
-        pairs = set(_qualifying_pairs(R.subset_table(sp)))
+        pairs = set(_qualifying_pairs(R.closure_table(sp)))
         members = sorted({s for pair in pairs for s in pair})
         found = 0
         for trio in itertools.combinations(members, 3):

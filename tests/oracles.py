@@ -8,7 +8,7 @@ its plainest form: one property walking the enumerated corpus on its own.
 """
 
 from functools import reduce
-from itertools import chain, combinations
+from itertools import chain, combinations, product
 
 from furtherness import enumerate_topologies
 
@@ -104,6 +104,24 @@ def brute_lattice_edges(family):
         for b in family
         if a < b and not any(a < w < b for w in family)
     }
+
+
+def brute_product(factors):
+    """``(label, minimal open as a label set)`` of every point of a product,
+    in row-major order: a tuple's minimal open is the product of the
+    factors' minimal opens, each read from its factor's whole open family,
+    and labels join with a comma."""
+    points = []
+    for f in factors:
+        family = family_from_basis(f.labels, [frozenset(f.members(m)) for m in f.basis])
+        points.append([(lab, brute_min_open(family, lab)) for lab in f.labels])
+    return [
+        (
+            ",".join(lab for lab, _ in combo),
+            frozenset(",".join(t) for t in product(*(o for _, o in combo))),
+        )
+        for combo in product(*points)
+    ]
 
 
 def own_sweep(check, max_n):

@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 from furtherness import cli as C
@@ -283,6 +284,21 @@ def test_verify_rejects_an_empty_corpus(capsys):
         (["--samples", "-1", "--prop", "random-valid"], "samples must be at least 0, got -1"),
     ):
         code, out, err = run_cli(["verify", *argv], capsys)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and why in err
+
+
+def test_verify_rejects_bad_sample_n_and_jobs(capsys):
+    # refused before the sweep, so each takes a moment, not the registry's time
+    for argv, why in (
+        (["--sample-n", "13"], "sample_n must be at most 12 for union-random, got 13"),
+        (["--sample-n", "0", "--prop", "random-valid"], "sample_n must be at least 1, got 0"),
+        (["--jobs", "0"], "jobs must be at least 1, got 0"),
+        (["--jobs", "-3", "--prop", "triangle-inequality"], "jobs must be at least 1, got -3"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run_cli(["verify", *argv], capsys)
+        assert time.perf_counter() - start < 1.0
         assert (code, out) == (1, "")
         assert err.startswith("error:") and why in err
 

@@ -2,12 +2,15 @@ import pytest
 
 from furtherness import (
     SizeTooLargeError,
+    VerifyOptions,
     count_topologies,
     default_labels,
     enumerate_topologies,
     family_generated_bases,
     random_space,
+    run_property,
 )
+from furtherness import generate as G
 from furtherness.generate import splitmix64
 
 
@@ -41,6 +44,23 @@ def test_matches_family_generator():
         assert family_generated_bases(n, t0_only=True) == frozenset(
             sp.basis for sp in enumerate_topologies(n, t0_only=True)
         )
+
+
+def test_t0_family_answer_filters_the_full_answer():
+    for n in (1, 2, 3, 4):
+        every = family_generated_bases(n)
+        assert family_generated_bases(n, t0_only=True) == frozenset(
+            basis for basis in every if len(set(basis)) == n
+        )
+
+
+def test_enumerator_counts_scans_each_n_once():
+    G._family_scan.cache_clear()
+    report = run_property("enumerator-counts", VerifyOptions(max_n=4))
+    assert report.passed
+    # the full and the T0 cross-checks share one scan per n
+    info = G._family_scan.cache_info()
+    assert (info.misses, info.hits) == (4, 4)
 
 
 def test_size_cap():

@@ -25,6 +25,7 @@ from furtherness import (
     space_map,
     specialization_preorder,
 )
+from oracles import brute_product
 
 
 def test_preorder_roundtrip(e2):
@@ -180,6 +181,18 @@ def test_nfold_formula(sierp, sierp_xy, e1):
 
 def test_product_single_factor(e2):
     assert product([e2]).basis == e2.basis
+
+
+def _product_points(prod):
+    return [(lab, frozenset(prod.members(m))) for lab, m in zip(prod.labels, prod.basis)]
+
+
+def test_product_is_the_brute_force_product():
+    small = [sp for n in (1, 2, 3) for sp in enumerate_topologies(n)]
+    for factors in itertools.product(small, repeat=2):
+        assert _product_points(product(factors)) == brute_product(factors)
+    for factors in itertools.product(list(enumerate_topologies(2)), repeat=3):
+        assert _product_points(product(factors)) == brute_product(factors)
 
 
 def test_map_requires_total_assignment(sierp, e2):

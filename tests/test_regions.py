@@ -17,7 +17,7 @@ from furtherness import (
     region_report,
     union_analysis,
 )
-from furtherness.regions import SUBSET_TABLE_LIMIT, quasi_table, subset_table
+from furtherness.regions import SUBSET_TABLE_LIMIT, closure_table, quasi_table, subset_table
 
 
 def test_region_e1_no_interior(e1):
@@ -175,6 +175,43 @@ def test_subset_table_matches_per_query_functions():
     for seed in (1, 2, 3):
         _assert_table_is_the_definition(random_space(6, seed))
         _assert_table_is_the_definition(random_space(7, seed))
+
+
+def _assert_closure_table_is_the_definition(sp):
+    table = closure_table(sp)
+    assert "further_flat" not in sp.__dict__  # it needs no distances
+    full = subset_table(sp)
+    assert tuple(table) == (full.closure, full.interior, full.boundary)
+    for s in range(sp.full + 1):
+        assert table.closure[s] == sp.closure(s)
+        assert table.interior[s] == sp.interior(s)
+        assert table.boundary[s] == sp.boundary(s)
+
+
+def test_closure_table_matches_subset_table_and_space():
+    for n in range(1, 5):
+        for sp in enumerate_topologies(n):
+            _assert_closure_table_is_the_definition(sp)
+    for seed in (1, 2, 3):
+        _assert_closure_table_is_the_definition(random_space(6, seed))
+        _assert_closure_table_is_the_definition(random_space(7, seed))
+
+
+def test_closure_table_is_kept_and_shared(e2):
+    table = closure_table(e2)
+    assert closure_table(e2) is table
+    # the subset table reads the kept half instead of repeating it
+    full = subset_table(e2)
+    assert full.closure is table.closure and full.boundary is table.boundary
+
+
+def test_closure_table_size_limit():
+    at_limit = random_space(SUBSET_TABLE_LIMIT, 1)
+    assert len(closure_table(at_limit).boundary) == 1 << SUBSET_TABLE_LIMIT
+    sp = FinSpace.discrete([f"p{i}" for i in range(40)])
+    with pytest.raises(SizeTooLargeError, match=f"at most {SUBSET_TABLE_LIMIT} points"):
+        closure_table(sp)
+    assert "_closure_table" not in sp.__dict__
 
 
 def test_subset_table_shape(e2):

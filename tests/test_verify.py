@@ -115,6 +115,37 @@ def test_empty_corpus_is_refused(bad):
         run_property("triangle-inequality", VerifyOptions(**bad))
 
 
+@pytest.mark.parametrize(
+    "names, sample_n, why",
+    [
+        (None, 13, "sample_n must be at most 12 for union-random, got 13"),
+        (["union-random"], 0, "sample_n must be at least 1, got 0"),
+        (["triangle-inequality", "random-valid"], -2, "sample_n must be at least 1, got -2"),
+    ],
+)
+def test_bad_sample_n_is_refused_before_the_sweep(names, sample_n, why):
+    # the refusal comes before the registry's sweep, not after it
+    start = time.perf_counter()
+    with pytest.raises(SpaceError, match=why):
+        run_all(names, VerifyOptions(sample_n=sample_n))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_sample_n_is_free_where_no_sampler_runs():
+    # random-valid builds spaces of any size; other properties ignore it
+    report = run_property("random-valid", VerifyOptions(samples=3, sample_n=13))
+    assert report.passed and report.checked == 3
+    assert run_property("zero-diagonal", VerifyOptions(max_n=2, sample_n=0)).passed
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_jobs_below_one_is_refused(jobs):
+    start = time.perf_counter()
+    with pytest.raises(SpaceError, match=f"jobs must be at least 1, got {jobs}$"):
+        run_all(None, VerifyOptions(jobs=jobs))
+    assert time.perf_counter() - start < 1.0
+
+
 def test_singleton_cap_applies():
     report = run_property("symmetrized-smallest-join", VerifyOptions(max_n=4))
     # capped at three points: 1 + 4 + 29 spaces
@@ -442,3 +473,30 @@ def test_six_sweep_properties_build_no_quasi_table(monkeypatch):
     # the one reader does ask for it
     assert run_property("quasi-ball-identity", VerifyOptions(max_n=2)).passed
     assert len(built) == 5
+
+
+def test_union_samplers_build_no_subset_table(monkeypatch):
+    # they read only the closure half; union_analysis needs no subset table
+    spaces = []
+    real_random = V.random_space
+    real_enumerate = V.enumerate_topologies
+
+    def random_space(n, seed):
+        spaces.append(real_random(n, seed))
+        return spaces[-1]
+
+    def enumerate_topologies(n):
+        for sp in real_enumerate(n):
+            spaces.append(sp)
+            yield sp
+
+    monkeypatch.setattr(V, "random_space", random_space)
+    monkeypatch.setattr(V, "enumerate_topologies", enumerate_topologies)
+    opts = VerifyOptions(samples=40, sample_n=6)
+    reports = run_all(["union-random", "union-triples"], opts)
+    assert all(r.passed for r in reports) and reports[1].checked == 63
+    assert len(spaces) == 40 + 6942
+    assert not any("_subset_table" in sp.__dict__ for sp in spaces)
+    # the random spaces come first, then every 31st space on 5 points is read
+    read = spaces[:40] + spaces[40::31]
+    assert all("_closure_table" in sp.__dict__ for sp in read)
