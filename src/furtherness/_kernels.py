@@ -42,31 +42,32 @@ def further_matrix(n, basis):
 
     Entry (x, y) counts the indistinguishability classes that meet
     ``basis[y]`` but not ``basis[x]``, which equals the least chain position
-    at which y shows up when growing opens outward from ``basis[x]``.
+    at which y shows up when growing opens outward from ``basis[x]``.  Each
+    basic set is recoded as the mask of the classes it meets; when the
+    basic sets are pairwise distinct every class is one point, and the
+    basis is its own recoding.
     """
-    seen: dict[int, int] = {}
-    cls = []
-    for m in basis:
-        c = seen.get(m)
-        if c is None:
-            c = len(seen)
-            seen[m] = c
-        cls.append(c)
-    cls_open = []
-    for i in range(n):
-        acc = 0
-        m = basis[i]
-        while m:
-            low = m & -m
-            acc |= 1 << cls[low.bit_length() - 1]
-            m ^= low
-        cls_open.append(acc)
-    flat = []
-    for i in range(n):
-        ci = cls_open[i]
-        for j in range(n):
-            flat.append((cls_open[j] & ~ci).bit_count())
-    return tuple(flat)
+    if len(set(basis)) == n:
+        cls_open = basis
+    else:
+        seen: dict[int, int] = {}
+        cls = []
+        for m in basis:
+            c = seen.get(m)
+            if c is None:
+                c = len(seen)
+                seen[m] = c
+            cls.append(c)
+        cls_open = []
+        for m in basis:
+            acc = 0
+            while m:
+                low = m & -m
+                acc |= 1 << cls[low.bit_length() - 1]
+                m ^= low
+            cls_open.append(acc)
+    outside = [~c for c in cls_open]
+    return tuple([(cj & out).bit_count() for out in outside for cj in cls_open])
 
 
 def closure_mask(n, basis, a):

@@ -31,10 +31,14 @@ def ball(space: FinSpace, center: PointLike, radius: int, backward: bool = False
 
 def symmetrized_furtherness(space: FinSpace, x: PointLike, y: PointLike) -> int:
     """max of the two one-way values; symmetric and triangle-true."""
-    i = space.index(x)
-    j = space.index(y)
+    n = space.n
+    # an in-range int index is its own coercion
+    i = x if type(x) is int and 0 <= x < n else space.index(x)
+    j = y if type(y) is int and 0 <= y < n else space.index(y)
     flat = space.further_flat
-    return max(flat[i * space.n + j], flat[j * space.n + i])
+    there = flat[i * n + j]
+    back = flat[j * n + i]
+    return there if there > back else back
 
 
 def symmetrized_ball(space: FinSpace, center: PointLike, radius: int) -> int:

@@ -11,7 +11,12 @@ from __future__ import annotations
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .distance import furtherness
-from .errors import EmptyInputError, PreconditionViolatedError, SpaceError
+from .errors import (
+    EmptyInputError,
+    PreconditionViolatedError,
+    SpaceError,
+    UnknownLabelError,
+)
 from .spaces import FinSpace, Frozen, PointLike, mask_indices
 
 
@@ -77,8 +82,16 @@ class QuotientResult(NamedTuple):
 
 
 def kolmogorov_quotient(space: FinSpace) -> QuotientResult:
+    """The quotient by indistinguishability; see :class:`QuotientResult`.
+
+    When every class is one point the quotient has the space's own labels
+    and basis.  Either way it is built through the validating constructor.
+    """
     cls = space.class_ids
     k = max(cls) + 1
+    if k == space.n:
+        # the class ids are then 0..n-1, and each point represents its class
+        return QuotientResult(FinSpace(space.labels, space.basis), cls, cls)
     reps = [-1] * k
     members: list[list[int]] = [[] for _ in range(k)]
     for x, c in enumerate(cls):
@@ -87,10 +100,13 @@ def kolmogorov_quotient(space: FinSpace) -> QuotientResult:
         members[c].append(x)
     labels = tuple("|".join(space.labels[x] for x in ms) for ms in members)
     basis = []
-    for c in range(k):
+    for r in reps:
         m = 0
-        for y in mask_indices(space.basis[reps[c]]):
-            m |= 1 << cls[y]
+        rest = space.basis[r]
+        while rest:
+            low = rest & -rest
+            m |= 1 << cls[low.bit_length() - 1]
+            rest ^= low
         basis.append(m)
     return QuotientResult(FinSpace(labels, tuple(basis)), cls, tuple(reps))
 
@@ -119,9 +135,13 @@ def space_map(
     mapping: Union[Mapping[str, str], Sequence[PointLike]],
 ) -> SpaceMap:
     if isinstance(mapping, Mapping):
-        image = tuple(
-            codomain.index(mapping[lab]) for lab in domain.labels
-        )
+        for key in mapping:
+            if key not in domain.labels:
+                raise UnknownLabelError(key)
+        missing = [lab for lab in domain.labels if lab not in mapping]
+        if missing:
+            raise SpaceError(f"map assigns no image to domain point {missing[0]!r}")
+        image = tuple(codomain.index(mapping[lab]) for lab in domain.labels)
     else:
         image = tuple(codomain.index(p) for p in mapping)
     return SpaceMap(domain, codomain, image)

@@ -242,24 +242,37 @@ def union_analysis(space: FinSpace, subsets: Sequence[SetLike]) -> UnionAnalysis
     masks = [space.mask(s) for s in subsets]
     if not masks:
         raise PreconditionViolatedError("at least one subset is required")
+    n = space.n
+    basis = space.basis
+    # one closure and one interior per part serve the clopen test, the
+    # separation test and the part's report
+    closures = []
+    interiors = []
     for j, a in enumerate(masks):
         if not a:
             raise PreconditionViolatedError(f"subset #{j} is empty")
-        if space.is_open(a) and space.is_open(space.full & ~a):
+        closure = K.closure_mask(n, basis, a)
+        interior = K.interior_mask(n, basis, a)
+        if interior == a == closure:
             raise PreconditionViolatedError(
                 f"subset #{j} {{{','.join(space.members(a))}}} is clopen"
             )
+        closures.append(closure)
+        interiors.append(interior)
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
-            if not are_separated(space, masks[i], masks[j]):
+            if masks[i] & closures[j] or closures[i] & masks[j]:
                 raise PreconditionViolatedError(
                     f"subsets #{i} and #{j} are not separated"
                 )
 
-    reports = [region_report(space, a) for a in masks]
     flat = space.further_flat
-    n = space.n
-    # radii are finite here: no input is clopen
+    reports = []
+    for a, closure, interior in zip(masks, closures, interiors):
+        boundary = closure & ~interior
+        center, r = K.center_radius(n, flat, a, boundary)
+        # radii are finite here: no input is clopen
+        reports.append(RegionReport(a, interior, boundary, center, r))
     top = max(r.radius for r in reports)
     tilde = []
     for j, rep in enumerate(reports):

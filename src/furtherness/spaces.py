@@ -49,8 +49,18 @@ def mask_indices(mask: int) -> Iterator[int]:
 
 
 def canonical_sets(masks: Iterable[int]) -> tuple[int, ...]:
-    """Sort point sets by cardinality, then by their sorted index lists."""
-    return tuple(sorted(masks, key=lambda m: (m.bit_count(), tuple(mask_indices(m)))))
+    """Sort point sets by cardinality, then by their sorted index lists.
+
+    Two stable sorts, with no index tuple built per set: among sets of one
+    cardinality, the one with the smaller index list has a 1 where the
+    other has a 0 at the first bit that tells them apart, so it comes first
+    when the bit strings, least significant bit first, are sorted
+    descending; then a sort by cardinality keeps that order within each
+    cardinality.
+    """
+    out = sorted(masks, key=lambda m: bin(m)[:1:-1], reverse=True)
+    out.sort(key=int.bit_count)
+    return tuple(out)
 
 
 def _open_sets(basis: tuple[int, ...], stop: Optional[int] = None) -> set[int]:
@@ -141,7 +151,11 @@ class FinSpace(Frozen):
 
     def __init__(self, labels: Iterable[str], basis: Iterable[int]):
         labels = tuple(labels)
-        basis = tuple(int(m) for m in basis)
+        basis = tuple(basis)
+        for m in basis:
+            if type(m) is not int:
+                basis = tuple(int(m) for m in basis)
+                break
         if not labels:
             raise EmptyInputError("point list")
         seen: set[str] = set()
@@ -161,9 +175,13 @@ class FinSpace(Frozen):
             if not (m >> x) & 1:
                 raise PointNotInOwnBasisError(labels[x])
         for x, m in enumerate(basis):
-            for y in mask_indices(m):
+            rest = m
+            while rest:
+                low = rest & -rest
+                y = low.bit_length() - 1
                 if basis[y] & ~m:
                     raise BasisNotNestedError(labels[x], labels[y])
+                rest ^= low
         self.__dict__.update(labels=labels, basis=basis, n=n, full=full)
 
     @classmethod
@@ -235,13 +253,14 @@ class FinSpace(Frozen):
 
     def minimal_open(self, points: SetLike) -> int:
         """Smallest open superset of a nonempty point set."""
-        a = self.mask(points)
+        # an in-range int mask is its own coercion
+        a = points if type(points) is int and not points & ~self.full else self.mask(points)
         if not a:
             raise EmptyInputError()
         return K.minimal_open_mask(self.n, self.basis, a)
 
     def is_open(self, points: SetLike) -> bool:
-        a = self.mask(points)
+        a = points if type(points) is int and not points & ~self.full else self.mask(points)
         return K.minimal_open_mask(self.n, self.basis, a) == a
 
     @cached_property

@@ -63,8 +63,10 @@ class VerifyReport(NamedTuple):
         }
 
 
-# name -> runner(opts) -> (checked, counterexample | None)
-PROPERTIES: dict[str, Callable[[VerifyOptions], tuple[int, Optional[dict]]]] = {}
+# The registry, in its order: name -> runner(opts) -> (checked, counterexample
+# | None) for a custom property, None for a space property, which ``_sweep``
+# runs from its entry in ``_SPACE_CHECKS``
+PROPERTIES: dict[str, Optional[Callable[[VerifyOptions], tuple[int, Optional[dict]]]]] = {}
 # name -> (per-space check, size cap or None), kept importable for workers
 _SPACE_CHECKS: dict[str, tuple[Callable[[FinSpace], Optional[dict]], Optional[int]]] = {}
 
@@ -90,7 +92,7 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
         raise SpaceError(f"samples must be at least 0, got {opts.samples}")
     if opts.jobs < 1:
         raise SpaceError(f"jobs must be at least 1, got {opts.jobs}")
-    names = list(names or PROPERTIES)
+    names = list(PROPERTIES if names is None else names)
     for name in names:
         if name not in PROPERTIES:
             raise KeyError(name)
@@ -218,12 +220,7 @@ def space_property(name: str, cap: Optional[int] = None):
 
     def deco(check: Callable[[FinSpace], Optional[dict]]):
         _SPACE_CHECKS[name] = (check, cap)
-
-        def runner(opts: VerifyOptions):
-            report = _sweep([name], opts)[name]
-            return report.checked, report.counterexample
-
-        PROPERTIES[name] = runner
+        PROPERTIES[name] = None
         return check
 
     return deco
@@ -1014,9 +1011,12 @@ def _pair_union(table: R.SubsetTable, a: int, b: int):
     predicted = 0
     for part, r, other in ((a, ra, boundary[b]), (b, rb, boundary[a])):
         if r == top:
-            for c in mask_indices(center[part]):
-                if not p2s[c][other] < r:
-                    predicted |= 1 << c
+            rest = center[part]
+            while rest:
+                low = rest & -rest
+                if not p2s[low.bit_length() - 1][other] < r:
+                    predicted |= low
+                rest ^= low
     tie = ra == rb
     if predicted:
         case = "tie-dominates" if tie else "max-dominates"

@@ -136,3 +136,40 @@ def own_sweep(check, max_n):
             if witness is not None:
                 return checked, witness
     return checked, None
+
+
+def reference_basis_outcome(labels, basis):
+    """What the validating constructor must do with ``(labels, basis)``.
+
+    ``None`` when the pair is a space, else ``(exception class name,
+    witness labels)`` of the first fault, in the constructor's order: the
+    labels (nonempty, nonempty distinct strings), one basic set per point
+    inside the point range, then the two invariants, each point in its own
+    basic set and every basic set nested in those that contain its point,
+    scanned by outer point and then inner point, ascending.  Works on
+    Python sets of indices; ``basis`` holds ints or bools.
+    """
+    labels = list(labels)
+    if not labels:
+        return ("EmptyInputError", ())
+    seen = []
+    for lab in labels:
+        if not isinstance(lab, str) or lab == "":
+            return ("SpaceError", ())
+        if lab in seen:
+            return ("DuplicateLabelError", (lab,))
+        seen.append(lab)
+    n = len(labels)
+    if len(basis) != n:
+        return ("SpaceError", ())
+    sets = [{i for i in range(int(m).bit_length()) if (int(m) >> i) & 1} for m in basis]
+    for x, s in enumerate(sets):
+        if any(i >= n for i in s):
+            return ("SpaceError", ())
+        if x not in s:
+            return ("PointNotInOwnBasisError", (labels[x],))
+    for x, s in enumerate(sets):
+        for y in sorted(s):
+            if not sets[y] <= s:
+                return ("BasisNotNestedError", (labels[x], labels[y]))
+    return None

@@ -69,3 +69,35 @@ def test_pure_leaf_kernels_against_brute_force():
                     best = max(dists.values())
                     want = (sum(1 << x for x, v in dists.items() if v == best), best)
                 assert K.center_radius(n, flat, a, t) == want
+
+
+def _class_count_matrix(n, basis):
+    """Entry (x, y): the classes of equal basic sets meeting basis[y] but
+    not basis[x], from the classes as point sets."""
+    classes = {}
+    for z, m in enumerate(basis):
+        classes.setdefault(m, set()).add(z)
+    out = []
+    for x in range(n):
+        for y in range(n):
+            out.append(
+                sum(
+                    1
+                    for members in classes.values()
+                    if any((basis[y] >> z) & 1 for z in members)
+                    and not any((basis[x] >> z) & 1 for z in members)
+                )
+            )
+    return tuple(out)
+
+
+def test_further_matrix_is_the_class_count():
+    for n, b in all_bases(4):
+        assert K.further_matrix(n, b) == _class_count_matrix(n, b), b
+    # a wide T0 chain, where the basic sets are their own class recoding,
+    # and the same chain with every point doubled, where they are not
+    n = 40
+    chain = tuple((1 << (i + 1)) - 1 for i in range(n))
+    assert K.further_matrix(n, chain) == _class_count_matrix(n, chain)
+    doubled = tuple((1 << (2 * (i // 2) + 2)) - 1 for i in range(n))
+    assert K.further_matrix(n, doubled) == _class_count_matrix(n, doubled)

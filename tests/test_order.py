@@ -8,6 +8,7 @@ from furtherness import (
     PreconditionViolatedError,
     SpaceError,
     SpaceMap,
+    UnknownLabelError,
     beat_points,
     core,
     enumerate_topologies,
@@ -68,6 +69,14 @@ def test_quotient_of_t0_is_identity_shaped(e2):
     q = kolmogorov_quotient(e2)
     assert q.space.basis == e2.basis
     assert q.representatives == (0, 1, 2, 3)
+
+
+def test_quotient_of_every_t0_space_keeps_its_basis_and_labels():
+    for n in range(1, 5):
+        for sp in enumerate_topologies(n, t0_only=True):
+            q = kolmogorov_quotient(sp)
+            assert q.space == sp
+            assert q.class_of == q.representatives == tuple(range(n))
 
 
 def test_beat_points_e2(e2):
@@ -196,8 +205,26 @@ def test_product_is_the_brute_force_product():
 
 
 def test_map_requires_total_assignment(sierp, e2):
-    with pytest.raises(Exception):
+    with pytest.raises(SpaceError, match="'b'"):
         space_map(e2, sierp, {"a": "a"})
+
+
+@pytest.mark.parametrize(
+    "mapping, label",
+    [
+        ({"a": "a", "b": "a", "c": "a"}, "'d'"),
+        ({"a": "a", "b": "a", "c": "a", "d": "a", "z": "a"}, "'z'"),
+        ({"z": "a"}, "'z'"),
+    ],
+)
+def test_map_names_a_missing_or_unknown_domain_label(sierp, e2, mapping, label):
+    with pytest.raises(SpaceError, match=label):
+        space_map(e2, sierp, mapping)
+
+
+def test_map_checks_images_after_the_domain(sierp, e2):
+    with pytest.raises(UnknownLabelError, match="'q'"):
+        space_map(e2, sierp, {lab: "q" for lab in e2.labels})
 
 
 def test_space_map_is_a_value(e2, sierp):

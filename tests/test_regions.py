@@ -110,6 +110,44 @@ def test_union_rejects_no_subsets(e2):
         union_analysis(e2, [])
 
 
+def test_union_refusals_keep_their_messages(e2, q1):
+    refusals = [
+        (e2, [], "at least one subset is required"),
+        (e2, [e2.mask("d"), 0], "subset #1 is empty"),
+        (q1, [q1.mask("c"), q1.mask("ab")], r"subset #1 \{a,b\} is clopen"),
+        (e2, [e2.mask("d"), e2.mask("b"), e2.mask("c")], "subsets #0 and #2 are not separated"),
+        # the parts are tested one by one before any pair is
+        (q1, [q1.mask("b"), q1.mask("a"), q1.mask("cd")], r"subset #2 \{c,d\} is clopen"),
+        (e2, [e2.mask("b"), e2.mask("c"), 0], "subset #2 is empty"),
+    ]
+    for space, parts, message in refusals:
+        with pytest.raises(PreconditionViolatedError, match=f"^{message}$"):
+            union_analysis(space, parts)
+
+
+def _qualifying_pairs(sp):
+    """Pairs ``a < b`` of separated nonempty sets, neither clopen."""
+    def clopen(s):
+        return sp.is_open(s) and sp.is_open(sp.full & ~s)
+
+    for a in range(1, sp.full + 1):
+        for b in range(a + 1, sp.full + 1):
+            if not clopen(a) and not clopen(b) and are_separated(sp, a, b):
+                yield a, b
+
+
+def test_union_part_reports_are_region_reports():
+    pairs = 0
+    for n in range(1, 5):
+        for sp in enumerate_topologies(n):
+            for a, b in _qualifying_pairs(sp):
+                ana = union_analysis(sp, [a, b])
+                assert ana.reports == (region_report(sp, a), region_report(sp, b))
+                assert ana.direct == region_report(sp, a | b)
+                pairs += 1
+    assert pairs > 0
+
+
 def test_largest_balls_q1(q1):
     entries = largest_forward_balls(q1, q1.mask("ab"))
     by_center = {q1.labels[e.center]: e for e in entries}

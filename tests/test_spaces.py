@@ -1,5 +1,6 @@
 import itertools
 import pickle
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -19,15 +20,18 @@ from furtherness import (
     enumerate_topologies,
     from_minimal_basis,
     from_open_sets,
+    default_labels,
     mask_indices,
     random_space,
 )
+from furtherness.spaces import canonical_sets
 from oracles import (
     brute_boundary,
     brute_closure,
     brute_interior,
     brute_min_open,
     family_from_basis,
+    reference_basis_outcome,
 )
 
 
@@ -250,3 +254,74 @@ def test_discrete_space_is_the_label_lookup():
             build(("a", "b"), [["a"], ["z"]])
         with pytest.raises(SpaceError, match="point index 5 out of range"):
             build(("a", "b"), [[0], [5]])
+
+
+def _constructor_outcome(labels, basis):
+    try:
+        sp = FinSpace(labels, basis)
+    except SpaceError as err:
+        if isinstance(err, BasisNotNestedError):
+            witness = (err.outer, err.inner)
+        elif isinstance(err, (DuplicateLabelError, PointNotInOwnBasisError)):
+            witness = (err.label,)
+        else:
+            witness = ()
+        return (type(err).__name__, witness)
+    # an accepted basis is stored as plain ints, equal to the given entries
+    assert all(type(m) is int for m in sp.basis) and sp.basis == tuple(basis)
+    return None
+
+
+def test_constructor_matches_the_reference_validator_on_every_row_tuple():
+    for n in (1, 2, 3):
+        labels = default_labels(n)
+        # one mask past the range, so the range check is exercised too
+        for basis in itertools.product(range((1 << n) + 1), repeat=n):
+            assert _constructor_outcome(labels, basis) == reference_basis_outcome(
+                labels, basis
+            ), basis
+        # bool entries are coerced like the ints they equal
+        for basis in itertools.product((False, True, 0, 1, 2, 3), repeat=min(n, 2)):
+            lab = labels[: len(basis)]
+            assert _constructor_outcome(lab, basis) == reference_basis_outcome(lab, basis)
+
+
+@pytest.mark.parametrize(
+    "labels",
+    [(), ("",), ("a", ""), ("a", 1), (None,), ("a", "a"), ("b", "a", "b"), ("a", "b", "")],
+)
+def test_constructor_matches_the_reference_validator_on_bad_labels(labels):
+    for basis in [(), (0b1,), (0b1, 0b10), (0b1, 0b11, 0b111), (0b10, 0b1)]:
+        assert _constructor_outcome(labels, basis) == reference_basis_outcome(labels, basis)
+
+
+def _index_key_sort(masks):
+    return tuple(sorted(masks, key=lambda m: (m.bit_count(), tuple(mask_indices(m)))))
+
+
+def test_canonical_sets_is_the_index_list_order():
+    for n in range(1, 6):
+        for sp in enumerate_topologies(n):
+            family = set(sp.open_family)
+            assert canonical_sets(family) == _index_key_sort(family)
+    rng = random.Random(12)
+    for _ in range(300):
+        width = rng.randint(1, 96)
+        masks = {rng.getrandbits(width) for _ in range(rng.randint(0, 40))}
+        assert canonical_sets(masks) == _index_key_sort(masks)
+
+
+def test_open_set_queries_take_masks_and_labels_alike(e1, e2, q1):
+    for sp in (e1, e2, q1):
+        for s in range(sp.full + 1):
+            names = sp.members(s)
+            assert sp.is_open(s) == sp.is_open(list(names))
+            if s:
+                assert sp.minimal_open(s) == sp.minimal_open(list(names))
+        for bad in (sp.full + 1, 1 << sp.n, -1):
+            with pytest.raises(SpaceError, match="out of range"):
+                sp.is_open(bad)
+            with pytest.raises(SpaceError, match="out of range"):
+                sp.minimal_open(bad)
+        with pytest.raises(EmptyInputError):
+            sp.minimal_open(0)

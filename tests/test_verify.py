@@ -107,6 +107,19 @@ def test_unknown_property_raises():
         run_property("no-such-property", SMALL)
 
 
+def test_empty_selection_gives_no_reports():
+    # an empty selection is not the default: it selects nothing
+    assert run_all([], SMALL) == []
+    assert run_all((), SMALL) == []
+    assert [r.prop for r in run_all(None, VerifyOptions(max_n=1, samples=0))] == list(PROPERTIES)
+
+
+def test_space_properties_have_no_runner_of_their_own():
+    # the sweep runs them from their per-space checks; custom ones keep a runner
+    for name, runner in PROPERTIES.items():
+        assert (runner is None) == (name in V._SPACE_CHECKS), name
+
+
 @pytest.mark.parametrize("bad", [dict(max_n=0), dict(max_n=-1), dict(samples=-1)])
 def test_empty_corpus_is_refused(bad):
     with pytest.raises(SpaceError, match="must be at least"):
