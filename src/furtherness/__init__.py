@@ -41,6 +41,7 @@ from .errors import (
     SizeTooLargeError,
     SpaceError,
     UnknownLabelError,
+    UnknownPropertyError,
     ZeroRadiusError,
 )
 from .generate import (
@@ -94,13 +95,24 @@ from .serialization import (
     space_to_document,
 )
 from .spaces import FinSpace, OpenFamily, from_minimal_basis, from_open_sets, mask_indices
-from .verify import PROPERTIES, VerifyOptions, VerifyReport, run_all, run_property
+from .verify import VerifyOptions, VerifyReport, run_all, run_property
 
 __version__ = "0.1.0"
 
 # The kernels have one implementation, the pure-Python ``_kernels`` module;
 # the name stays for tools that record which kernels ran.
 kernel_backend = "pure"
+
+
+def __getattr__(name):
+    # PEP 562: reading the registry loads the theorem catalog, which no
+    # other name needs (see ``verify``)
+    if name == "PROPERTIES":
+        from .verify import PROPERTIES
+
+        return PROPERTIES
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BallEntry",
@@ -130,6 +142,7 @@ __all__ = [
     "SpaceMap",
     "UnionAnalysis",
     "UnknownLabelError",
+    "UnknownPropertyError",
     "VerifyOptions",
     "VerifyReport",
     "ZeroRadiusError",

@@ -15,14 +15,14 @@ import sys
 from .balls import ball
 from .distance import furtherness_matrix
 from .dot import export_dot
-from .errors import DocumentSyntaxError, SpaceError
+from .errors import DocumentSyntaxError, SpaceError, UnknownPropertyError
 from .generate import count_topologies, enumerate_topologies
 from .order import core as core_of
 from .order import kolmogorov_quotient, product
 from .regions import quasi_report, region_report, union_analysis
 from .serialization import further_to_json, parse_space, serialize_space
 from .spaces import FinSpace
-from .verify import PROPERTIES, VerifyOptions, run_all
+from .verify import VerifyOptions, run_all
 
 
 def _load(path: str) -> FinSpace:
@@ -175,7 +175,7 @@ def verify(args):
         max_n=args.max_n, samples=args.samples, sample_n=args.sample_n, seed=args.seed,
         jobs=args.jobs,
     )
-    reports = run_all(args.props or tuple(PROPERTIES), opts)
+    reports = run_all(args.props, opts)  # None: the whole registry
     for report in reports:
         print(json.dumps(report.to_json()))
     if not all(report.passed for report in reports):
@@ -184,9 +184,11 @@ def verify(args):
 
 def _property(name: str) -> str:
     """A ``--prop`` value: the name of a registered property."""
+    # read here, not at import, so that no other command loads the catalog
+    from .verify import PROPERTIES
+
     if name not in PROPERTIES:
-        known = ", ".join(sorted(PROPERTIES))
-        raise argparse.ArgumentTypeError(f"unknown property {name!r}; known: {known}")
+        raise argparse.ArgumentTypeError(str(UnknownPropertyError(name, PROPERTIES)))
     return name
 
 

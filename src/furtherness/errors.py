@@ -71,6 +71,21 @@ class UnknownLabelError(SpaceError):
         super().__init__(f"unknown point label {label!r}")
 
 
+class UnknownPropertyError(SpaceError, KeyError):
+    """A name that is not in the verifier's registry; a ``KeyError`` too,
+    as a lookup in the registry would raise."""
+
+    def __init__(self, name: str, known=()):
+        self.name = name
+        message = f"unknown property {name!r}"
+        if known:
+            message += f"; known: {', '.join(sorted(known))}"
+        super().__init__(message)
+
+    # KeyError would print the message quoted, as a key
+    __str__ = SpaceError.__str__
+
+
 class EmptyInputError(SpaceError):
     def __init__(self, what: str = "input set"):
         super().__init__(f"{what} must be nonempty")

@@ -16,7 +16,6 @@ minimal basis.
 
 from __future__ import annotations
 
-import string
 from functools import lru_cache
 from typing import Iterator
 
@@ -31,7 +30,7 @@ _FAMILY_LIMIT = 4
 
 def default_labels(n: int) -> tuple[str, ...]:
     if n <= 26:
-        return tuple(string.ascii_lowercase[:n])
+        return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
     return tuple(f"p{i}" for i in range(n))
 
 

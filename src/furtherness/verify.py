@@ -1,11 +1,18 @@
 """Exhaustive and sampled verification of the package's theorems.
 
-Every mathematical claim the library relies on is registered here as a
-named property.  A property runner sweeps a corpus (all labeled topologies
-up to a size cap, or seeded random spaces) and reports the first
+Every mathematical claim the library relies on is a named property in the
+registry kept here.  A property runner sweeps a corpus (all labeled
+topologies up to a size cap, or seeded random spaces) and reports the first
 counterexample as a replayable space document plus witness data.  The
 command line exposes the registry via ``verify``; the acceptance test
 suite drives the same runners.
+
+This module is the sweep runner.  The properties themselves live in the
+theorem catalog, ``theorems``, which registers them through
+``space_property`` and ``custom_property``.  ``_registry`` imports the
+catalog the first time anything reads the registry (``PROPERTIES``,
+``run_all``, ``run_property``, a sweep worker, a new registration), so
+importing this module, as every CLI command does, compiles no theorem.
 
 Runners are deterministic: corpora are enumerated in a fixed order, random
 sampling is seeded, and parallel sweeps merge results in enumeration order.
@@ -13,29 +20,17 @@ sampling is seeded, and parallel sweeps merge results in enumeration order.
 
 from __future__ import annotations
 
-import itertools
-import math
 import os
+import sys
 import time
 from functools import partial
 from typing import Callable, NamedTuple, Optional
 
-from . import balls as B
-from . import distance as D
-from . import order as O
-from . import oracle as ORC
-from . import regions as R
-from .dot import export_dot
-from .errors import SizeTooLargeError, SpaceError
-from .generate import (
-    ENUMERATION_LIMIT,
-    default_labels,
-    enumerate_topologies,
-    family_generated_bases,
-    random_space,
-)
-from .serialization import parse_space, serialize_space, space_to_document
-from .spaces import FinSpace, mask_indices
+from .errors import SizeTooLargeError, SpaceError, UnknownPropertyError
+from .generate import ENUMERATION_LIMIT, default_labels, enumerate_topologies
+from .regions import SUBSET_TABLE_LIMIT
+from .serialization import space_to_document
+from .spaces import FinSpace
 
 
 class VerifyOptions(NamedTuple):
@@ -65,10 +60,31 @@ class VerifyReport(NamedTuple):
 
 # The registry, in its order: name -> runner(opts) -> (checked, counterexample
 # | None) for a custom property, None for a space property, which ``_sweep``
-# runs from its entry in ``_SPACE_CHECKS``
-PROPERTIES: dict[str, Optional[Callable[[VerifyOptions], tuple[int, Optional[dict]]]]] = {}
-# name -> (per-space check, size cap or None), kept importable for workers
+# runs from its entry in ``_SPACE_CHECKS``.  Public as ``PROPERTIES``, which
+# ``__getattr__`` gives out only with the catalog loaded.
+_PROPERTIES: dict[str, Optional[Callable[[VerifyOptions], tuple[int, Optional[dict]]]]] = {}
+# name -> (per-space check, size cap or None); read it after ``_registry()``
 _SPACE_CHECKS: dict[str, tuple[Callable[[FinSpace], Optional[dict]], Optional[int]]] = {}
+_CATALOG = __package__ + ".theorems"
+
+
+def _registry() -> dict:
+    """The registry with the theorem catalog loaded, which is imported here
+    the first time, and only here.
+
+    While the catalog is being imported it is already in ``sys.modules``,
+    so its own registrations do not import it again.
+    """
+    if _CATALOG not in sys.modules:
+        from . import theorems  # noqa: F401  (registers every property)
+    return _PROPERTIES
+
+
+def __getattr__(name):
+    # PEP 562: ``PROPERTIES`` is no module global, so each read lands here
+    if name == "PROPERTIES":
+        return _registry()
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def run_property(name: str, opts: Optional[VerifyOptions] = None) -> VerifyReport:
@@ -82,8 +98,9 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
     (see ``_sweep``); each custom property runs its own runner.  A repeated
     name is run once and its report repeated.  Raises ``SpaceError`` before
     anything runs when ``max_n`` is below 1 or ``samples`` below 0, where
-    every sweep would check nothing and pass, when ``jobs`` is below 1, or
-    when a selected sampler cannot build spaces of ``sample_n`` points.
+    every sweep would check nothing and pass, when ``jobs`` is below 1,
+    when a name is not registered (``UnknownPropertyError``), or when a
+    selected sampler cannot build spaces of ``sample_n`` points.
     """
     opts = opts or VerifyOptions()
     if opts.max_n < 1:
@@ -92,16 +109,17 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
         raise SpaceError(f"samples must be at least 0, got {opts.samples}")
     if opts.jobs < 1:
         raise SpaceError(f"jobs must be at least 1, got {opts.jobs}")
-    names = list(PROPERTIES if names is None else names)
+    registry = _registry()
+    names = list(registry if names is None else names)
     for name in names:
-        if name not in PROPERTIES:
-            raise KeyError(name)
+        if name not in registry:
+            raise UnknownPropertyError(name, registry)
     samplers = {"union-random", "random-valid"}.intersection(names)
     if samplers and opts.sample_n < 1:
         raise SpaceError(f"sample_n must be at least 1, got {opts.sample_n}")
-    if "union-random" in samplers and opts.sample_n > R.SUBSET_TABLE_LIMIT:
+    if "union-random" in samplers and opts.sample_n > SUBSET_TABLE_LIMIT:
         raise SpaceError(
-            f"sample_n must be at most {R.SUBSET_TABLE_LIMIT} for union-random,"
+            f"sample_n must be at most {SUBSET_TABLE_LIMIT} for union-random,"
             f" got {opts.sample_n}"
         )
     distinct = list(dict.fromkeys(names))
@@ -109,7 +127,7 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
     for name in distinct:
         if name not in reports:
             t0 = time.perf_counter()
-            checked, counter = PROPERTIES[name](opts)
+            checked, counter = registry[name](opts)
             elapsed = time.perf_counter() - t0
             reports[name] = VerifyReport(name, checked, counter is None, counter, elapsed)
     return [reports[name] for name in names]
@@ -144,6 +162,7 @@ def _run_checks(sp: FinSpace, plan) -> list[tuple[str, Optional[dict], float]]:
 
 def _space_task(plan, task):
     n, basis = task
+    _registry()  # a worker that was not forked starts without the catalog
     # the parent enumerated, hence validated, the basis
     return _run_checks(FinSpace._trusted(default_labels(n), basis), plan)
 
@@ -192,8 +211,9 @@ def _sweep(names: list[str], opts: VerifyOptions) -> dict[str, VerifyReport]:
             if not live:
                 break
     else:
-        # imported here, since no other command needs it; the default start
-        # method, because checks registered at run time exist only in
+        # imported here, since no other command needs it.  Any start method
+        # finds the catalog, which each worker loads in ``_space_task``; the
+        # default one, because checks registered at run time exist only in
         # forked workers
         from multiprocessing import Pool
 
@@ -219,8 +239,9 @@ def space_property(name: str, cap: Optional[int] = None):
     """
 
     def deco(check: Callable[[FinSpace], Optional[dict]]):
+        _registry()  # a property registered at run time comes after the catalog
         _SPACE_CHECKS[name] = (check, cap)
-        PROPERTIES[name] = None
+        _PROPERTIES[name] = None
         return check
 
     return deco
@@ -228,1032 +249,8 @@ def space_property(name: str, cap: Optional[int] = None):
 
 def custom_property(name: str):
     def deco(runner: Callable[[VerifyOptions], tuple[int, Optional[dict]]]):
-        PROPERTIES[name] = runner
+        _registry()
+        _PROPERTIES[name] = runner
         return runner
 
     return deco
-
-
-def _subsets(space: FinSpace):
-    return range(space.full + 1)
-
-
-# ---------------------------------------------------------------------------
-# space core
-
-
-@space_property("family-closure")
-def _family_closure(sp: FinSpace):
-    """Open family contains empty and full and is closed under | and &."""
-    fam = sp.open_family
-    have = set(fam)
-    if 0 not in have or sp.full not in have:
-        return _fail(sp, missing="empty or full")
-    for a in fam:
-        for b in fam:
-            if (a | b) not in have or (a & b) not in have:
-                return _fail(sp, pair=[_set(sp, a), _set(sp, b)])
-    return None
-
-
-def _open_hulls(family: set[int], full: int) -> list[int]:
-    """``hulls[s]`` is the intersection of the opens of ``family`` that
-    contain ``s``, for every mask ``s`` up to ``full``.
-
-    The smallest open superset of a set is the intersection of the opens
-    containing it (Stong 1966), so a set that is not open has the same hull
-    as every one-point extension inside that hull, and the hull is the
-    intersection of the hulls of all its one-point extensions.  Supersets
-    come first, from ``full`` down.
-    """
-    hulls = [0] * (full + 1)
-    for s in range(full, -1, -1):
-        if s in family:
-            hulls[s] = s
-            continue
-        hull = full
-        rest = full & ~s
-        while rest:
-            low = rest & -rest
-            rest ^= low
-            hull &= hulls[s | low]
-        hulls[s] = hull
-    return hulls
-
-
-@space_property("open-membership")
-def _open_membership(sp: FinSpace):
-    """is_open, family membership, and minimal-open fixpoint all agree, and
-    the minimal open is the intersection of the opens containing the set."""
-    fam = set(sp.open_family)
-    hulls = _open_hulls(fam, sp.full)
-    for s in _subsets(sp):
-        in_fam = s in fam
-        if sp.is_open(s) != in_fam:
-            return _fail(sp, subset=_set(sp, s))
-        if s:
-            mo = sp.minimal_open(s)
-            if (mo == s) != in_fam:
-                return _fail(sp, subset=_set(sp, s))
-            if mo != hulls[s] or mo not in fam:
-                return _fail(sp, subset=_set(sp, s), minimal=_set(sp, mo))
-    return None
-
-
-@space_property("interior-closure-duality")
-def _duality(sp: FinSpace):
-    for s in _subsets(sp):
-        rest = sp.full & ~s
-        if sp.interior(s) != sp.full & ~sp.closure(rest):
-            return _fail(sp, subset=_set(sp, s))
-        if sp.closure(s) != sp.full & ~sp.interior(rest):
-            return _fail(sp, subset=_set(sp, s))
-    return None
-
-
-@space_property("opposite-involution")
-def _opposite_involution(sp: FinSpace):
-    op = sp.opposite()
-    if op.opposite() != sp:
-        return _fail(sp)
-    want = {sp.full & ~o for o in sp.open_family}
-    if set(op.open_family) != want:
-        return _fail(sp)
-    return None
-
-
-@space_property("reconstruction")
-def _reconstruction(sp: FinSpace):
-    from .spaces import from_open_sets
-
-    rebuilt = from_open_sets(sp.labels, list(sp.open_family))
-    if rebuilt != sp:
-        return _fail(sp)
-    return None
-
-
-@space_property("t0-opposite")
-def _t0_opposite(sp: FinSpace):
-    if sp.is_t0 != sp.opposite().is_t0:
-        return _fail(sp)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# distance and matrix
-
-
-@space_property("zero-diagonal")
-def _zero_diagonal(sp: FinSpace):
-    for x in range(sp.n):
-        if D.furtherness(sp, x, x) != 0:
-            return _fail(sp, point=sp.labels[x])
-    return None
-
-
-@space_property("range-bound")
-def _range_bound(sp: FinSpace):
-    for v in sp.further_flat:
-        if not 0 <= v <= sp.n - 1:
-            return _fail(sp, value=v)
-    return None
-
-
-@space_property("triangle-inequality")
-def _triangle(sp: FinSpace):
-    n = sp.n
-    flat = sp.further_flat
-    for x in range(n):
-        for y in range(n):
-            for z in range(n):
-                if flat[x * n + y] > flat[x * n + z] + flat[z * n + y]:
-                    return _fail(
-                        sp, triple=[sp.labels[x], sp.labels[y], sp.labels[z]]
-                    )
-    return None
-
-
-@space_property("zero-characterization")
-def _zero_char(sp: FinSpace):
-    """Zero distance, membership in the minimal open, and basis nesting agree."""
-    n = sp.n
-    flat = sp.further_flat
-    for x in range(n):
-        row_zero = 0
-        for y in range(n):
-            zero = flat[x * n + y] == 0
-            member = bool((sp.basis[x] >> y) & 1)
-            nested = not (sp.basis[y] & ~sp.basis[x])
-            if zero != member or zero != nested:
-                return _fail(sp, pair=[sp.labels[x], sp.labels[y]])
-            if zero:
-                row_zero |= 1 << y
-        if row_zero != sp.basis[x]:
-            return _fail(sp, point=sp.labels[x])
-        col_zero = 0
-        for y in range(n):
-            if flat[y * n + x] == 0:
-                col_zero |= 1 << y
-        if col_zero != sp.closure(1 << x):
-            return _fail(sp, point=sp.labels[x])
-    return None
-
-
-@space_property("t0-criterion")
-def _t0_criterion(sp: FinSpace):
-    n = sp.n
-    flat = sp.further_flat
-    glued = any(
-        flat[x * n + y] == 0 and flat[y * n + x] == 0
-        for x in range(n)
-        for y in range(n)
-        if x != y
-    )
-    rep = D.matrix_report(sp)
-    if sp.is_t0 != (not glued):
-        return _fail(sp)
-    if rep.distinct_rows != sp.is_t0 or rep.distinct_cols != sp.is_t0:
-        return _fail(sp)
-    return None
-
-
-@space_property("oracle-equivalence")
-def _oracle_equiv(sp: FinSpace):
-    for x in range(sp.n):
-        for y in range(sp.n):
-            fast = D.furtherness(sp, x, y)
-            slow, witness = ORC.furtherness_oracle(sp, x, y)
-            if fast != slow or witness.length != slow:
-                return _fail(
-                    sp, pair=[sp.labels[x], sp.labels[y]], fast=fast, slow=slow
-                )
-            witness.validate(sp, x)
-    return None
-
-
-@space_property("chain-witness")
-def _chain_witness(sp: FinSpace):
-    """Minimal chains end exactly at the union of the two minimal opens."""
-    for x in range(sp.n):
-        for y in range(sp.n):
-            k = D.furtherness(sp, x, y)
-            target = sp.basis[x] | sp.basis[y]
-            direct = ORC.union_witness(sp, x, y)
-            direct.validate(sp, x)
-            if direct.opens[-1] != target or direct.length != k:
-                return _fail(sp, pair=[sp.labels[x], sp.labels[y]])
-            for chain in ORC.witness_chains(sp, x, y):
-                chain.validate(sp, x)
-                if chain.opens[-1] != target:
-                    return _fail(
-                        sp,
-                        pair=[sp.labels[x], sp.labels[y]],
-                        chain=[_set(sp, o) for o in chain.opens],
-                    )
-                if any((o >> y) & 1 for o in chain.opens[:-1]):
-                    return _fail(sp, pair=[sp.labels[x], sp.labels[y]])
-    return None
-
-
-@space_property("cover-single-step")
-def _cover_single_step(sp: FinSpace):
-    """Lemma-based cover candidates equal true covers; T0 covers add one point."""
-    fam = list(sp.open_family)
-    for o in fam:
-        fast = set(ORC.cover_successors(sp, o))
-        slow = set()
-        for v in fam:
-            if v == o or (o & ~v):
-                continue
-            if not any(w != o and w != v and not (o & ~w) and not (w & ~v) for w in fam):
-                slow.add(v)
-        if fast != slow:
-            return _fail(sp, open=_set(sp, o))
-        if sp.is_t0:
-            for v in fast:
-                if (v & ~o).bit_count() != 1:
-                    return _fail(sp, open=_set(sp, o), cover=_set(sp, v))
-    return None
-
-
-@space_property("row-dominance")
-def _row_dominance(sp: FinSpace):
-    m = D.furtherness_matrix(sp)
-    for x in range(sp.n):
-        for y in range(sp.n):
-            if m.row_dominates(x, y) != (D.furtherness(sp, x, y) == 0):
-                return _fail(sp, pair=[sp.labels[x], sp.labels[y]])
-    return None
-
-
-@space_property("zero-count-bound")
-def _zero_count_bound(sp: FinSpace):
-    n = sp.n
-    flat = sp.further_flat
-    zeros = [sum(1 for y in range(n) if flat[x * n + y] == 0) for x in range(n)]
-    for x in range(n):
-        for y in range(n):
-            if flat[y * n + x] > zeros[x]:
-                return _fail(sp, pair=[sp.labels[y], sp.labels[x]])
-    if max(flat) > max(zeros):
-        return _fail(sp)
-    return None
-
-
-@space_property("extreme-points")
-def _extreme_points(sp: FinSpace):
-    rep = D.matrix_report(sp)
-    maxima = sum(1 << x for x in range(sp.n) if sp.basis[x] == sp.full)
-    minima = sum(1 << x for x in range(sp.n) if sp.closure(1 << x) == sp.full)
-    if rep.maximum_points != maxima or rep.minimum_points != minima:
-        return _fail(sp)
-    return None
-
-
-@space_property("matrix-report-flags")
-def _report_flags(sp: FinSpace):
-    rep = D.matrix_report(sp)
-    singles = sum(1 << x for x in range(sp.n) if sp.basis[x] == 1 << x)
-    if rep.open_singletons != singles:
-        return _fail(sp)
-    if rep.t0 != sp.is_t0:
-        return _fail(sp)
-    if rep.has_zero_row_or_col != bool(rep.maximum_points or rep.minimum_points):
-        return _fail(sp)
-    if rep.row_zeros != sp.basis:
-        return _fail(sp)
-    if rep.col_zeros != tuple(sp.closure(1 << x) for x in range(sp.n)):
-        return _fail(sp)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# order structure
-
-
-@space_property("preorder-laws")
-def _preorder_laws(sp: FinSpace):
-    order = O.specialization_preorder(sp)
-    n = sp.n
-    for x in range(n):
-        if not order.leq(x, x):
-            return _fail(sp, point=sp.labels[x])
-    for x in range(n):
-        for y in range(n):
-            if order.leq(x, y):
-                for z in range(n):
-                    if order.leq(z, x) and not order.leq(z, y):
-                        return _fail(sp, triple=[sp.labels[z], sp.labels[x], sp.labels[y]])
-    if order.is_antisymmetric != sp.is_t0:
-        return _fail(sp)
-    if O.order_to_space(order) != sp:
-        return _fail(sp)
-    return None
-
-
-@space_property("quotient-preserves")
-def _quotient_preserves(sp: FinSpace):
-    q = O.kolmogorov_quotient(sp)
-    if not q.space.is_t0:
-        return _fail(sp)
-    n = sp.n
-    m = q.space.n
-    flat = sp.further_flat
-    qflat = q.space.further_flat
-    class_of = q.class_of
-    for x in range(n):
-        for y in range(n):
-            v = flat[x * n + y]
-            same = class_of[x] == class_of[y]
-            both_zero = v == 0 and flat[y * n + x] == 0
-            if same != both_zero:
-                return _fail(sp, pair=[sp.labels[x], sp.labels[y]])
-            if qflat[class_of[x] * m + class_of[y]] != v:
-                return _fail(sp, pair=[sp.labels[x], sp.labels[y]])
-    again = O.kolmogorov_quotient(q.space)
-    if again.space.n != q.space.n or again.space.basis != q.space.basis:
-        return _fail(sp)
-    return None
-
-
-@space_property("minimal-rigidity")
-def _minimal_rigidity(sp: FinSpace):
-    """On minimal spaces, pointwise-zero continuous self-maps are the identity."""
-    if not O.is_minimal(sp):
-        return None
-    n = sp.n
-    flat = sp.further_flat
-    for image in itertools.product(range(n), repeat=n):
-        if any(flat[image[x] * n + x] != 0 for x in range(n)):
-            continue
-        f = O.SpaceMap(sp, sp, image)
-        if not O.is_continuous(f):
-            continue
-        if image != tuple(range(n)):
-            return _fail(sp, map=[sp.labels[i] for i in image])
-    return None
-
-
-@space_property("core-properties")
-def _core_properties(sp: FinSpace):
-    c = O.core(sp)
-    if not O.is_minimal(c):
-        return _fail(sp, core=serialize_space(c))
-    return None
-
-
-def _space_pairs(max_n: int):
-    corpus = [
-        sp for n in range(1, max_n + 1) for sp in enumerate_topologies(n)
-    ]
-    return corpus
-
-
-@custom_property("continuity-agreement")
-def _continuity_agreement(opts: VerifyOptions):
-    corpus = _space_pairs(min(opts.max_n, 3))
-    checked = 0
-    for dom in corpus:
-        for cod in corpus:
-            for image in itertools.product(range(cod.n), repeat=dom.n):
-                checked += 1
-                f = O.SpaceMap(dom, cod, image)
-                if O.is_continuous(f) != O.is_continuous_by_preimages(f):
-                    return checked, {
-                        "domain": space_to_document(dom),
-                        "codomain": space_to_document(cod),
-                        "map": list(image),
-                    }
-    return checked, None
-
-
-@custom_property("preserving-implies-continuous")
-def _preserving_continuous(opts: VerifyOptions):
-    corpus = _space_pairs(min(opts.max_n, 3))
-    checked = 0
-    for dom in corpus:
-        for cod in corpus:
-            for image in itertools.product(range(cod.n), repeat=dom.n):
-                checked += 1
-                f = O.SpaceMap(dom, cod, image)
-                if O.is_furtherness_preserving(f) and not O.is_continuous(f):
-                    return checked, {
-                        "domain": space_to_document(dom),
-                        "codomain": space_to_document(cod),
-                        "map": list(image),
-                    }
-    return checked, None
-
-
-@custom_property("product-formula")
-def _product_formula(opts: VerifyOptions):
-    corpus = _space_pairs(min(opts.max_n, 3))
-    checked = 0
-    for left in corpus:
-        for right in corpus:
-            prod = O.product([left, right])
-            checked += 1
-            flat = iter(prod.further_flat)  # rows and columns in (ax, ay) order
-            for ax in range(left.n):
-                for ay in range(right.n):
-                    for cx in range(left.n):
-                        for cy in range(right.n):
-                            got = O.product_furtherness(
-                                left, right, (ax, ay), (cx, cy)
-                            )
-                            direct = next(flat)
-                            if got != direct:
-                                return checked, {
-                                    "left": space_to_document(left),
-                                    "right": space_to_document(right),
-                                    "pair": [[ax, ay], [cx, cy]],
-                                    "formula": got,
-                                    "direct": direct,
-                                }
-    return checked, None
-
-
-@custom_property("product-nfold")
-def _product_nfold(opts: VerifyOptions):
-    twos = list(enumerate_topologies(2))
-    checked = 0
-    for fx, fy, fz in itertools.product(twos, repeat=3):
-        factors = [fx, fy, fz]
-        prod = O.product(factors)
-        checked += 1
-        for ps in itertools.product(range(2), repeat=3):
-            for qs in itertools.product(range(2), repeat=3):
-                flat_p = (ps[0] * 2 + ps[1]) * 2 + ps[2]
-                flat_q = (qs[0] * 2 + qs[1]) * 2 + qs[2]
-                direct = D.furtherness(prod, flat_p, flat_q)
-                formula = O.product_furtherness_nfold(factors, ps, qs)
-                if direct != formula:
-                    return checked, {
-                        "factors": [space_to_document(f) for f in factors],
-                        "pair": [list(ps), list(qs)],
-                    }
-    return checked, None
-
-
-# ---------------------------------------------------------------------------
-# balls
-
-
-@space_property("ball-radius-one")
-def _ball_radius_one(sp: FinSpace):
-    for x in range(sp.n):
-        if B.ball(sp, x, 1) != sp.basis[x]:
-            return _fail(sp, point=sp.labels[x])
-        if B.ball(sp, x, 1, backward=True) != sp.closure(1 << x):
-            return _fail(sp, point=sp.labels[x])
-        if B.ball(sp, x, sp.n) != sp.full and max(sp.further_flat) < sp.n:
-            return _fail(sp, point=sp.labels[x])
-    return None
-
-
-@space_property("forward-ball-topology")
-def _forward_ball_topology(sp: FinSpace):
-    if B.ball_topology(sp) != sp.open_family:
-        return _fail(sp)
-    return None
-
-
-@space_property("backward-ball-topology")
-def _backward_ball_topology(sp: FinSpace):
-    if B.ball_topology(sp, backward=True) != sp.opposite().open_family:
-        return _fail(sp)
-    return None
-
-
-@space_property("ball-basis")
-def _ball_basis(sp: FinSpace):
-    """Pairwise intersections of balls contain a ball around each member."""
-    n = sp.n
-    for backward in (False, True):
-        per_point = [
-            [B.ball(sp, x, r, backward=backward) for r in range(1, n + 1)]
-            for x in range(n)
-        ]
-        family = {b for row in per_point for b in row}
-        for b1 in family:
-            for b2 in family:
-                inter = b1 & b2
-                for z in mask_indices(inter):
-                    if not any(not (b3 & ~inter) for b3 in per_point[z]):
-                        return _fail(sp, point=sp.labels[z], backward=backward)
-    return None
-
-
-@space_property("symmetrized-metric")
-def _symmetrized_metric(sp: FinSpace):
-    n = sp.n
-    sym = [
-        B.symmetrized_furtherness(sp, x, y) for x in range(n) for y in range(n)
-    ]
-    for x in range(n):
-        if sym[x * n + x] != 0:
-            return _fail(sp, point=sp.labels[x])
-        for y in range(n):
-            sxy = sym[x * n + y]
-            if sxy != sym[y * n + x]:
-                return _fail(sp, pair=[sp.labels[x], sp.labels[y]])
-            for z in range(n):
-                if sxy > sym[x * n + z] + sym[z * n + y]:
-                    return _fail(
-                        sp, triple=[sp.labels[x], sp.labels[y], sp.labels[z]]
-                    )
-    return None
-
-
-@space_property("symmetrized-discrete-t0")
-def _symmetrized_discrete(sp: FinSpace):
-    if sp.is_t0 and len(B.symmetrized_topology(sp)) != 1 << sp.n:
-        return _fail(sp)
-    return None
-
-
-@space_property("symmetrized-smallest-join", cap=3)
-def _symmetrized_join(sp: FinSpace):
-    sym = set(B.symmetrized_topology(sp))
-    both = set(sp.open_family) | set(sp.opposite().open_family)
-    if not both <= sym:
-        return _fail(sp)
-    for other in enumerate_topologies(sp.n):
-        fam = set(other.open_family)
-        if both <= fam and not sym <= fam:
-            return _fail(sp, topology=[_set(sp, o) for o in sorted(fam)])
-    return None
-
-
-@space_property("symmetrized-disconnected")
-def _symmetrized_disconnected(sp: FinSpace):
-    """With more than one indistinguishability class, a proper clopen exists.
-
-    The bare |X| > 1 version is false (a two-point indiscrete space has an
-    indiscrete symmetrized topology), so the hypothesis is the corrected
-    one, which agrees with |X| > 1 on spaces with distinguishable points.
-    """
-    if max(sp.class_ids) == 0:
-        return None
-    fam = set(B.symmetrized_topology(sp))
-    if not any(0 < c < sp.full and c in fam and (sp.full & ~c) in fam for c in fam):
-        return _fail(sp)
-    return None
-
-
-# ---------------------------------------------------------------------------
-# regions
-
-
-@space_property("point-set-closure")
-def _point_set_closure(sp: FinSpace):
-    table = R.subset_table(sp)
-    for s, cl in enumerate(table.closure):
-        for x, row in enumerate(table.p2s):
-            if row[s] != row[cl]:
-                return _fail(sp, point=sp.labels[x], subset=_set(sp, s))
-    return None
-
-
-def _set_to_set_rows(table: R.SubsetTable) -> list[list]:
-    """``rows[a][b]`` is ``furtherness_to_set(space, a, b)`` for all masks.
-
-    A set is its lowest point and the rest, so its row is the elementwise
-    minimum of the rest's row and the point's ``p2s`` row; the empty set's
-    row is all infinity.
-    """
-    p2s = table.p2s
-    rows = [[math.inf] * len(p2s[0])]
-    for a in range(1, len(p2s[0])):
-        low = a & -a
-        point = p2s[low.bit_length() - 1]
-        rows.append([u if u < v else v for u, v in zip(rows[a ^ low], point)])
-    return rows
-
-
-def _minimal_opens(sp: FinSpace) -> list[int]:
-    """``sp.minimal_open(a)`` for every mask, with 0 for the empty set."""
-    opens = [0]
-    for a in range(1, sp.full + 1):
-        low = a & -a
-        opens.append(opens[a ^ low] | sp.basis[low.bit_length() - 1])
-    return opens
-
-
-@space_property("separation-obstruction")
-def _separation_obstruction(sp: FinSpace):
-    rows = _set_to_set_rows(R.subset_table(sp))
-    opens = _minimal_opens(sp)
-    for a in range(1, sp.full + 1):
-        row = rows[a]
-        open_a = opens[a]
-        for b in range(1, sp.full + 1):
-            if row[b] == 0 and not (open_a & opens[b]):
-                return _fail(sp, pair=[_set(sp, a), _set(sp, b)])
-    return None
-
-
-@space_property("radius-zero-interior")
-def _radius_zero(sp: FinSpace):
-    table = R.subset_table(sp)
-    for s in range(1, sp.full + 1):
-        interior = table.interior[s]
-        if (table.radius[s] == 0) != (interior == 0):
-            return _fail(sp, subset=_set(sp, s))
-        if interior == 0 and table.center[s] != s:
-            return _fail(sp, subset=_set(sp, s))
-    return None
-
-
-@space_property("center-in-interior")
-def _center_in_interior(sp: FinSpace):
-    table = R.subset_table(sp)
-    for s in range(1, sp.full + 1):
-        interior = table.interior[s]
-        if interior:
-            if table.center[s] & ~interior:
-                return _fail(sp, subset=_set(sp, s))
-            if not table.radius[s] > 0:
-                return _fail(sp, subset=_set(sp, s))
-    return None
-
-
-@space_property("radius-clopen")
-def _radius_clopen(sp: FinSpace):
-    """The clopen theorem on ``region_report``, which also checks the table.
-
-    The per-query report is the definition, and the other subset sweeps
-    read ``subset_table`` in its place, so a table entry that differs from
-    the report is a counterexample too, named by its field.
-    """
-    table = R.subset_table(sp)
-    for s in _subsets(sp):
-        rep = R.region_report(sp, s)
-        clopen = sp.is_open(s) and sp.is_open(sp.full & ~s)
-        if (rep.radius == math.inf) != clopen:
-            return _fail(sp, subset=_set(sp, s))
-        if s and not rep.center:
-            return _fail(sp, subset=_set(sp, s))
-        if rep.center & ~s:
-            return _fail(sp, subset=_set(sp, s))
-        # the interior lies inside s, which lies inside the closure
-        direct = {
-            "closure": rep.interior | rep.boundary,
-            "interior": rep.interior,
-            "boundary": rep.boundary,
-            "center": rep.center,
-            "radius": rep.radius,
-        }
-        for field, value in direct.items():
-            if getattr(table, field)[s] != value:
-                return _fail(sp, subset=_set(sp, s), table=field)
-    return None
-
-
-@space_property("radius-monotone")
-def _radius_monotone(sp: FinSpace):
-    table = R.subset_table(sp)
-    radius = table.radius
-    for s, r in enumerate(radius):
-        if r > radius[table.interior[s]]:
-            return _fail(sp, subset=_set(sp, s))
-        if r > radius[table.closure[s]]:
-            return _fail(sp, subset=_set(sp, s))
-    return None
-
-
-def _relative_boundaries(table: R.SubsetTable, carrier: int):
-    """Each subset of ``carrier``, ascending, with its boundary in the
-    subspace on ``carrier``: ``C ∩ cl(A) ∩ cl(C ∖ A)``, in ambient masks.
-    """
-    closure = table.closure
-    small = 0
-    while True:
-        yield small, carrier & closure[small] & closure[carrier & ~small]
-        small = (small - carrier) & carrier
-        if not small:
-            return
-
-
-@space_property("subspace-radius-monotone")
-def _subspace_radius(sp: FinSpace):
-    """Passing to a subspace shrinks distances and boundaries, so the radius
-    against the subspace boundary, measured in the ambient distance, can only
-    grow.  The naive version with the subspace's own recomputed distance is
-    false; a three-point counterexample is pinned in the test suite.
-
-    The boundary half holds by construction: the subspace boundary is read
-    from the ambient closures, ``C ∩ cl(A) ∩ cl(C ∖ A)``, which lies inside
-    the ambient boundary of ``A``.  The sweep checks the distance half, the
-    subspace's own matrix against the ambient one, and the radius bound.
-    That the ambient reading is the boundary in ``sp.subspace(C)`` is
-    checked by the test suite alone.
-    """
-    table = R.subset_table(sp)
-    radius = table.radius
-    n = sp.n
-    flat = sp.further_flat
-    # rows[s] lists the p2s rows of the points of s
-    rows = [[table.p2s[x] for x in mask_indices(s)] for s in _subsets(sp)]
-    for carrier in range(1, sp.full + 1):
-        sub_flat = iter(sp.subspace(carrier).further_flat)
-        kept = list(mask_indices(carrier))
-        for u in kept:
-            for v in kept:
-                if next(sub_flat) > flat[u * n + v]:
-                    return _fail(sp, pair=[sp.labels[u], sp.labels[v]],
-                                 carrier=_set(sp, carrier))
-        for small, bd_in_x in _relative_boundaries(table, carrier):
-            if small == 0 or bd_in_x == 0:
-                restricted: float = math.inf
-            else:
-                restricted = max([row[bd_in_x] for row in rows[small]])
-            if radius[small] > restricted:
-                return _fail(sp, subset=_set(sp, small), carrier=_set(sp, carrier))
-    return None
-
-
-def _qualifying_pairs(table: R.ClosureTable):
-    """Separated pairs ``a < b`` of nonempty sets, neither clopen, ascending.
-
-    ``b`` misses the closure of ``a``, hence ``a`` too, so it runs over the
-    subsets of the rest in ascending order.  A set is clopen when its
-    interior and its closure are the set itself.
-    """
-    closure = table.closure
-    interior = table.interior
-    full = len(closure) - 1
-    for a in range(1, full):
-        if interior[a] == a == closure[a]:
-            continue
-        rest = full & ~closure[a]
-        b = (-rest) & rest  # the least nonempty subset of the rest
-        while b:
-            if b > a and not (interior[b] == b == closure[b] or a & closure[b]):
-                yield a, b
-            b = (b - rest) & rest
-
-
-def _pair_union(table: R.SubsetTable, a: int, b: int):
-    """``union_analysis`` of a pair ``_qualifying_pairs`` proved, read from
-    the table: the case, the predicted center (0 when there is none) and
-    the larger radius of the two parts.
-    """
-    radius = table.radius
-    center = table.center
-    boundary = table.boundary
-    p2s = table.p2s
-    ra = radius[a]
-    rb = radius[b]
-    top = ra if ra > rb else rb
-    # a center of a top part drops out when it is closer to the other
-    # part's boundary than its own radius; radii are finite here
-    predicted = 0
-    for part, r, other in ((a, ra, boundary[b]), (b, rb, boundary[a])):
-        if r == top:
-            rest = center[part]
-            while rest:
-                low = rest & -rest
-                if not p2s[low.bit_length() - 1][other] < r:
-                    predicted |= low
-                rest ^= low
-    tie = ra == rb
-    if predicted:
-        case = "tie-dominates" if tie else "max-dominates"
-    else:
-        case = "tie-collapses" if tie else "max-collapses"
-    return case, predicted, top
-
-
-def _union_verdict(sp, parts, case, predicted, top, center, radius):
-    """Check exactly what the union theorems claim for this arity.
-
-    ``predicted`` is the predicted center (0 when there is none), ``top``
-    the largest radius of the parts, ``center`` and ``radius`` those of the
-    union.  Pairs carry the full package: the max-radius bound, the
-    prediction in dominate cases, strict decrease in collapse cases.  Larger
-    families only claim the prediction when it is nonempty; their
-    empty-prediction case makes no promise beyond the direct computation
-    existing.
-    """
-    pair = len(parts) == 2
-    if pair and radius > top:
-        return _fail(sp, parts=[_set(sp, p) for p in parts], bound="exceeded")
-    if predicted:
-        if center != predicted or radius != top:
-            return _fail(
-                sp,
-                parts=[_set(sp, p) for p in parts],
-                case=case,
-                predicted=_set(sp, predicted),
-                direct=_set(sp, center),
-            )
-    elif pair and not radius < top:
-        return _fail(sp, parts=[_set(sp, p) for p in parts], case=case)
-    return None
-
-
-def _check_union(sp: FinSpace, parts: list[int]) -> Optional[dict]:
-    """The union theorems on ``union_analysis``, the definition."""
-    ana = R.union_analysis(sp, parts)
-    top = max(rep.radius for rep in ana.reports)
-    # a prediction, when there is one, is nonempty and has radius top
-    predicted = ana.predicted_center or 0
-    return _union_verdict(
-        sp, parts, ana.case, predicted, top, ana.direct.center, ana.direct.radius
-    )
-
-
-def _check_union_pair(sp: FinSpace, table: R.SubsetTable, a: int, b: int):
-    """``_check_union(sp, [a, b])`` on a proven pair, read from the table.
-
-    ``_qualifying_pairs`` proves what ``union_analysis`` checks before it
-    computes, so the witnesses are the ones ``_check_union`` gives.
-    """
-    case, predicted, top = _pair_union(table, a, b)
-    union = a | b
-    return _union_verdict(
-        sp, [a, b], case, predicted, top, table.center[union], table.radius[union]
-    )
-
-
-@space_property("union-pairs")
-def _union_pairs(sp: FinSpace):
-    """The union theorems on every proven pair, read from the table.
-
-    The space's first pair also goes through ``union_analysis``, the
-    definition, so every space checks the table reading against it; a
-    reading that differs is a counterexample, named by ``table="union"``.
-    """
-    table = R.subset_table(sp)
-    pairs = _qualifying_pairs(R.closure_table(sp))
-    first = next(pairs, None)
-    if first is None:
-        return None
-    a, b = first
-    ana = R.union_analysis(sp, [a, b])
-    top = max(rep.radius for rep in ana.reports)
-    direct = (ana.case, ana.predicted_center or 0, top, ana.direct.center, ana.direct.radius)
-    union = a | b
-    if (*_pair_union(table, a, b), table.center[union], table.radius[union]) != direct:
-        return _fail(sp, parts=[_set(sp, a), _set(sp, b)], table="union")
-    for a, b in itertools.chain([first], pairs):
-        w = _check_union_pair(sp, table, a, b)
-        if w is not None:
-            return w
-    return None
-
-
-@custom_property("union-random")
-def _union_random(opts: VerifyOptions):
-    """Up to ten pairs per random space, through ``union_analysis`` itself.
-
-    The pairs come from the closure table, so a space with none builds no
-    distances.
-    """
-    checked = 0
-    for i in range(opts.samples):
-        sp = random_space(opts.sample_n, opts.seed + i)
-        taken = 0
-        for a, b in _qualifying_pairs(R.closure_table(sp)):
-            w = _check_union(sp, [a, b])
-            checked += 1
-            if w is not None:
-                return checked, {**w, "seed": opts.seed + i}
-            taken += 1
-            if taken >= 10:
-                break
-    return checked, None
-
-
-@custom_property("union-triples")
-def _union_triples(opts: VerifyOptions):
-    checked = 0
-    for index, sp in enumerate(enumerate_topologies(5)):
-        if index % 31:
-            continue
-        pairs = set(_qualifying_pairs(R.closure_table(sp)))
-        members = sorted({s for pair in pairs for s in pair})
-        found = 0
-        for trio in itertools.combinations(members, 3):
-            a, b, c = trio
-            if (a, b) in pairs and (a, c) in pairs and (b, c) in pairs:
-                w = _check_union(sp, list(trio))
-                checked += 1
-                if w is not None:
-                    return checked, w
-                found += 1
-                if found >= 3:
-                    break
-    return checked, None
-
-
-def _ball_table(sp: FinSpace) -> list[list[int]]:
-    """``balls[x][r - 1]`` is ``B.ball(sp, x, r)`` for radii 1 to n."""
-    return [[B.ball(sp, x, r) for r in range(1, sp.n + 1)] for x in range(sp.n)]
-
-
-@space_property("quasi-ball-identity")
-def _quasi_ball(sp: FinSpace):
-    """Quasi-radius balls, which also checks the quasi table and the subset
-    table's p2s field."""
-    table = R.subset_table(sp)
-    quasi_center, quasi_radius = R.quasi_table(sp)
-    balls = _ball_table(sp)
-    for s in range(1, sp.full):
-        rest = sp.full & ~s
-        # p2s first, since the quasi table is read from it
-        lims = []
-        for x in mask_indices(s):
-            lim = D.point_to_set(sp, x, rest)
-            if table.p2s[x][rest] != lim:
-                return _fail(sp, subset=_set(sp, s), point=sp.labels[x], table="p2s")
-            lims.append((x, lim))
-        q = R.quasi_report(sp, s)
-        if quasi_center[s] != q.quasi_center or quasi_radius[s] != q.quasi_radius:
-            return _fail(sp, subset=_set(sp, s), table="quasi")
-        for x, lim in lims:
-            for r, ball in enumerate(balls[x], 1):
-                inside = not (ball & ~s)
-                if inside != (r <= lim):
-                    return _fail(sp, subset=_set(sp, s), point=sp.labels[x], radius=r)
-        entries = R.largest_forward_balls(sp, s)
-        centers = 0
-        for e in entries:
-            centers |= 1 << e.center
-            if e.radius != q.quasi_radius:
-                return _fail(sp, subset=_set(sp, s))
-            if e.radius >= 1 and e.ball != balls[e.center][e.radius - 1]:
-                return _fail(sp, subset=_set(sp, s))
-            if e.ball & ~s:
-                return _fail(sp, subset=_set(sp, s))
-        if centers != q.quasi_center:
-            return _fail(sp, subset=_set(sp, s))
-    return None
-
-
-# ---------------------------------------------------------------------------
-# infrastructure
-
-
-@custom_property("enumerator-counts")
-def _enumerator_counts(opts: VerifyOptions):
-    want_all = {1: 1, 2: 4, 3: 29, 4: 355, 5: 6942}
-    want_t0 = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
-    checked = 0
-    for n in range(1, min(opts.max_n, 5) + 1):
-        seen = set()
-        count = 0
-        for sp in enumerate_topologies(n):
-            seen.add(sp.basis)
-            count += 1
-        checked += count
-        if count != want_all[n] or len(seen) != count:
-            return checked, {"n": n, "count": count}
-        if n in want_t0:
-            t0count = sum(1 for _ in enumerate_topologies(n, t0_only=True))
-            if t0count != want_t0[n]:
-                return checked, {"n": n, "t0_count": t0count}
-        if n <= 4:
-            cross = family_generated_bases(n)
-            if cross != frozenset(s.basis for s in enumerate_topologies(n)):
-                return checked, {"n": n, "generator": "family"}
-            cross_t0 = family_generated_bases(n, t0_only=True)
-            if cross_t0 != frozenset(
-                s.basis for s in enumerate_topologies(n, t0_only=True)
-            ):
-                return checked, {"n": n, "generator": "family-t0"}
-    return checked, None
-
-
-@space_property("roundtrip-identity", cap=3)
-def _roundtrip(sp: FinSpace):
-    if parse_space(serialize_space(sp)) != sp:
-        return _fail(sp)
-    return None
-
-
-@space_property("dot-stable", cap=3)
-def _dot_stable(sp: FinSpace):
-    for mode in ("hasse", "lattice"):
-        first = export_dot(sp, mode)
-        if export_dot(sp, mode) != first:
-            return _fail(sp, mode=mode)
-        if not first.startswith("digraph"):
-            return _fail(sp, mode=mode)
-    return None
-
-
-@custom_property("random-valid")
-def _random_valid(opts: VerifyOptions):
-    checked = 0
-    for i in range(opts.samples):
-        sp = random_space(opts.sample_n, opts.seed + i)
-        again = random_space(opts.sample_n, opts.seed + i)
-        checked += 1
-        if sp != again:
-            return checked, {"seed": opts.seed + i, "reason": "not deterministic"}
-        # FinSpace construction already validates the basis invariants
-        if sp.n != opts.sample_n:
-            return checked, {"seed": opts.seed + i}
-    return checked, None

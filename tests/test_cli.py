@@ -246,27 +246,56 @@ def test_verify_reports_every_mention_in_order(capsys):
     assert all(r["passed"] for r in reports)
 
 
-def test_cli_import_loads_no_multiprocessing():
-    # the verifier imports multiprocessing only when it starts a pool; the
-    # command line runs on the standard library without click or
-    # dataclasses, and its import still loads every module of the package
+def _fresh(probe: str):
+    """The JSON that ``probe`` prints, run in a fresh interpreter."""
     src = str(Path(C.__file__).resolve().parents[1])
-    probe = (
-        "import json, sys, furtherness.cli; "
-        "print(json.dumps(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('multiprocessing', 'click', 'dataclasses', 'furtherness'))))"
-    )
     done = subprocess.run(
         [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
         capture_output=True, text=True, timeout=60, check=True,
     )
-    loaded = set(json.loads(done.stdout))
+    return json.loads(done.stdout)
+
+
+def test_cli_import_loads_no_multiprocessing():
+    # the verifier imports multiprocessing only when it starts a pool, and
+    # the theorem catalog only when something reads the registry; the
+    # command line runs on the standard library without click or
+    # dataclasses, and its import still loads every traced module
+    loaded = set(_fresh(
+        "import json, sys, furtherness.cli; "
+        "print(json.dumps(sorted(m for m in sys.modules "
+        "if m.split('.')[0] in ('multiprocessing', 'click', 'dataclasses', 'furtherness'))))"
+    ))
     assert not {m for m in loaded if not m.startswith("furtherness")}
     for name in (
         "verify", "dot", "order", "generate", "oracle", "regions", "balls",
         "serialization", "distance", "spaces", "_kernels",
     ):
         assert f"furtherness.{name}" in loaded
+    assert "furtherness.theorems" not in loaded
+
+
+def test_registry_read_in_a_fresh_interpreter_is_whole():
+    # every way of reading the registry loads the catalog first
+    got = _fresh(
+        "import json, furtherness; names = list(furtherness.PROPERTIES); "
+        "from furtherness.verify import PROPERTIES; "
+        "import furtherness.verify as V; "
+        "print(json.dumps([names, list(PROPERTIES), list(V.PROPERTIES)]))"
+    )
+    assert len(got[0]) == 49
+    assert got == [list(V.PROPERTIES)] * 3
+
+
+def test_property_registered_first_comes_after_the_catalog():
+    # a registration before any read still loads the catalog before it
+    got = _fresh(
+        "import json, furtherness.verify as V; "
+        "V.space_property('fresh-claim')(lambda sp: None); "
+        "r = V.run_property('fresh-claim', V.VerifyOptions(max_n=2)); "
+        "print(json.dumps([list(V.PROPERTIES), r.checked, r.passed]))"
+    )
+    assert got == [[*V.PROPERTIES, "fresh-claim"], 5, True]
 
 
 def test_verify_unknown_property(capsys):

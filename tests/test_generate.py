@@ -1,3 +1,5 @@
+import string
+
 import pytest
 
 from furtherness import (
@@ -71,6 +73,14 @@ def test_size_cap():
 def test_labels():
     assert default_labels(3) == ("a", "b", "c")
     assert len(set(default_labels(30))) == 30
+
+
+def test_default_labels_unchanged():
+    # letters up to 26 points, then p0, p1, ...
+    for n in range(1, 27):
+        assert default_labels(n) == tuple(string.ascii_lowercase[:n])
+    for n in range(27, 31):
+        assert default_labels(n) == tuple(f"p{i}" for i in range(n))
 
 
 def test_splitmix_reference_stream():

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import time
+from functools import partial
 
 import pytest
 
@@ -19,6 +20,7 @@ from furtherness import (
     run_property,
 )
 from furtherness import regions as R
+from furtherness import theorems as T
 from furtherness import verify as V
 from furtherness.spaces import mask_indices
 from oracles import own_sweep
@@ -105,6 +107,16 @@ def test_parallel_sweep_finds_same_counterexample():
 def test_unknown_property_raises():
     with pytest.raises(KeyError):
         run_property("no-such-property", SMALL)
+
+
+def test_unknown_property_is_a_space_error_raised_first():
+    # the sweep of the known name beside it never starts
+    start = time.perf_counter()
+    with pytest.raises(SpaceError, match="typo"):
+        run_all(["triangle-inequality", "typo"], VerifyOptions(max_n=5))
+    with pytest.raises(SpaceError, match="unknown property 'typo'; known: backward-ball"):
+        run_property("typo")
+    assert time.perf_counter() - start < 1.0
 
 
 def test_empty_selection_gives_no_reports():
@@ -218,6 +230,24 @@ def test_sweep_starts_clamped_pool(monkeypatch):
 
 
 SPACE_PROPS = [name for name in PROPERTIES if name in V._SPACE_CHECKS]
+
+
+def test_worker_that_does_not_fork_loads_the_catalog():
+    # a spawned worker starts from a fresh interpreter: it has only what
+    # unpickling the task imports, and _space_task loads the catalog itself
+    has_catalog = "'furtherness.theorems' in __import__('sys').modules"
+    plan = [(name, V._SPACE_CHECKS[name][1] or 3) for name in SPACE_PROPS]
+    tasks = [(n, sp.basis) for n in (1, 2, 3) for sp in enumerate_topologies(n)]
+    task = partial(V._space_task, plan)
+    with multiprocessing.get_context("spawn").Pool(1) as pool:
+        assert pool.apply(eval, (has_catalog,)) is False
+        spawned = pool.map(task, tasks)
+        assert pool.apply(eval, (has_catalog,)) is True
+    in_process = [task(t) for t in tasks]
+    assert len(spawned) == 34
+    assert [[(name, w) for name, w, _ in rs] for rs in spawned] == [
+        [(name, w) for name, w, _ in rs] for rs in in_process
+    ]
 
 
 def _own_sweeps(names, max_n):
@@ -347,15 +377,15 @@ def test_union_pair_verdict_names_the_broken_theorem():
     # radii 2 and the union {a, b} has center {a, b} and radius 2
     sp = FinSpace(("a", "b", "c"), (0b001, 0b010, 0b111))
     table = R.subset_table(sp)
-    assert list(V._qualifying_pairs(table)) == [(0b001, 0b010)]
-    assert V._check_union_pair(sp, table, 0b001, 0b010) is None
+    assert list(T._qualifying_pairs(table)) == [(0b001, 0b010)]
+    assert T._check_union_pair(sp, table, 0b001, 0b010) is None
     radius = list(table.radius)
     radius[0b011] = 99  # larger than both parts
-    w = V._check_union_pair(sp, table._replace(radius=tuple(radius)), 0b001, 0b010)
+    w = T._check_union_pair(sp, table._replace(radius=tuple(radius)), 0b001, 0b010)
     assert w["bound"] == "exceeded" and w["parts"] == [["a"], ["b"]]
     center = list(table.center)
     center[0b011] = 0b100  # not the two centers the theorem predicts
-    w = V._check_union_pair(sp, table._replace(center=tuple(center)), 0b001, 0b010)
+    w = T._check_union_pair(sp, table._replace(center=tuple(center)), 0b001, 0b010)
     assert w["case"] == "tie-dominates"
     assert (w["predicted"], w["direct"]) == (["a", "b"], ["c"])
 
@@ -378,7 +408,7 @@ def test_union_pair_core_matches_union_analysis():
     pairs = 0
     for sp in _fast_path_corpus():
         table = R.subset_table(sp)
-        found = list(V._qualifying_pairs(table))
+        found = list(T._qualifying_pairs(table))
         assert found == [
             (a, b)
             for a in range(1, sp.full + 1)
@@ -388,7 +418,7 @@ def test_union_pair_core_matches_union_analysis():
         ]
         for a, b in found:
             ana = R.union_analysis(sp, [a, b])
-            case, predicted, top = V._pair_union(table, a, b)
+            case, predicted, top = T._pair_union(table, a, b)
             assert case == ana.case
             assert predicted == (ana.predicted_center or 0)
             assert top == max(rep.radius for rep in ana.reports)
@@ -396,15 +426,15 @@ def test_union_pair_core_matches_union_analysis():
             union = a | b
             assert table.center[union] == ana.direct.center
             assert table.radius[union] == ana.direct.radius
-            assert V._check_union_pair(sp, table, a, b) == V._check_union(sp, [a, b])
+            assert T._check_union_pair(sp, table, a, b) == T._check_union(sp, [a, b])
         pairs += len(found)
     assert pairs > 500  # 768 here
 
 
 def test_set_rows_and_minimal_opens_match_per_query():
     for sp in _fast_path_corpus():
-        rows = V._set_to_set_rows(R.subset_table(sp))
-        opens = V._minimal_opens(sp)
+        rows = T._set_to_set_rows(R.subset_table(sp))
+        opens = T._minimal_opens(sp)
         assert len(rows) == len(opens) == sp.full + 1
         assert opens[0] == 0
         for a in range(sp.full + 1):
@@ -420,7 +450,7 @@ def test_relative_boundary_is_the_subspace_boundary():
         for carrier in range(1, sp.full + 1):
             kept = list(mask_indices(carrier))
             sub_boundary = R.subset_table(sp.subspace(carrier)).boundary
-            got = list(V._relative_boundaries(table, carrier))
+            got = list(T._relative_boundaries(table, carrier))
             assert len(got) == len(sub_boundary)
             for inner, (small, boundary) in enumerate(got):
                 # inner is small in the subspace's own point positions
@@ -432,7 +462,7 @@ def test_relative_boundary_is_the_subspace_boundary():
 
 def test_ball_table_is_ball():
     for sp in _fast_path_corpus():
-        balls = V._ball_table(sp)
+        balls = T._ball_table(sp)
         assert len(balls) == sp.n
         for x in range(sp.n):
             assert balls[x] == [ball(sp, x, r) for r in range(1, sp.n + 1)]
@@ -441,7 +471,7 @@ def test_ball_table_is_ball():
 def test_open_hulls_are_smallest_open_supersets():
     for sp in _fast_path_corpus():
         fam = sorted(sp.open_family, key=int.bit_count)
-        hulls = V._open_hulls(set(fam), sp.full)
+        hulls = T._open_hulls(set(fam), sp.full)
         assert len(hulls) == sp.full + 1
         for s in range(sp.full + 1):
             # the first open containing s, by size, is the smallest
@@ -491,8 +521,8 @@ def test_six_sweep_properties_build_no_quasi_table(monkeypatch):
 def test_union_samplers_build_no_subset_table(monkeypatch):
     # they read only the closure half; union_analysis needs no subset table
     spaces = []
-    real_random = V.random_space
-    real_enumerate = V.enumerate_topologies
+    real_random = T.random_space
+    real_enumerate = T.enumerate_topologies
 
     def random_space(n, seed):
         spaces.append(real_random(n, seed))
@@ -503,8 +533,8 @@ def test_union_samplers_build_no_subset_table(monkeypatch):
             spaces.append(sp)
             yield sp
 
-    monkeypatch.setattr(V, "random_space", random_space)
-    monkeypatch.setattr(V, "enumerate_topologies", enumerate_topologies)
+    monkeypatch.setattr(T, "random_space", random_space)
+    monkeypatch.setattr(T, "enumerate_topologies", enumerate_topologies)
     opts = VerifyOptions(samples=40, sample_n=6)
     reports = run_all(["union-random", "union-triples"], opts)
     assert all(r.passed for r in reports) and reports[1].checked == 63
