@@ -43,8 +43,6 @@ def symmetrized_furtherness(space: FinSpace, x: PointLike, y: PointLike) -> int:
 
 def symmetrized_ball(space: FinSpace, center: PointLike, radius: int) -> int:
     """Ball of the symmetrized distance; the two directed balls intersected."""
-    if not isinstance(radius, int) or radius < 1:
-        raise ZeroRadiusError()
     return ball(space, center, radius) & ball(space, center, radius, backward=True)
 
 

@@ -35,11 +35,7 @@ def _load(path: str) -> FinSpace:
 
 
 def _parse_subset(space: FinSpace, text: str) -> int:
-    labels = [part.strip() for part in text.split(",") if part.strip()]
-    mask = 0
-    for lab in labels:
-        mask |= 1 << space.index(lab)
-    return mask
+    return space.mask(part.strip() for part in text.split(",") if part.strip())
 
 
 def _members(space: FinSpace, mask: int) -> list:

@@ -121,6 +121,7 @@ class FurtherMatrix:
 
     def report(self) -> MatrixReport:
         n = self.n
+        full = (1 << n) - 1
         row_zeros = []
         col_zeros = []
         singles = 0
@@ -138,9 +139,9 @@ class FurtherMatrix:
             col_zeros.append(cz)
             if rz == 1 << x:
                 singles |= 1 << x
-            if all(self.flat[x * n + y] == 0 for y in range(n)):
+            if rz == full:
                 maxima |= 1 << x
-            if all(self.flat[y * n + x] == 0 for y in range(n)):
+            if cz == full:
                 minima |= 1 << x
         rows = self.rows
         cols = tuple(self.col(j) for j in range(n))

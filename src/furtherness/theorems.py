@@ -28,7 +28,16 @@ from .dot import export_dot
 from .generate import enumerate_topologies, family_generated_bases, random_space
 from .serialization import parse_space, serialize_space, space_to_document
 from .spaces import FinSpace, from_open_sets, mask_indices
-from .verify import VerifyOptions, _fail, _set, custom_property, space_property
+from .verify import VerifyOptions, custom_property, space_property
+
+
+def _set(space: FinSpace, mask: int) -> list[str]:
+    return list(space.members(mask))
+
+
+def _fail(space: FinSpace, **witness) -> dict:
+    return {"space": space_to_document(space), **witness}
+
 
 def _subsets(space: FinSpace):
     return range(space.full + 1)
@@ -403,40 +412,32 @@ def _space_pairs(max_n: int):
     return corpus
 
 
-@custom_property("continuity-agreement")
-def _continuity_agreement(opts: VerifyOptions):
+def _map_pairs(opts: VerifyOptions, fails):
+    """(checked, counterexample | None) of ``fails(map)`` over every map
+    between spaces of at most 3 points, up to the first map it fails on."""
     corpus = _space_pairs(min(opts.max_n, 3))
     checked = 0
     for dom in corpus:
         for cod in corpus:
             for image in itertools.product(range(cod.n), repeat=dom.n):
                 checked += 1
-                f = O.SpaceMap(dom, cod, image)
-                if O.is_continuous(f) != O.is_continuous_by_preimages(f):
+                if fails(O.SpaceMap(dom, cod, image)):
                     return checked, {
                         "domain": space_to_document(dom),
                         "codomain": space_to_document(cod),
                         "map": list(image),
                     }
     return checked, None
+
+
+@custom_property("continuity-agreement")
+def _continuity_agreement(opts: VerifyOptions):
+    return _map_pairs(opts, lambda f: O.is_continuous(f) != O.is_continuous_by_preimages(f))
 
 
 @custom_property("preserving-implies-continuous")
 def _preserving_continuous(opts: VerifyOptions):
-    corpus = _space_pairs(min(opts.max_n, 3))
-    checked = 0
-    for dom in corpus:
-        for cod in corpus:
-            for image in itertools.product(range(cod.n), repeat=dom.n):
-                checked += 1
-                f = O.SpaceMap(dom, cod, image)
-                if O.is_furtherness_preserving(f) and not O.is_continuous(f):
-                    return checked, {
-                        "domain": space_to_document(dom),
-                        "codomain": space_to_document(cod),
-                        "map": list(image),
-                    }
-    return checked, None
+    return _map_pairs(opts, lambda f: O.is_furtherness_preserving(f) and not O.is_continuous(f))
 
 
 @custom_property("product-formula")

@@ -29,7 +29,6 @@ from typing import Callable, NamedTuple, Optional
 from .errors import SizeTooLargeError, SpaceError, UnknownPropertyError
 from .generate import ENUMERATION_LIMIT, default_labels, enumerate_topologies
 from .regions import SUBSET_TABLE_LIMIT
-from .serialization import space_to_document
 from .spaces import FinSpace
 
 
@@ -58,13 +57,21 @@ class VerifyReport(NamedTuple):
         }
 
 
-# The registry, in its order: name -> runner(opts) -> (checked, counterexample
-# | None) for a custom property, None for a space property, which ``_sweep``
-# runs from its entry in ``_SPACE_CHECKS``.  Public as ``PROPERTIES``, which
-# ``__getattr__`` gives out only with the catalog loaded.
-_PROPERTIES: dict[str, Optional[Callable[[VerifyOptions], tuple[int, Optional[dict]]]]] = {}
-# name -> (per-space check, size cap or None); read it after ``_registry()``
-_SPACE_CHECKS: dict[str, tuple[Callable[[FinSpace], Optional[dict]], Optional[int]]] = {}
+class Property(NamedTuple):
+    """One registered property.  A space property (``space`` true) is a
+    check(space) -> witness | None, which ``_sweep`` runs over the corpus up
+    to ``cap`` points (None: up to ``max_n``); a custom property is a
+    runner(opts) -> (checked, counterexample | None) with a corpus of its own.
+    """
+
+    run: Callable
+    space: bool
+    cap: Optional[int] = None
+
+
+# The registry, in its order: name -> ``Property``.  Public as ``PROPERTIES``,
+# which ``__getattr__`` gives out only with the catalog loaded.
+_PROPERTIES: dict[str, Property] = {}
 _CATALOG = __package__ + ".theorems"
 
 
@@ -123,22 +130,14 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
             f" got {opts.sample_n}"
         )
     distinct = list(dict.fromkeys(names))
-    reports = _sweep([name for name in distinct if name in _SPACE_CHECKS], opts)
+    reports = _sweep([name for name in distinct if registry[name].space], opts)
     for name in distinct:
         if name not in reports:
             t0 = time.perf_counter()
-            checked, counter = registry[name](opts)
+            checked, counter = registry[name].run(opts)
             elapsed = time.perf_counter() - t0
             reports[name] = VerifyReport(name, checked, counter is None, counter, elapsed)
     return [reports[name] for name in names]
-
-
-def _set(space: FinSpace, mask: int) -> list[str]:
-    return list(space.members(mask))
-
-
-def _fail(space: FinSpace, **witness) -> dict:
-    return {"space": space_to_document(space), **witness}
 
 
 def _workers(jobs: int) -> int:
@@ -155,7 +154,7 @@ def _run_checks(sp: FinSpace, plan) -> list[tuple[str, Optional[dict], float]]:
     for name, limit in plan:
         if sp.n <= limit:
             t0 = time.perf_counter()
-            witness = _SPACE_CHECKS[name][0](sp)
+            witness = _PROPERTIES[name].run(sp)
             out.append((name, witness, time.perf_counter() - t0))
     return out
 
@@ -184,7 +183,7 @@ def _sweep(names: list[str], opts: VerifyOptions) -> dict[str, VerifyReport]:
         return {}
     plan = []  # (name, size limit)
     for name in names:
-        cap = _SPACE_CHECKS[name][1]
+        cap = _PROPERTIES[name].cap
         plan.append((name, min(opts.max_n, cap) if cap else opts.max_n))
     live = dict(plan)  # the same, for the properties that have not failed
     top = max(live.values())
@@ -237,20 +236,19 @@ def space_property(name: str, cap: Optional[int] = None):
     ``cap``, when given, is the largest space size it runs on, even when
     ``max_n`` is larger.
     """
-
-    def deco(check: Callable[[FinSpace], Optional[dict]]):
-        _registry()  # a property registered at run time comes after the catalog
-        _SPACE_CHECKS[name] = (check, cap)
-        _PROPERTIES[name] = None
-        return check
-
-    return deco
+    return _register(name, True, cap)
 
 
 def custom_property(name: str):
-    def deco(runner: Callable[[VerifyOptions], tuple[int, Optional[dict]]]):
-        _registry()
-        _PROPERTIES[name] = runner
-        return runner
+    """Register a runner(opts) -> (checked, counterexample | None)."""
+    return _register(name, False)
+
+
+def _register(name: str, space: bool, cap: Optional[int] = None):
+    def deco(run: Callable):
+        # a property registered at run time comes after the catalog; a name
+        # registered again keeps its place and gets the new record whole
+        _registry()[name] = Property(run, space, cap)
+        return run
 
     return deco

@@ -19,6 +19,7 @@ from furtherness import (
     run_property,
     VerifyOptions,
 )
+from furtherness import theorems as T
 from furtherness import verify as V
 
 DEFAULTS = VerifyOptions()
@@ -173,13 +174,12 @@ def test_criterion_12_infrastructure(tmp_path, capsys):
 
     @V.space_property(name)
     def bogus(sp):
-        return V._fail(sp)
+        return T._fail(sp)
 
     try:
         ok &= exit_code(["verify", "--prop", name, "--max-n", "1"]) == 2
     finally:
         del V.PROPERTIES[name]
-        del V._SPACE_CHECKS[name]
     capsys.readouterr()  # swallow CLI noise so the verdict line stands alone
 
     _finish(12, "infrastructure", ok, time.perf_counter() - t0, detail=detail)

@@ -34,6 +34,13 @@ def test_radius_must_be_positive(e2):
         ball(e2, "a", 0)
     with pytest.raises(ZeroRadiusError):
         ball(e2, "a", -2)
+    # ball's check is the one radius validation, and it comes before the
+    # center's lookup
+    for bad in (0, -2, True, 1.5):
+        with pytest.raises(ZeroRadiusError):
+            symmetrized_ball(e2, "a", bad)
+        with pytest.raises(ZeroRadiusError):
+            symmetrized_ball(e2, "no-such-point", bad)
 
 
 def test_forward_topology_recovers_original(e1, e2, q1):

@@ -58,7 +58,7 @@ def test_counterexample_replays():
     @V.space_property(name)
     def bogus(sp):
         if not sp.is_t0:
-            return V._fail(sp, reason="not t0")
+            return T._fail(sp, reason="not t0")
         return None
 
     try:
@@ -74,7 +74,6 @@ def test_counterexample_replays():
         assert not replayed.is_t0
     finally:
         del PROPERTIES[name]
-        del V._SPACE_CHECKS[name]
 
 
 def test_parallel_sweep_matches_serial():
@@ -90,7 +89,7 @@ def test_parallel_sweep_finds_same_counterexample():
     @V.space_property(name)
     def bogus(sp):
         if sp.n == 3:
-            return V._fail(sp, n=sp.n)
+            return T._fail(sp, n=sp.n)
         return None
 
     try:
@@ -101,7 +100,6 @@ def test_parallel_sweep_finds_same_counterexample():
         assert serial.counterexample == parallel.counterexample
     finally:
         del PROPERTIES[name]
-        del V._SPACE_CHECKS[name]
 
 
 def test_unknown_property_raises():
@@ -126,10 +124,31 @@ def test_empty_selection_gives_no_reports():
     assert [r.prop for r in run_all(None, VerifyOptions(max_n=1, samples=0))] == list(PROPERTIES)
 
 
-def test_space_properties_have_no_runner_of_their_own():
-    # the sweep runs them from their per-space checks; custom ones keep a runner
-    for name, runner in PROPERTIES.items():
-        assert (runner is None) == (name in V._SPACE_CHECKS), name
+def test_registering_a_name_again_replaces_its_record():
+    # either way round, the last registration is the one that runs: a space
+    # property's check fails on the indiscrete two-point space, the fifth
+    name = "registered-twice"
+
+    def off_t0(sp):
+        return None if sp.is_t0 else T._fail(sp, reason="not t0")
+
+    def runner(opts):
+        return 7, None
+
+    try:
+        V.space_property(name)(off_t0)
+        V.custom_property(name)(runner)
+        report = run_property(name, SMALL)
+        assert (report.checked, report.passed) == (7, True)
+        assert PROPERTIES[name] == V.Property(runner, False, None)
+        V.space_property(name, cap=2)(off_t0)
+        report = run_property(name, SMALL)
+        assert (report.checked, report.passed) == (5, False)
+        assert report.counterexample["reason"] == "not t0"
+        assert PROPERTIES[name] == V.Property(off_t0, True, 2)
+    finally:
+        del PROPERTIES[name]
+    assert name not in PROPERTIES
 
 
 @pytest.mark.parametrize("bad", [dict(max_n=0), dict(max_n=-1), dict(samples=-1)])
@@ -229,14 +248,14 @@ def test_sweep_starts_clamped_pool(monkeypatch):
     assert sizes == [2]
 
 
-SPACE_PROPS = [name for name in PROPERTIES if name in V._SPACE_CHECKS]
+SPACE_PROPS = [name for name, prop in PROPERTIES.items() if prop.space]
 
 
 def test_worker_that_does_not_fork_loads_the_catalog():
     # a spawned worker starts from a fresh interpreter: it has only what
     # unpickling the task imports, and _space_task loads the catalog itself
     has_catalog = "'furtherness.theorems' in __import__('sys').modules"
-    plan = [(name, V._SPACE_CHECKS[name][1] or 3) for name in SPACE_PROPS]
+    plan = [(name, PROPERTIES[name].cap or 3) for name in SPACE_PROPS]
     tasks = [(n, sp.basis) for n in (1, 2, 3) for sp in enumerate_topologies(n)]
     task = partial(V._space_task, plan)
     with multiprocessing.get_context("spawn").Pool(1) as pool:
@@ -255,7 +274,7 @@ def _own_sweeps(names, max_n):
     walking the corpus on its own up to its size cap."""
     out = []
     for name in names:
-        check, cap = V._SPACE_CHECKS[name]
+        check, _, cap = PROPERTIES[name]
         checked, counter = own_sweep(check, min(max_n, cap) if cap else max_n)
         out.append((name, checked, counter is None, counter))
     return out
@@ -284,11 +303,11 @@ def test_one_sweep_keeps_each_first_failure(jobs):
     # repeats its report
     @V.space_property("fails-on-three-points")
     def on_three(sp):
-        return V._fail(sp, n=sp.n) if sp.n == 3 else None
+        return T._fail(sp, n=sp.n) if sp.n == 3 else None
 
     @V.space_property("fails-off-t0")
     def off_t0(sp):
-        return None if sp.is_t0 else V._fail(sp, reason="not t0")
+        return None if sp.is_t0 else T._fail(sp, reason="not t0")
 
     names = [
         "fails-on-three-points", "symmetrized-smallest-join", "fails-off-t0",
@@ -304,7 +323,6 @@ def test_one_sweep_keeps_each_first_failure(jobs):
     finally:
         for name in ("fails-on-three-points", "fails-off-t0"):
             del PROPERTIES[name]
-            del V._SPACE_CHECKS[name]
 
 
 # (property, table field, subset whose entry is wrong, wrong value,
