@@ -4,7 +4,10 @@ Enumeration walks reflexive transitive relations row by row (a minimal
 basis IS such a relation, read as down-sets), which gives every labeled
 topology exactly once in a fixed order.  An independent cross-generator
 filters raw set families instead; the two must agree and the test suite
-holds them to it.
+holds them to it.  The enumerated bases of each size are validated once
+per process, as they enter a cache: ``enumerate_topologies`` yields their
+spaces one at a time, and ``topology_slice`` builds a run of consecutive
+ones at once, the verifier's unit of sweep work.
 
 Random spaces come from a fixed, documented generator so that seeds are
 portable: a splitmix64 stream seeded with the given value produces one
@@ -36,27 +39,41 @@ def default_labels(n: int) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def _bases(n: int, t0_only: bool) -> tuple[tuple[int, ...], ...]:
-    """The enumerated bases, each validated once, as it enters the cache."""
+    """The enumerated bases, each validated once, as it enters the cache.
+
+    A verifier worker forked after its parent filled an entry reads the
+    parent's; any other process fills its own, through the validating
+    constructor as here.
+    """
     labels = default_labels(n)
     return tuple(FinSpace(labels, basis).basis for basis in K.enumerate_bases(n, t0_only))
 
 
-def enumerate_topologies(n: int, t0_only: bool = False) -> Iterator[FinSpace]:
-    """Every labeled topology on n points, deterministically ordered."""
+def _check_size(n: int) -> None:
     if n < 1:
         raise SpaceError("need at least one point")
     if n > ENUMERATION_LIMIT:
         raise SizeTooLargeError(n, ENUMERATION_LIMIT)
+
+
+def enumerate_topologies(n: int, t0_only: bool = False) -> Iterator[FinSpace]:
+    """Every labeled topology on n points, deterministically ordered."""
+    _check_size(n)
     labels = default_labels(n)
     for basis in _bases(n, t0_only):
         yield FinSpace._trusted(labels, basis)
 
 
+def topology_slice(n: int, start: int, stop: int) -> list[FinSpace]:
+    """The labeled topologies at positions ``start`` to ``stop - 1`` of
+    ``enumerate_topologies(n)``, built at once; the verifier's sweep task."""
+    _check_size(n)
+    labels = default_labels(n)
+    return [FinSpace._trusted(labels, basis) for basis in _bases(n, False)[start:stop]]
+
+
 def count_topologies(n: int, t0_only: bool = False) -> int:
-    if n < 1:
-        raise SpaceError("need at least one point")
-    if n > ENUMERATION_LIMIT:
-        raise SizeTooLargeError(n, ENUMERATION_LIMIT)
+    _check_size(n)
     return len(_bases(n, t0_only))
 
 

@@ -188,12 +188,14 @@ class FinSpace(Frozen):
     def _trusted(cls, labels: tuple[str, ...], basis: tuple[int, ...]) -> "FinSpace":
         """A space built without validation, for bases already validated.
 
-        The rule is that every basis is validated once per process: only
-        the topology enumerator uses this, for bases it validated through
-        the normal constructor when it filled its cache, and the verifier's
-        worker processes, for bases their parent enumerated.  ``labels``
-        and ``basis`` must be tuples of str and int.  Every other path,
-        user-facing or derived, goes through the validating constructor.
+        The rule is that every basis is validated before it gets here:
+        only the topology enumerator uses this, for bases in its cache,
+        which it validated through the normal constructor when it filled
+        it.  A verifier worker that was forked reads the cache its parent
+        filled; one that was not fills its own the same way, so no basis
+        from another process is trusted.  ``labels`` and ``basis`` must be
+        tuples of str and int.  Every other path, user-facing or derived,
+        goes through the validating constructor.
         """
         sp = object.__new__(cls)
         n = len(labels)

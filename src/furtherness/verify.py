@@ -27,9 +27,8 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .errors import SizeTooLargeError, SpaceError, UnknownPropertyError
-from .generate import ENUMERATION_LIMIT, default_labels, enumerate_topologies
+from .generate import ENUMERATION_LIMIT, count_topologies, topology_slice
 from .regions import SUBSET_TABLE_LIMIT
-from .spaces import FinSpace
 
 
 class VerifyOptions(NamedTuple):
@@ -145,37 +144,87 @@ def _workers(jobs: int) -> int:
     return min(jobs, os.cpu_count() or 1)
 
 
-def _run_checks(sp: FinSpace, plan) -> list[tuple[str, Optional[dict], float]]:
-    """Run each ``(name, size limit)`` of ``plan`` that admits ``sp``.
+# Spaces per sweep task, by measurement of the six-property n <= 5 sweep on
+# a 2-core host: at two jobs, 256-space slices were faster than 64, and 64
+# than 16, as each slice costs a round trip to a worker; serially, 256 held
+# about 1.2 MB more peak RSS than 64, since a slice keeps its spaces' cached
+# tables alive, but the pooled sweep's peak RSS moved by 0.3 MB at most.
+SLICE = 256
 
-    Gives ``(name, witness or None, seconds)`` per check run, in plan order.
-    """
+
+def _slices(top: int) -> list[tuple[int, int, int]]:
+    """The corpus of a sweep: every labeled topology on at most ``top``
+    points, as ``(n, start, stop)`` slices of the enumeration order, in that
+    order.  Fills the enumerator's validated cache for each n, so a worker
+    forked after this reads it."""
     out = []
-    for name, limit in plan:
-        if sp.n <= limit:
-            t0 = time.perf_counter()
-            witness = _PROPERTIES[name].run(sp)
-            out.append((name, witness, time.perf_counter() - t0))
+    for n in range(1, top + 1):
+        count = count_topologies(n)
+        out += [(n, start, min(start + SLICE, count)) for start in range(0, count, SLICE)]
     return out
 
 
-def _space_task(plan, task):
-    n, basis = task
+class _Summary(NamedTuple):
+    """One check run across one slice: the spaces it checked, up to and with
+    its first counterexample, that witness, its time, and the exception it
+    raised, if any, on the space after the ``checked`` ones, with its
+    traceback as text, which pickling would drop."""
+
+    name: str
+    checked: int
+    witness: Optional[dict]
+    seconds: float
+    error: Optional[Exception]
+    trace: str
+
+
+def _slice_task(plan, task) -> list[_Summary]:
+    """Run each ``(name, size limit)`` of ``plan`` that admits the slice
+    ``task`` across it, check by check, in plan order.
+
+    The slice's spaces are built once and shared by the checks.  A check
+    stops at its first counterexample or exception; the exception is
+    returned, not raised, so that ``_sweep`` raises it only when the check
+    has not failed in an earlier slice.
+    """
+    n, start, stop = task
     _registry()  # a worker that was not forked starts without the catalog
-    # the parent enumerated, hence validated, the basis
-    return _run_checks(FinSpace._trusted(default_labels(n), basis), plan)
+    spaces = topology_slice(n, start, stop)
+    out = []
+    for name, limit in plan:
+        if n > limit:
+            continue
+        check = _PROPERTIES[name].run
+        checked, witness, error, trace = 0, None, None, ""
+        t0 = time.perf_counter()
+        try:
+            for sp in spaces:
+                witness = check(sp)
+                checked += 1
+                if witness is not None:
+                    break
+        except Exception as exc:  # ``_sweep`` raises it, in corpus order
+            import traceback  # here, since no CLI command needs it otherwise
+
+            error, trace = exc, traceback.format_exc()
+        out.append(_Summary(name, checked, witness, time.perf_counter() - t0, error, trace))
+    return out
 
 
 def _sweep(names: list[str], opts: VerifyOptions) -> dict[str, VerifyReport]:
     """Reports for the space properties ``names``, from one pass over the corpus.
 
-    Each space is built once, and every check that has not failed yet and
-    whose size cap admits the space runs on it, so the checks share the
-    space's cached matrix, open family and subset table.  A property counts
-    spaces up to its first counterexample, which is its first in
-    enumeration order; its ``seconds`` is its summed check time.  With more
-    than one job, one pool runs all the checks of a space in a worker,
-    which times them, and the results are merged in enumeration order.
+    The corpus is the list of ``_slices``.  ``_slice_task`` builds each
+    slice's spaces once and runs every check that has not failed yet and
+    whose size cap admits them across the slice, so the checks share each
+    space's cached matrix, open family and subset table.  The slice
+    summaries are merged in enumeration order: a property counts spaces up
+    to its first counterexample, which is its first in enumeration order,
+    and its ``seconds`` is its summed check time.  A check that raises
+    fails the sweep with its exception, unless it had already failed; the
+    first raised in enumeration order, then plan order, wins.  With more
+    than one job, one pool runs the slices, every check on each, and the
+    parent drops the summaries of checks that failed in an earlier slice.
     Raises ``SizeTooLargeError`` before it enumerates anything when a
     property would sweep past ``ENUMERATION_LIMIT`` points.
     """
@@ -193,35 +242,44 @@ def _sweep(names: list[str], opts: VerifyOptions) -> dict[str, VerifyReport]:
     seconds = dict.fromkeys(live, 0.0)
     found: dict[str, dict] = {}
 
-    def merge(results):
-        for name, witness, elapsed in results:
+    def merge(summaries):
+        raised = None  # (offset in the slice, exception, traceback)
+        for name, count, witness, elapsed, error, trace in summaries:
             if name in live:
-                checked[name] += 1
+                checked[name] += count
                 seconds[name] += elapsed
                 if witness is not None:
                     found[name] = witness
                     del live[name]
+                elif error is not None and (raised is None or count < raised[0]):
+                    raised = (count, error, trace)
+        if raised:
+            _, error, trace = raised
+            if error.__traceback__ is None:  # sent back by a worker, without its frames
+                from multiprocessing.pool import RemoteTraceback
 
-    spaces = (sp for n in range(1, top + 1) for sp in enumerate_topologies(n))
+                raise error from RemoteTraceback(trace)
+            raise error
+
+    slices = _slices(top)
     jobs = _workers(opts.jobs)
     if jobs <= 1:
-        for sp in spaces:
-            merge(_run_checks(sp, live.items()))
+        for task in slices:
+            merge(_slice_task(list(live.items()), task))
             if not live:
                 break
     else:
         # imported here, since no other command needs it.  Any start method
-        # finds the catalog, which each worker loads in ``_space_task``; the
+        # finds the catalog, which each worker loads in ``_slice_task``; the
         # default one, because checks registered at run time exist only in
         # forked workers
         from multiprocessing import Pool
 
-        tasks = ((sp.n, sp.basis) for sp in spaces)
         with Pool(jobs) as pool:
             # imap keeps enumeration order, so each first hit is deterministic;
             # leaving the block terminates the pool
-            for results in pool.imap(partial(_space_task, plan), tasks, chunksize=64):
-                merge(results)
+            for summaries in pool.imap(partial(_slice_task, plan), slices):
+                merge(summaries)
                 if not live:
                     break
     return {

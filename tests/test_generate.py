@@ -4,6 +4,7 @@ import pytest
 
 from furtherness import (
     SizeTooLargeError,
+    SpaceError,
     VerifyOptions,
     count_topologies,
     default_labels,
@@ -68,6 +69,17 @@ def test_enumerator_counts_scans_each_n_once():
 def test_size_cap():
     with pytest.raises(SizeTooLargeError):
         list(enumerate_topologies(6))
+    with pytest.raises(SizeTooLargeError):
+        G.topology_slice(6, 0, 1)
+    with pytest.raises(SpaceError, match="at least one point"):
+        G.topology_slice(0, 0, 1)
+
+
+@pytest.mark.parametrize("n, start, stop", [(1, 0, 1), (3, 0, 29), (4, 64, 128), (4, 320, 384)])
+def test_a_slice_is_a_run_of_the_enumeration(n, start, stop):
+    got = G.topology_slice(n, start, stop)
+    want = list(enumerate_topologies(n))[start:stop]
+    assert [(sp.labels, sp.basis) for sp in got] == [(sp.labels, sp.basis) for sp in want]
 
 
 def test_labels():
@@ -125,5 +137,7 @@ def test_enumerated_bases_are_validated(monkeypatch):
     try:
         with pytest.raises(BasisNotNestedError):
             list(enumerate_topologies(3))
+        with pytest.raises(BasisNotNestedError):
+            G.topology_slice(3, 0, 1)
     finally:
         G._bases.cache_clear()

@@ -1,6 +1,7 @@
 import json
 import multiprocessing
 import time
+import traceback
 from functools import partial
 
 import pytest
@@ -253,19 +254,25 @@ SPACE_PROPS = [name for name, prop in PROPERTIES.items() if prop.space]
 
 def test_worker_that_does_not_fork_loads_the_catalog():
     # a spawned worker starts from a fresh interpreter: it has only what
-    # unpickling the task imports, and _space_task loads the catalog itself
+    # unpickling the task imports, so _slice_task loads the catalog itself,
+    # and the enumerator fills the worker's own validated basis cache
     has_catalog = "'furtherness.theorems' in __import__('sys').modules"
+    cached = "__import__('furtherness.generate').generate._bases.cache_info().currsize"
     plan = [(name, PROPERTIES[name].cap or 3) for name in SPACE_PROPS]
-    tasks = [(n, sp.basis) for n in (1, 2, 3) for sp in enumerate_topologies(n)]
-    task = partial(V._space_task, plan)
+    slices = V._slices(3)
+    task = partial(V._slice_task, plan)
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         assert pool.apply(eval, (has_catalog,)) is False
-        spawned = pool.map(task, tasks)
+        assert pool.apply(eval, (cached,)) == 0
+        spawned = pool.map(task, slices)
         assert pool.apply(eval, (has_catalog,)) is True
-    in_process = [task(t) for t in tasks]
-    assert len(spawned) == 34
-    assert [[(name, w) for name, w, _ in rs] for rs in spawned] == [
-        [(name, w) for name, w, _ in rs] for rs in in_process
+        assert pool.apply(eval, (cached,)) == 3  # the bases on 1, 2 and 3 points
+    in_process = [task(t) for t in slices]
+    assert [sum(s.checked for s in summaries) for summaries in spawned] == [
+        len(plan) * count for count in (1, 4, 29)
+    ]
+    assert [[s._replace(seconds=0) for s in summaries] for summaries in spawned] == [
+        [s._replace(seconds=0) for s in summaries] for summaries in in_process
     ]
 
 
@@ -322,6 +329,119 @@ def test_one_sweep_keeps_each_first_failure(jobs):
         assert [r.passed for r in reports] == [False, True, False, True, False]
     finally:
         for name in ("fails-on-three-points", "fails-off-t0"):
+            del PROPERTIES[name]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_failures_at_slice_boundaries_match_own_sweeps(jobs):
+    # one check fails on the last space of a slice, one on the first of the
+    # next, and one only at n = 5, after the other two have failed
+    on4 = [sp.basis for sp in enumerate_topologies(4)]
+    on5 = [sp.basis for sp in enumerate_topologies(5)]
+    targets = {
+        "fails-on-slice-end": on4[V.SLICE - 1],
+        "fails-on-slice-start": on4[V.SLICE],
+        "fails-on-five-points": on5[2 * V.SLICE + V.SLICE // 2],
+    }
+    calls = dict.fromkeys(targets, 0)
+
+    def counted(name, basis):
+        def check(sp):
+            calls[name] += 1
+            return T._fail(sp, at=name) if sp.basis == basis else None
+
+        return check
+
+    for name, basis in targets.items():
+        V.space_property(name)(counted(name, basis))
+    names = list(targets)
+    try:
+        own = _own_sweeps(names, 5)
+        assert [checked for _, checked, _, _ in own] == [
+            34 + V.SLICE, 34 + V.SLICE + 1, 389 + 2 * V.SLICE + V.SLICE // 2 + 1
+        ]
+        calls.update(dict.fromkeys(names, 0))
+        reports = run_all(names, VerifyOptions(max_n=5, jobs=jobs))
+        assert _verdicts(reports) == own
+        if jobs == 1:  # in this process: each check ran up to its counterexample
+            assert calls == {r.prop: r.checked for r in reports}
+        # within a slice, a check stops at its counterexample
+        plan = [(name, 5) for name in names]
+        for task in [(4, 0, V.SLICE), (4, V.SLICE, 2 * V.SLICE)]:
+            calls.update(dict.fromkeys(names, 0))
+            summaries = V._slice_task(plan, task)
+            assert calls == {s.name: s.checked for s in summaries}
+        rest = len(on4[V.SLICE : 2 * V.SLICE])
+        assert [(s.checked, s.witness is None) for s in summaries] == [
+            (rest, True), (1, False), (rest, True)
+        ]
+    finally:
+        for name in names:
+            del PROPERTIES[name]
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_a_check_is_not_raised_after_its_counterexample(jobs):
+    # it fails on the indiscrete two-point space, the last of its slice, and
+    # raises on every larger space: pooled or serial, it stops at the former
+    name = "fails-then-raises"
+
+    @V.space_property(name)
+    def fails_then_raises(sp):
+        if sp.n > 2:
+            raise RuntimeError("ran past its counterexample")
+        return None if sp.is_t0 else T._fail(sp, reason="not t0")
+
+    try:
+        reports = run_all([name, "triangle-inequality"], VerifyOptions(max_n=4, jobs=jobs))
+        assert [(r.checked, r.passed) for r in reports] == [(5, False), (389, True)]
+        assert reports[0].counterexample["reason"] == "not t0"
+    finally:
+        del PROPERTIES[name]
+
+
+# (check name, (n, position in its enumeration) of the first space it raises on)
+_RAISERS = {
+    "raises-on-four-points": (4, 0),
+    "raises-on-third-of-three": (3, 2),
+    "raises-on-first-of-three": (3, 0),
+    "raises-on-first-of-three-too": (3, 0),
+}
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize(
+    "names, raised",
+    [
+        # the first in enumeration order wins, across slices and within one
+        (["raises-on-four-points", "raises-on-third-of-three"], "raises-on-third-of-three"),
+        (["raises-on-third-of-three", "raises-on-first-of-three"], "raises-on-first-of-three"),
+        # then the first in plan order
+        (
+            ["raises-on-first-of-three-too", "raises-on-first-of-three"],
+            "raises-on-first-of-three-too",
+        ),
+    ],
+)
+def test_the_first_exception_in_corpus_then_plan_order_is_raised(jobs, names, raised):
+    def raiser(name, n, position):
+        def check(sp):
+            if sp.n > n or sp.n == n and on[n].index(sp.basis) >= position:
+                raise RuntimeError(name)
+            return None
+
+        return check
+
+    on = {n: [sp.basis for sp in enumerate_topologies(n)] for n in (3, 4)}
+    for name in names:
+        V.space_property(name)(raiser(name, *_RAISERS[name]))
+    try:
+        with pytest.raises(RuntimeError, match=f"^{raised}$") as info:
+            run_all(names, VerifyOptions(max_n=4, jobs=jobs))
+        # the check's own frame is shown, also when a worker raised it
+        assert "raise RuntimeError(name)" in "".join(traceback.format_exception(info.value))
+    finally:
+        for name in names:
             del PROPERTIES[name]
 
 
