@@ -191,10 +191,12 @@ def transitive_closure(n, rows):
 def enumerate_bases(n, t0_only=False):
     """All minimal bases on points 0..n-1, lexicographic by row masks.
 
-    Row i ranges over masks containing bit i in ascending numeric order;
-    partial rows are pruned against every fixed row in both directions, so
-    each leaf is a valid basis with no final check.  With ``t0_only`` rows
-    must be pairwise distinct.
+    Row i contains bit i and lies inside every earlier row that contains
+    i, so it ranges over the submasks of their intersection that contain
+    i, in ascending numeric order, and no other mask is looked at.  Each
+    candidate is pruned against the earlier rows it contains, which must
+    lie inside it, so each leaf is a valid basis with no final check.
+    With ``t0_only`` rows must be pairwise distinct.
     """
     full = (1 << n) - 1
     out: list[tuple[int, ...]] = []
@@ -205,24 +207,27 @@ def enumerate_bases(n, t0_only=False):
             out.append(tuple(rows))
             return
         bit = 1 << i
-        for m in range(bit, full + 1):
-            if not (m & bit):
-                continue
-            ok = True
-            for j in range(i):
-                rj = rows[j]
-                if (m >> j) & 1 and (rj & ~m):
-                    ok = False
-                    break
-                if (rj >> i) & 1 and (m & ~rj):
-                    ok = False
-                    break
-                if t0_only and m == rj:
-                    ok = False
-                    break
+        free = full
+        for j in range(i):
+            if (rows[j] >> i) & 1:
+                free &= rows[j]
+        free ^= bit
+        # the submasks of ``free``, ascending: 0, ..., free
+        sub = 0
+        while True:
+            m = sub | bit
+            ok = not (t0_only and m in rows[:i])
+            below = m & (bit - 1)
+            while ok and below:
+                low = below & -below
+                ok = not rows[low.bit_length() - 1] & ~m
+                below ^= low
             if ok:
                 rows[i] = m
                 extend(i + 1)
+            if sub == free:
+                break
+            sub = (sub - free) & free
 
     extend(0)
     return out

@@ -8,9 +8,17 @@ broke instead of a bare "invalid input".
 
 from __future__ import annotations
 
+import copyreg
+
 
 class SpaceError(ValueError):
     """Base class for all structural errors raised by this package."""
+
+    def __reduce__(self):
+        # rebuilt from the message and the fields, not through ``__init__``,
+        # whose parameters differ by subclass, so that an error pickled by a
+        # verifier worker can be unpickled by its parent
+        return copyreg.__newobj__, (type(self), *self.args), self.__dict__
 
 
 class DuplicateLabelError(SpaceError):

@@ -4,10 +4,13 @@ Enumeration walks reflexive transitive relations row by row (a minimal
 basis IS such a relation, read as down-sets), which gives every labeled
 topology exactly once in a fixed order.  An independent cross-generator
 filters raw set families instead; the two must agree and the test suite
-holds them to it.  The enumerated bases of each size are validated once
-per process, as they enter a cache: ``enumerate_topologies`` yields their
-spaces one at a time, and ``topology_slice`` builds a run of consecutive
-ones at once, the verifier's unit of sweep work.
+holds them to it.  The enumerated bases of each size are kept in a cache
+as the kernel gives them, and every space is built from its basis
+through the validating constructor, in the process that reads it:
+``enumerate_topologies`` yields the spaces one at a time, and
+``topology_slice`` builds a run of consecutive ones at once, the
+verifier's unit of sweep work, so a verifier worker validates the spaces
+it checks.  ``count_topologies`` counts the cached bases.
 
 Random spaces come from a fixed, documented generator so that seeds are
 portable: a splitmix64 stream seeded with the given value produces one
@@ -39,19 +42,26 @@ def default_labels(n: int) -> tuple[str, ...]:
 
 @lru_cache(maxsize=None)
 def _bases(n: int, t0_only: bool) -> tuple[tuple[int, ...], ...]:
-    """The enumerated bases, each validated once, as it enters the cache.
+    """The enumerated bases of one size, as the kernel gives them.
 
-    A verifier worker forked after its parent filled an entry reads the
-    parent's; any other process fills its own, through the validating
-    constructor as here.
+    None is validated here: the spaces are built from them through the
+    validating constructor.  A verifier worker forked after its parent
+    filled an entry reads the parent's; any other process fills its own.
     """
-    labels = default_labels(n)
-    return tuple(FinSpace(labels, basis).basis for basis in K.enumerate_bases(n, t0_only))
+    return tuple(K.enumerate_bases(n, t0_only))
+
+
+def _check_points(n: int) -> None:
+    """Refuse a number of points below 1 or not an ``int``, as a ``bool``
+    is not."""
+    if type(n) is not int:
+        raise SpaceError(f"the number of points must be an int, got {n!r}")
+    if n < 1:
+        raise SpaceError("need at least one point")
 
 
 def _check_size(n: int) -> None:
-    if n < 1:
-        raise SpaceError("need at least one point")
+    _check_points(n)
     if n > ENUMERATION_LIMIT:
         raise SizeTooLargeError(n, ENUMERATION_LIMIT)
 
@@ -61,15 +71,23 @@ def enumerate_topologies(n: int, t0_only: bool = False) -> Iterator[FinSpace]:
     _check_size(n)
     labels = default_labels(n)
     for basis in _bases(n, t0_only):
-        yield FinSpace._trusted(labels, basis)
+        yield FinSpace(labels, basis)
 
 
 def topology_slice(n: int, start: int, stop: int) -> list[FinSpace]:
     """The labeled topologies at positions ``start`` to ``stop - 1`` of
-    ``enumerate_topologies(n)``, built at once; the verifier's sweep task."""
+    ``enumerate_topologies(n)``, built at once; the verifier's sweep task.
+
+    Raises ``SpaceError`` unless ``0 <= start <= stop <= count_topologies(n)``.
+    """
     _check_size(n)
+    bases = _bases(n, False)
+    if not (type(start) is int and type(stop) is int and 0 <= start <= stop <= len(bases)):
+        raise SpaceError(
+            f"slice {start!r}:{stop!r} is not within the {len(bases)} topologies on {n} points"
+        )
     labels = default_labels(n)
-    return [FinSpace._trusted(labels, basis) for basis in _bases(n, False)[start:stop]]
+    return [FinSpace(labels, basis) for basis in bases[start:stop]]
 
 
 def count_topologies(n: int, t0_only: bool = False) -> int:
@@ -86,8 +104,7 @@ def family_generated_bases(n: int, t0_only: bool = False) -> frozenset[tuple[int
     in 2^n, hence the low size cap; exists purely to check the relation
     enumerator against an unrelated construction.
     """
-    if n < 1:
-        raise SpaceError("need at least one point")
+    _check_points(n)
     if n > _FAMILY_LIMIT:
         raise SizeTooLargeError(n, _FAMILY_LIMIT, "family enumeration")
     bases = _family_scan(n)
@@ -148,8 +165,7 @@ def splitmix64(seed: int) -> Iterator[int]:
 
 def random_space(n: int, seed: int) -> FinSpace:
     """Deterministic pseudo-random space; see the module docstring."""
-    if n < 1:
-        raise SpaceError("need at least one point")
+    _check_points(n)
     stream = splitmix64(seed)
     rows = [0] * n
     for i in range(n):

@@ -19,6 +19,7 @@ per-query functions.
 from __future__ import annotations
 
 import math
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import _kernels as K
@@ -160,14 +161,39 @@ def closure_table(space: FinSpace) -> ClosureTable:
     return table
 
 
+# distinct distance rows whose point-to-set rows are kept: every row of the
+# spaces on at most five points (925 of them) fits
+_P2S_ROWS = 1024
+
+
+@lru_cache(maxsize=_P2S_ROWS)
+def _p2s_row(distances: tuple[int, ...]) -> tuple[Further, ...]:
+    """The distance from one point to every subset, indexed by mask, from
+    that point's row of the distance matrix, which is all it depends on.
+
+    A set s gains point x at distance ``min(row[s], distances[x])``.  The
+    corpus repeats rows across spaces (925 distinct among the 36,226 rows
+    of the spaces on at most five points), so the rows are shared through
+    a cache of the last ``_P2S_ROWS`` distinct ones.  At most
+    ``_P2S_ROWS * 2**SUBSET_TABLE_LIMIT`` entries are held, 4,194,304
+    pointers or about 34 MB of tuples in the worst case, and under 0.5 MB,
+    keys included, over the spaces on at most five points.
+    """
+    row = [math.inf]
+    for v in distances:
+        row += [r if r < v else v for r in row]
+    return tuple(row)
+
+
 def subset_table(space: FinSpace) -> SubsetTable:
     """One pass over all 2**n subsets of ``space``; see :class:`SubsetTable`.
 
-    The topology half is :func:`closure_table`.  By the same recurrence, a
-    set s gains point x at distance ``min(p2s[y][s], Ψ(y, x))`` from y.
-    Raises ``SizeTooLargeError`` above ``SUBSET_TABLE_LIMIT`` points,
-    before anything is allocated.  Kept on the space object, as the
-    closure table is.
+    The topology half is :func:`closure_table`; each point's ``p2s`` row
+    comes from its row of the distance matrix alone, through the cache of
+    ``_p2s_row``, so spaces that share a distance row share its
+    point-to-set row.  Raises ``SizeTooLargeError`` above
+    ``SUBSET_TABLE_LIMIT`` points, before anything is allocated.  Kept on
+    the space object, as the closure table is.
     """
     table = space.__dict__.get("_subset_table")
     if table is not None:
@@ -175,12 +201,7 @@ def subset_table(space: FinSpace) -> SubsetTable:
     closure, interior, boundary = closure_table(space)
     n = space.n
     flat = space.further_flat
-    p2s = []
-    for y in range(n):
-        row = [math.inf]
-        for v in flat[y * n : (y + 1) * n]:
-            row += [r if r < v else v for r in row]
-        p2s.append(tuple(row))
+    p2s = [_p2s_row(flat[y * n : (y + 1) * n]) for y in range(n)]
     center, radius = _centers(boundary, p2s)
     table = SubsetTable(
         closure=closure,

@@ -185,24 +185,6 @@ class FinSpace(Frozen):
         self.__dict__.update(labels=labels, basis=basis, n=n, full=full)
 
     @classmethod
-    def _trusted(cls, labels: tuple[str, ...], basis: tuple[int, ...]) -> "FinSpace":
-        """A space built without validation, for bases already validated.
-
-        The rule is that every basis is validated before it gets here:
-        only the topology enumerator uses this, for bases in its cache,
-        which it validated through the normal constructor when it filled
-        it.  A verifier worker that was forked reads the cache its parent
-        filled; one that was not fills its own the same way, so no basis
-        from another process is trusted.  ``labels`` and ``basis`` must be
-        tuples of str and int.  Every other path, user-facing or derived,
-        goes through the validating constructor.
-        """
-        sp = object.__new__(cls)
-        n = len(labels)
-        sp.__dict__.update(labels=labels, basis=basis, n=n, full=(1 << n) - 1)
-        return sp
-
-    @classmethod
     def discrete(cls, labels: Iterable[str]) -> "FinSpace":
         """The discrete space on ``labels``: every point set is open.
 

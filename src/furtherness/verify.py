@@ -155,8 +155,9 @@ SLICE = 256
 def _slices(top: int) -> list[tuple[int, int, int]]:
     """The corpus of a sweep: every labeled topology on at most ``top``
     points, as ``(n, start, stop)`` slices of the enumeration order, in that
-    order.  Fills the enumerator's validated cache for each n, so a worker
-    forked after this reads it."""
+    order.  Fills the enumerator's cache of bases for each n, so a worker
+    forked after this reads it; no space is built here, as each slice task
+    builds its own spaces through the validating constructor."""
     out = []
     for n in range(1, top + 1):
         count = count_topologies(n)
@@ -182,10 +183,11 @@ def _slice_task(plan, task) -> list[_Summary]:
     """Run each ``(name, size limit)`` of ``plan`` that admits the slice
     ``task`` across it, check by check, in plan order.
 
-    The slice's spaces are built once and shared by the checks.  A check
-    stops at its first counterexample or exception; the exception is
-    returned, not raised, so that ``_sweep`` raises it only when the check
-    has not failed in an earlier slice.
+    The slice's spaces are built once, through the validating constructor,
+    and shared by the checks; a basis that fails validation fails the
+    task.  A check stops at its first counterexample or exception; the
+    exception is returned, not raised, so that ``_sweep`` raises it only
+    when the check has not failed in an earlier slice.
     """
     n, start, stop = task
     _registry()  # a worker that was not forked starts without the catalog

@@ -4,7 +4,8 @@ Everything here works on frozensets of labels and scans the whole open
 family, so no bitmask trick, minimal-basis shortcut, counting formula, or
 candidate lemma from the package is shared.  Slow on purpose; meant for
 spaces with a handful of points.  ``own_sweep`` is the verifier's sweep in
-its plainest form: one property walking the enumerated corpus on its own.
+its plainest form: one property walking the enumerated corpus on its own,
+and ``scan_all_masks_bases`` the basis enumerator in its plainest form.
 """
 
 from functools import reduce
@@ -173,3 +174,38 @@ def reference_basis_outcome(labels, basis):
             if not sets[y] <= s:
                 return ("BasisNotNestedError", (labels[x], labels[y]))
     return None
+
+
+def scan_all_masks_bases(n, t0_only=False):
+    """Every minimal basis on points 0..n-1, lexicographic by row masks, by
+    scanning all 2**n masks for each row and keeping those that contain
+    their point and nest both ways with every earlier row (and, with
+    ``t0_only``, differ from it): the enumerator kernel without its walk
+    over submasks."""
+    full = (1 << n) - 1
+    out = []
+    rows = [0] * n
+
+    def extend(i):
+        if i == n:
+            out.append(tuple(rows))
+            return
+        bit = 1 << i
+        for m in range(bit, full + 1):
+            if not (m & bit):
+                continue
+            ok = True
+            for j in range(i):
+                rj = rows[j]
+                if (m >> j) & 1 and (rj & ~m):
+                    ok = False
+                if (rj >> i) & 1 and (m & ~rj):
+                    ok = False
+                if t0_only and m == rj:
+                    ok = False
+            if ok:
+                rows[i] = m
+                extend(i + 1)
+
+    extend(0)
+    return out

@@ -75,7 +75,10 @@ def test_size_cap():
         G.topology_slice(0, 0, 1)
 
 
-@pytest.mark.parametrize("n, start, stop", [(1, 0, 1), (3, 0, 29), (4, 64, 128), (4, 320, 384)])
+@pytest.mark.parametrize(
+    "n, start, stop",
+    [(1, 0, 1), (3, 0, 29), (3, 0, 0), (3, 29, 29), (4, 64, 128), (4, 256, 355)],
+)
 def test_a_slice_is_a_run_of_the_enumeration(n, start, stop):
     got = G.topology_slice(n, start, stop)
     want = list(enumerate_topologies(n))[start:stop]
@@ -127,17 +130,53 @@ def test_random_space_validates():
 
 
 def test_enumerated_bases_are_validated(monkeypatch):
-    # a basis the enumerator got wrong must be caught when the cache fills
-    import furtherness.generate as G
+    # every space is built through the validating constructor in the process
+    # that reads it, so a basis the enumerator got wrong is caught when a
+    # slice holding it is built, in a verifier worker too, and a slice
+    # without it builds
     from furtherness import BasisNotNestedError
 
+    real = G.K.enumerate_bases
+    bad = (0b011, 0b110, 0b100)  # b is in U_a, U_b is not in U_a
+
+    def enumerate_bases(n, t0_only=False):
+        out = real(n, t0_only)
+        return out + [bad] if n == 3 else out
+
     G._bases.cache_clear()
-    bad = [(0b001, 0b010, 0b100), (0b011, 0b110, 0b100)]  # b is in U_a, U_b is not in U_a
-    monkeypatch.setattr(G.K, "enumerate_bases", lambda n, t0_only: bad)
+    monkeypatch.setattr(G.K, "enumerate_bases", enumerate_bases)
     try:
+        assert count_topologies(3) == 30  # the kernel's bases, as they come
         with pytest.raises(BasisNotNestedError):
             list(enumerate_topologies(3))
+        assert len(G.topology_slice(3, 0, 29)) == 29
         with pytest.raises(BasisNotNestedError):
-            G.topology_slice(3, 0, 1)
+            G.topology_slice(3, 28, 30)
+        for jobs in (1, 2):
+            opts = VerifyOptions(max_n=2, jobs=jobs)
+            assert run_property("triangle-inequality", opts).passed
+            with pytest.raises(BasisNotNestedError):
+                run_property("triangle-inequality", opts._replace(max_n=3))
     finally:
         G._bases.cache_clear()
+
+
+@pytest.mark.parametrize("n", [2.5, 3.0, "3", True, False, None])
+def test_a_size_must_be_an_int(n):
+    for call in (count_topologies, family_generated_bases):
+        with pytest.raises(SpaceError, match="must be an int"):
+            call(n)
+    with pytest.raises(SpaceError, match="must be an int"):
+        list(enumerate_topologies(n))
+    with pytest.raises(SpaceError, match="must be an int"):
+        G.topology_slice(n, 0, 1)
+    with pytest.raises(SpaceError, match="must be an int"):
+        random_space(n, 1)
+
+
+@pytest.mark.parametrize(
+    "start, stop", [(-2, 29), (-1, 0), (0, 30), (29, 30), (5, 4), (0.0, 1), (0, 1.0), (False, 1)]
+)
+def test_a_slice_must_lie_within_the_enumeration(start, stop):
+    with pytest.raises(SpaceError, match="not within the 29 topologies on 3 points"):
+        G.topology_slice(3, start, stop)

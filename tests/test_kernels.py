@@ -2,8 +2,13 @@
 a machine word, and the names that outside wrappers bind to.
 """
 
+import pytest
+
 import furtherness
 from furtherness import _kernels as K
+from furtherness import family_generated_bases
+
+from oracles import scan_all_masks_bases
 
 # the kernels that perfbench/tracer.py wraps, one layer each
 KERNEL_NAMES = (
@@ -101,3 +106,23 @@ def test_further_matrix_is_the_class_count():
     assert K.further_matrix(n, chain) == _class_count_matrix(n, chain)
     doubled = tuple((1 << (2 * (i // 2) + 2)) - 1 for i in range(n))
     assert K.further_matrix(n, doubled) == _class_count_matrix(n, doubled)
+
+
+@pytest.mark.parametrize("t0_only", [False, True])
+def test_enumerate_bases_walks_the_masks_a_scan_keeps(t0_only):
+    # the same bases in the same order as the scan over every mask
+    for n in range(1, 6):
+        assert K.enumerate_bases(n, t0_only) == scan_all_masks_bases(n, t0_only), n
+
+
+def test_enumerate_bases_is_lexicographic():
+    # against the independent family generator, sorted
+    for n in range(1, 5):
+        assert K.enumerate_bases(n) == sorted(family_generated_bases(n))
+        assert K.enumerate_bases(n, True) == sorted(family_generated_bases(n, t0_only=True))
+
+
+def test_enumerate_bases_counts_on_six_points():
+    # OEIS A000798 and A001035: the topologies and the T0 ones on 6 points
+    assert len(K.enumerate_bases(6)) == 209_527
+    assert len(K.enumerate_bases(6, True)) == 130_023

@@ -17,6 +17,7 @@ from furtherness import (
     region_report,
     union_analysis,
 )
+from furtherness import regions as R
 from furtherness.regions import SUBSET_TABLE_LIMIT, closure_table, quasi_table, subset_table
 
 
@@ -213,6 +214,32 @@ def test_subset_table_matches_per_query_functions():
     for seed in (1, 2, 3):
         _assert_table_is_the_definition(random_space(6, seed))
         _assert_table_is_the_definition(random_space(7, seed))
+
+
+def test_subset_tables_share_point_to_set_rows():
+    # spaces of mixed sizes in one process: each point-to-set row comes from
+    # the cache, keyed by the distance row alone, and is still the definition
+    R._p2s_row.cache_clear()
+    bound = R._p2s_row.cache_info().maxsize
+    assert bound >= 925  # every distinct distance row on at most five points
+    mixed = [sp for n in (3, 1, 4, 2) for sp in enumerate_topologies(n)]
+    mixed += [random_space(n, seed) for seed in (1, 2) for n in (7, 5, 6)]
+    tables = [subset_table(sp) for sp in mixed]
+    for sp, table in zip(mixed, tables):
+        for x in range(sp.n):
+            row = table.p2s[x]
+            assert row is R._p2s_row(sp.further_flat[x * sp.n : (x + 1) * sp.n])
+            assert row == tuple(point_to_set(sp, x, s) for s in range(sp.full + 1))
+    assert R._p2s_row.cache_info().currsize <= bound
+    # more distinct rows than the bound: the cache stays within it, and rows
+    # it dropped come back equal
+    for seed in range(200):
+        for n in (6, 7):
+            subset_table(random_space(n, seed))
+            assert R._p2s_row.cache_info().currsize <= bound
+    assert R._p2s_row.cache_info().currsize == bound
+    for sp, table in zip(mixed, tables):
+        assert subset_table(FinSpace(sp.labels, sp.basis)).p2s == table.p2s
 
 
 def _assert_closure_table_is_the_definition(sp):

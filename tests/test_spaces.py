@@ -216,11 +216,34 @@ def test_open_family_is_a_value(e2):
 
 
 def test_size_fields_survive_pickle(e2):
-    trusted = next(iter(enumerate_topologies(3)))
-    for sp in (e2, trusted):
+    enumerated = next(iter(enumerate_topologies(3)))
+    for sp in (e2, enumerated):
         back = pickle.loads(pickle.dumps(sp))
         assert back == sp and hash(back) == hash(sp)
         assert (back.n, back.full) == (sp.n, sp.full)
+
+
+def test_errors_survive_pickle():
+    # a verifier worker sends the errors its slice raised to the parent by
+    # pickle, whatever the parameters of their constructors
+    from furtherness import errors as E
+
+    pair = (("a",), ("b",))
+    errors = [
+        E.SpaceError("plain"), E.DuplicateLabelError("a"), E.MissingEmptyOrFullError("empty"),
+        E.NotClosedUnderUnionError(pair), E.NotClosedUnderIntersectionError(pair),
+        E.PointNotInOwnBasisError("a"), E.BasisNotNestedError("a", "b"),
+        E.UnknownLabelError("z"), E.UnknownPropertyError("p", ["q"]), E.EmptyInputError(),
+        E.ZeroRadiusError(), E.EmptyOrFullSubsetError("part"),
+        E.PreconditionViolatedError("why"), E.SizeTooLargeError(9, 5, at_least=True),
+        E.SchemaError("shape"), E.DocumentSyntaxError("json"),
+    ]
+    every = {c for c in vars(E).values() if isinstance(c, type) and issubclass(c, E.SpaceError)}
+    assert {type(e) for e in errors} == every
+    for error in errors:
+        back = pickle.loads(pickle.dumps(error))
+        assert type(back) is type(error)
+        assert (str(back), back.args, vars(back)) == (str(error), error.args, vars(error))
 
 
 def test_index_and_mask_edge_cases(e2):

@@ -255,7 +255,7 @@ SPACE_PROPS = [name for name, prop in PROPERTIES.items() if prop.space]
 def test_worker_that_does_not_fork_loads_the_catalog():
     # a spawned worker starts from a fresh interpreter: it has only what
     # unpickling the task imports, so _slice_task loads the catalog itself,
-    # and the enumerator fills the worker's own validated basis cache
+    # and the enumerator fills the worker's own basis cache
     has_catalog = "'furtherness.theorems' in __import__('sys').modules"
     cached = "__import__('furtherness.generate').generate._bases.cache_info().currsize"
     plan = [(name, PROPERTIES[name].cap or 3) for name in SPACE_PROPS]
@@ -367,11 +367,11 @@ def test_failures_at_slice_boundaries_match_own_sweeps(jobs):
             assert calls == {r.prop: r.checked for r in reports}
         # within a slice, a check stops at its counterexample
         plan = [(name, 5) for name in names]
-        for task in [(4, 0, V.SLICE), (4, V.SLICE, 2 * V.SLICE)]:
+        for task in [(4, 0, V.SLICE), (4, V.SLICE, len(on4))]:
             calls.update(dict.fromkeys(names, 0))
             summaries = V._slice_task(plan, task)
             assert calls == {s.name: s.checked for s in summaries}
-        rest = len(on4[V.SLICE : 2 * V.SLICE])
+        rest = len(on4) - V.SLICE
         assert [(s.checked, s.witness is None) for s in summaries] == [
             (rest, True), (1, False), (rest, True)
         ]
