@@ -11,10 +11,11 @@ Distance values reported by ``point_to_set`` / ``set_to_set`` /
 ``center_radius`` use -1 for "infinite" (an empty side); callers translate
 that to ``math.inf`` at the API boundary.
 
-Every kernel here is a leaf: none calls another kernel of this module (the
-``class_ids`` and ``point_to_set`` loops are repeated inline where needed),
-so a wrapper installed around the kernels from outside, such as a profiler
-or a call counter, sees exactly one call per use.
+Each loop is written once: ``further_matrix`` numbers the classes through
+``class_ids``, and ``set_to_set`` and ``center_radius`` take each point's
+distance through ``point_to_set``, by module attribute, so a wrapper
+installed around the kernels from outside, such as a profiler or a call
+counter, sees those nested calls too.
 """
 
 from __future__ import annotations
@@ -50,14 +51,7 @@ def further_matrix(n, basis):
     if len(set(basis)) == n:
         cls_open = basis
     else:
-        seen: dict[int, int] = {}
-        cls = []
-        for m in basis:
-            c = seen.get(m)
-            if c is None:
-                c = len(seen)
-                seen[m] = c
-            cls.append(c)
+        cls = class_ids(n, basis)
         cls_open = []
         for m in basis:
             acc = 0
@@ -119,14 +113,9 @@ def set_to_set(n, flat, a, b):
     while a:
         low = a & -a
         a ^= low
-        row = (low.bit_length() - 1) * n
-        t = b
-        while t:
-            tl = t & -t
-            v = flat[row + tl.bit_length() - 1]
-            if best < 0 or v < best:
-                best = v
-            t ^= tl
+        v = point_to_set(n, flat, low.bit_length() - 1, b)
+        if best < 0 or v < best:
+            best = v
     return best
 
 
@@ -147,15 +136,7 @@ def center_radius(n, flat, a, target):
     while rest:
         low = rest & -rest
         rest ^= low
-        row = (low.bit_length() - 1) * n
-        t = target
-        v = -1
-        while t:
-            tl = t & -t
-            w = flat[row + tl.bit_length() - 1]
-            if v < 0 or w < v:
-                v = w
-            t ^= tl
+        v = point_to_set(n, flat, low.bit_length() - 1, target)
         if v > best:
             best = v
             center = low

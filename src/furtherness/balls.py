@@ -10,8 +10,8 @@ is the join of the two.
 
 from __future__ import annotations
 
-from .errors import ZeroRadiusError
-from .spaces import FinSpace, OpenFamily, PointLike, canonical_sets
+from .errors import SpaceError, ZeroRadiusError
+from .spaces import FinSpace, OpenFamily, PointLike, _as_int, _open_family
 
 
 def ball(space: FinSpace, center: PointLike, radius: int, backward: bool = False) -> int:
@@ -47,28 +47,27 @@ def symmetrized_ball(space: FinSpace, center: PointLike, radius: int) -> int:
 
 
 def generated_topology(n: int, generators) -> OpenFamily:
-    """Close a set family under pairwise intersection and union.
+    """The smallest topology on n points containing every generator.
 
-    The empty and full sets are added up front; iterating both closures to a
-    fixpoint resolves the basis-versus-subbasis question by brute force.
+    A finite topology is the unions of its minimal opens, and the minimal
+    open of x is the intersection of the generators that contain x, or all
+    n points when none does.  Refused past ``OPEN_FAMILY_LIMIT`` opens, as
+    every open family is; a generator that is not an ``int`` mask of the
+    n points raises ``SpaceError``.
     """
     full = (1 << n) - 1
-    fam = {0, full}
-    fam.update(generators)
-    while True:
-        fresh = set()
-        members = sorted(fam)
-        for i, a in enumerate(members):
-            for b in members[i + 1 :]:
-                u = a | b
-                if u not in fam:
-                    fresh.add(u)
-                v = a & b
-                if v not in fam:
-                    fresh.add(v)
-        if not fresh:
-            return OpenFamily(n, canonical_sets(fam))
-        fam |= fresh
+    gens = {_as_int(g, "a generator") for g in generators}
+    for g in gens:
+        if g & ~full:
+            raise SpaceError(f"generator {g:#x} out of range for {n} points")
+    basis = []
+    for x in range(n):
+        m = full
+        for g in gens:
+            if (g >> x) & 1:
+                m &= g
+        basis.append(m)
+    return _open_family(n, tuple(basis))
 
 
 def ball_topology(space: FinSpace, backward: bool = False) -> OpenFamily:

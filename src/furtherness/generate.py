@@ -27,7 +27,7 @@ from typing import Iterator
 
 from . import _kernels as K
 from .errors import SizeTooLargeError, SpaceError
-from .spaces import FinSpace
+from .spaces import FinSpace, _as_int
 
 ENUMERATION_LIMIT = 5
 
@@ -164,9 +164,10 @@ def splitmix64(seed: int) -> Iterator[int]:
 
 
 def random_space(n: int, seed: int) -> FinSpace:
-    """Deterministic pseudo-random space; see the module docstring."""
+    """Deterministic pseudo-random space; see the module docstring.  A seed
+    that is not an ``int`` raises ``SpaceError``."""
     _check_points(n)
-    stream = splitmix64(seed)
+    stream = splitmix64(_as_int(seed, "the seed"))
     rows = [0] * n
     for i in range(n):
         for j in range(n):

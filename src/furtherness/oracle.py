@@ -72,21 +72,20 @@ class ChainWitness(NamedTuple):
                 raise SpaceError("chain step is not a cover")
 
 
-def furtherness_oracle(space: FinSpace, x: PointLike, y: PointLike) -> tuple[int, ChainWitness]:
-    """Least position at which y appears in a nested run around x.
+def _chain_search(space: FinSpace, x: PointLike, bound: int, accept) -> tuple[int, ChainWitness]:
+    """Breadth-first search over the cover graph from the minimal open of x,
+    through opens inside ``bound``, to the first open ``accept`` takes.
 
-    Breadth-first search over the cover graph, so the first open containing
-    y is met at the minimal possible depth; the witness chain is recovered
+    Returns its depth, which is minimal, and the chain to it, recovered
     from parent pointers.
     """
-    j = space.index(y)
     start = space.min_open(x)
     parent: dict[int, int | None] = {start: None}
     layer = [start]
     k = 0
     while layer:
         for o in layer:
-            if (o >> j) & 1:
+            if accept(o):
                 chain = [o]
                 at: int | None = o
                 while parent[at] is not None:
@@ -97,12 +96,19 @@ def furtherness_oracle(space: FinSpace, x: PointLike, y: PointLike) -> tuple[int
         nxt = []
         for o in layer:
             for v in cover_successors(space, o):
-                if v not in parent:
+                if not v & ~bound and v not in parent:
                     parent[v] = o
                     nxt.append(v)
         layer = nxt
         k += 1
-    raise AssertionError("unreachable: the full set contains every point")
+    raise AssertionError("unreachable: the bound holds an accepted open above the start")
+
+
+def furtherness_oracle(space: FinSpace, x: PointLike, y: PointLike) -> tuple[int, ChainWitness]:
+    """Least position at which y appears in a nested run around x, and one
+    such run: the chain search with no bound, to the first open holding y."""
+    j = space.index(y)
+    return _chain_search(space, x, space.full, lambda o: (o >> j) & 1)
 
 
 def union_witness(space: FinSpace, x: PointLike, y: PointLike) -> ChainWitness:
@@ -110,33 +116,11 @@ def union_witness(space: FinSpace, x: PointLike, y: PointLike) -> ChainWitness:
 
     The target is the union of the two minimal opens; the returned chain
     ends at exactly that open (its length is checked against the oracle
-    value by the test suite, not assumed here).
+    value by the test suite, not assumed here).  Chains to the target stay
+    inside it, as covers only grow.
     """
     target = space.min_open(x) | space.min_open(y)
-    start = space.min_open(x)
-    parent: dict[int, int | None] = {start: None}
-    layer = [start]
-    while layer:
-        for o in layer:
-            if o == target:
-                chain = [o]
-                at: int | None = o
-                while parent[at] is not None:
-                    at = parent[at]
-                    chain.append(at)
-                chain.reverse()
-                return ChainWitness(tuple(chain))
-        nxt = []
-        for o in layer:
-            for v in cover_successors(space, o):
-                # chains to the target stay inside it: covers only grow
-                if v & ~target:
-                    continue
-                if v not in parent:
-                    parent[v] = o
-                    nxt.append(v)
-        layer = nxt
-    raise AssertionError("unreachable: the target is an open superset of the start")
+    return _chain_search(space, x, target, lambda o: o == target)[1]
 
 
 def witness_chains(space: FinSpace, x: PointLike, y: PointLike) -> tuple[ChainWitness, ...]:

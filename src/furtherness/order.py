@@ -187,49 +187,42 @@ def is_furtherness_preserving(f: SpaceMap) -> bool:
     return True
 
 
+def _single_cover(rel: list[int], inv: list[int]) -> int:
+    """Mask of the points x with exactly one cover in the relation: one
+    other point y in ``rel[x]`` that no third point sits between, that is
+    no z in ``rel[x]`` that also lies in ``inv[y]``."""
+    out = 0
+    for x, related in enumerate(rel):
+        count = 0
+        for y in mask_indices(related & ~(1 << x)):
+            if not related & inv[y] & ~(1 << x | 1 << y):
+                count += 1
+        if count == 1:
+            out |= 1 << x
+    return out
+
+
 def beat_points(space: FinSpace) -> tuple[int, int]:
     """Masks (down, up) of beat points, via zero-furtherness relations.
 
     x beats downward when exactly one other point y is 0-far from x with no
     third point strictly between them in the 0-far relation; upward is the
     mirror image.  On a space with distinguishable points this says the set
-    strictly below (above) x has a maximum (minimum).
+    strictly below (above) x has a maximum (minimum).  Both directions are
+    read from the two masks of the relation, ``zero[x]`` the points 0-far
+    from x and ``zero_to[x]`` the points x is 0-far from, in O(n^2) mask
+    operations.
     """
     n = space.n
     flat = space.further_flat
-    down = 0
-    up = 0
+    zero = [0] * n
+    zero_to = [0] * n
     for x in range(n):
-        dcount = 0
-        ucount = 0
         for y in range(n):
-            if y == x:
-                continue
             if flat[x * n + y] == 0:
-                blocked = any(
-                    z != x
-                    and z != y
-                    and flat[x * n + z] == 0
-                    and flat[z * n + y] == 0
-                    for z in range(n)
-                )
-                if not blocked:
-                    dcount += 1
-            if flat[y * n + x] == 0:
-                blocked = any(
-                    z != x
-                    and z != y
-                    and flat[y * n + z] == 0
-                    and flat[z * n + x] == 0
-                    for z in range(n)
-                )
-                if not blocked:
-                    ucount += 1
-        if dcount == 1:
-            down |= 1 << x
-        if ucount == 1:
-            up |= 1 << x
-    return down, up
+                zero[x] |= 1 << y
+                zero_to[y] |= 1 << x
+    return _single_cover(zero, zero_to), _single_cover(zero_to, zero)
 
 
 def is_minimal(space: FinSpace) -> bool:
@@ -299,6 +292,16 @@ def _class_open_sizes(space: FinSpace) -> tuple[int, ...]:
     return sizes
 
 
+def _check_arity(k: int, p, q) -> None:
+    """Raise ``SpaceError`` unless both points have one coordinate per factor."""
+    try:
+        ok = len(p) == k == len(q)
+    except TypeError:
+        ok = False
+    if not ok:
+        raise SpaceError(f"points of a {k}-fold product need {k} coordinates, got {p!r} and {q!r}")
+
+
 def product_furtherness(
     space_x: FinSpace,
     space_y: FinSpace,
@@ -308,8 +311,10 @@ def product_furtherness(
     """Distance between two points of a binary product, in closed form.
 
     Uses only the factor distances and the class counts of the target
-    minimal opens, so the product space itself is never built.
+    minimal opens, so the product space itself is never built.  Raises
+    ``SpaceError`` unless both points are pairs.
     """
+    _check_arity(2, p, q)
     a = space_x.index(p[0])
     b = space_y.index(p[1])
     c = space_x.index(q[0])
@@ -330,10 +335,12 @@ def product_furtherness_nfold(
 
     The distance is the difference between the product of the target class
     counts and the product of their per-factor leftovers; for two factors
-    this reduces to :func:`product_furtherness`.
+    this reduces to :func:`product_furtherness`.  Raises ``SpaceError``
+    unless both points have one coordinate per factor.
     """
     if not factors:
         raise EmptyInputError("factor list")
+    _check_arity(len(factors), ps, qs)
     whole = 1
     left = 1
     for f, a, c in zip(factors, ps, qs):

@@ -15,6 +15,7 @@ Point sets are bitmasks over point indices throughout the core API; the
 
 from __future__ import annotations
 
+import operator
 from functools import cached_property
 from typing import Iterable, Iterator, Optional, Union
 
@@ -82,6 +83,15 @@ def _open_sets(basis: tuple[int, ...], stop: Optional[int] = None) -> set[int]:
     return seen
 
 
+def _as_int(value, what: str) -> int:
+    """``value`` through ``operator.index``, so a bool reads as its int; a
+    float, a string or ``None`` raises ``SpaceError`` naming ``what``."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise SpaceError(f"{what} must be an int, got {value!r}") from None
+
+
 class Frozen:
     """Base of the immutable records that keep a ``__dict__``.
 
@@ -138,6 +148,21 @@ class OpenFamily(Frozen):
         return len(self.opens)
 
 
+def _open_family(n: int, basis: tuple[int, ...]) -> OpenFamily:
+    """The topology whose minimal opens are ``basis``, in canonical order.
+
+    Raises ``SizeTooLargeError`` past ``OPEN_FAMILY_LIMIT`` opens; the
+    search stops one past the limit, so the refusal comes before the
+    family is built.
+    """
+    opens = _open_sets(basis, stop=OPEN_FAMILY_LIMIT + 1)
+    if len(opens) > OPEN_FAMILY_LIMIT:
+        raise SizeTooLargeError(
+            len(opens), OPEN_FAMILY_LIMIT, "open family", "opens", at_least=True
+        )
+    return OpenFamily(n, canonical_sets(opens))
+
+
 class FinSpace(Frozen):
     """A finite topological space with labeled points.
 
@@ -154,7 +179,7 @@ class FinSpace(Frozen):
         basis = tuple(basis)
         for m in basis:
             if type(m) is not int:
-                basis = tuple(int(m) for m in basis)
+                basis = tuple(_as_int(m, "a basic set") for m in basis)
                 break
         if not labels:
             raise EmptyInputError("point list")
@@ -207,7 +232,7 @@ class FinSpace(Frozen):
                 return self._label_index[point]
             except KeyError:
                 raise UnknownLabelError(point) from None
-        i = int(point)
+        i = _as_int(point, "a point index")
         if not 0 <= i < self.n:
             raise SpaceError(f"point index {i} out of range")
         return i
@@ -218,10 +243,17 @@ class FinSpace(Frozen):
 
     def mask(self, points: SetLike) -> int:
         """Coerce an int mask or an iterable of labels/indices to a mask."""
-        if isinstance(points, int):
+        if type(points) is int:
             if points & ~self.full:
                 raise SpaceError(f"mask {points:#x} out of range for {self.n} points")
             return points
+        if isinstance(points, int):
+            # a bool reads as its int
+            return self.mask(operator.index(points))
+        try:
+            points = iter(points)
+        except TypeError:
+            raise SpaceError(f"a point set must be a mask or an iterable, got {points!r}") from None
         out = 0
         for p in points:
             out |= 1 << self.index(p)
@@ -249,18 +281,9 @@ class FinSpace(Frozen):
 
     @cached_property
     def open_family(self) -> OpenFamily:
-        """Every open set, i.e. every union of basic sets.
-
-        Raises ``SizeTooLargeError`` past ``OPEN_FAMILY_LIMIT`` opens; the
-        search stops one past the limit, so the refusal comes before the
-        family is built.
-        """
-        opens = _open_sets(self.basis, stop=OPEN_FAMILY_LIMIT + 1)
-        if len(opens) > OPEN_FAMILY_LIMIT:
-            raise SizeTooLargeError(
-                len(opens), OPEN_FAMILY_LIMIT, "open family", "opens", at_least=True
-            )
-        return OpenFamily(self.n, canonical_sets(opens))
+        """Every open set, i.e. every union of basic sets; refused past
+        ``OPEN_FAMILY_LIMIT`` opens."""
+        return _open_family(self.n, self.basis)
 
     def closure(self, points: SetLike) -> int:
         return K.closure_mask(self.n, self.basis, self.mask(points))

@@ -6,6 +6,10 @@ candidate lemma from the package is shared.  Slow on purpose; meant for
 spaces with a handful of points.  ``own_sweep`` is the verifier's sweep in
 its plainest form: one property walking the enumerated corpus on its own,
 and ``scan_all_masks_bases`` the basis enumerator in its plainest form.
+``fixpoint_generated_topology`` and ``scan_beat_points`` are the library's
+earlier generated topology and beat points, a closure under union and
+intersection run to a fixpoint and a triple loop over point pairs, kept
+as references for the minimal-open and mask forms.
 """
 
 from functools import reduce
@@ -209,3 +213,63 @@ def scan_all_masks_bases(n, t0_only=False):
 
     extend(0)
     return out
+
+
+def fixpoint_generated_topology(n, generators):
+    """The opens, as a frozenset of masks, of the smallest topology on n
+    points holding every generator: the empty and full sets and the
+    generators, closed under pairwise union and intersection until nothing
+    changes."""
+    full = (1 << n) - 1
+    fam = {0, full}
+    fam.update(generators)
+    while True:
+        fresh = set()
+        members = sorted(fam)
+        for i, a in enumerate(members):
+            for b in members[i + 1 :]:
+                u = a | b
+                if u not in fam:
+                    fresh.add(u)
+                v = a & b
+                if v not in fam:
+                    fresh.add(v)
+        if not fresh:
+            return frozenset(fam)
+        fam |= fresh
+
+
+def scan_beat_points(space):
+    """Masks (down, up) of the points x with exactly one other point y
+    0-far from x (down), or with x 0-far from y (up), that no third point
+    sits between in that relation, by scanning every triple of points in
+    the distance matrix."""
+    n = space.n
+    flat = space.further_flat
+    down = 0
+    up = 0
+    for x in range(n):
+        dcount = 0
+        ucount = 0
+        for y in range(n):
+            if y == x:
+                continue
+            if flat[x * n + y] == 0:
+                blocked = any(
+                    z != x and z != y and flat[x * n + z] == 0 and flat[z * n + y] == 0
+                    for z in range(n)
+                )
+                if not blocked:
+                    dcount += 1
+            if flat[y * n + x] == 0:
+                blocked = any(
+                    z != x and z != y and flat[y * n + z] == 0 and flat[z * n + x] == 0
+                    for z in range(n)
+                )
+                if not blocked:
+                    ucount += 1
+        if dcount == 1:
+            down |= 1 << x
+        if ucount == 1:
+            up |= 1 << x
+    return down, up

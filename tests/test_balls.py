@@ -1,15 +1,23 @@
+import random
+import time
+
 import pytest
 
 from furtherness import (
     FinSpace,
+    SizeTooLargeError,
+    SpaceError,
     ZeroRadiusError,
     ball,
     ball_topology,
+    enumerate_topologies,
     generated_topology,
     symmetrized_ball,
     symmetrized_furtherness,
     symmetrized_topology,
 )
+from furtherness.spaces import canonical_sets
+from oracles import fixpoint_generated_topology
 
 
 def test_radius_one_forward_is_min_open(e2):
@@ -56,6 +64,91 @@ def test_backward_topology_is_opposite(e1, e2, q1):
 def test_generated_topology_closes_generators():
     fam = generated_topology(3, [0b011, 0b110])
     assert set(fam) == {0b000, 0b010, 0b011, 0b110, 0b111}
+
+
+def _ball_families(sp):
+    """(library topology, its generating balls) for the forward, backward
+    and symmetrized balls of ``sp``, the balls read off the matrix: the
+    points below each radius 1..n, one way, the other, or both."""
+    n, flat = sp.n, sp.further_flat
+    there = [[flat[x * n + y] for y in range(n)] for x in range(n)]
+    back = [list(col) for col in zip(*there)]
+    both = [[max(u, v) for u, v in zip(*rows)] for rows in zip(there, back)]
+    for fam, rows in (
+        (ball_topology(sp), there),
+        (ball_topology(sp, backward=True), back),
+        (symmetrized_topology(sp), both),
+    ):
+        gens = []
+        for row in rows:
+            # distances run 0..n-1, and the ball of radius r holds those below r
+            level = [0] * n
+            for y, v in enumerate(row):
+                level[v] |= 1 << y
+            inside = 0
+            for points in level:
+                inside |= points
+                gens.append(inside)
+        yield fam, gens
+
+
+def test_ball_topologies_match_the_fixpoint_on_every_small_space():
+    # the minimal-open construction against the union and intersection
+    # closure, on every space with at most five points; one reference run
+    # serves every family with the same generators
+    reference = {}
+    for n in range(1, 6):
+        for sp in enumerate_topologies(n):
+            for fam, gens in _ball_families(sp):
+                key = (n, frozenset(gens))
+                if key not in reference:
+                    reference[key] = fixpoint_generated_topology(n, gens)
+                assert set(fam) == reference[key]
+
+
+def test_generated_topology_matches_the_fixpoint_on_random_families():
+    rng = random.Random(18)
+    uncovered = 0
+    for _ in range(300):
+        n = rng.randint(1, 6)
+        full = (1 << n) - 1
+        # drawn generators miss the points of ``hole``; duplicates, the
+        # empty set and the full set are mixed in
+        hole = rng.getrandbits(n)
+        drawn = [rng.getrandbits(n) & ~hole for _ in range(rng.randint(0, 6))]
+        gens = drawn + rng.sample(drawn, rng.randint(0, len(drawn)))
+        gens += rng.choice([[], [0], [full], [0, full, full]])
+        rng.shuffle(gens)
+        covered = 0
+        for g in gens:
+            covered |= g
+        uncovered += covered != full
+        fam = generated_topology(n, gens)
+        assert set(fam) == fixpoint_generated_topology(n, gens)
+        assert fam.opens == canonical_sets(fam.opens)
+    assert uncovered
+
+
+def test_generated_topologies_refuse_past_the_open_limit_quickly():
+    start = time.perf_counter()
+    with pytest.raises(SizeTooLargeError):
+        generated_topology(13, [1 << i for i in range(13)])
+    assert time.perf_counter() - start < 1.0
+    # the ball topologies are built the same way, so they refuse too
+    discrete = FinSpace.discrete([f"p{i}" for i in range(13)])
+    for build in (ball_topology, symmetrized_topology):
+        with pytest.raises(SizeTooLargeError):
+            build(discrete)
+
+
+def test_generator_outside_the_points_is_refused():
+    for bad in (0b100, -1):
+        with pytest.raises(SpaceError, match="out of range for 2 points"):
+            generated_topology(2, [0b01, bad])
+    for bad in (1.0, None, "1"):
+        with pytest.raises(SpaceError, match="a generator must be an int"):
+            generated_topology(2, [0b01, bad])
+    assert generated_topology(2, [True]) == generated_topology(2, [0b01])
 
 
 def test_symmetrized_values(e2):

@@ -174,6 +174,18 @@ def test_a_size_must_be_an_int(n):
         random_space(n, 1)
 
 
+@pytest.mark.parametrize("seed", [2.5, "3", None, b"3"])
+def test_a_seed_must_be_an_int(seed):
+    with pytest.raises(SpaceError, match="the seed must be an int"):
+        random_space(3, seed)
+
+
+def test_a_seed_reads_through_operator_index():
+    # a bool seed is its int, as a bool point index is
+    assert random_space(4, True) == random_space(4, 1)
+    assert random_space(4, False) == random_space(4, 0)
+
+
 @pytest.mark.parametrize(
     "start, stop", [(-2, 29), (-1, 0), (0, 30), (29, 30), (5, 4), (0.0, 1), (0, 1.0), (False, 1)]
 )

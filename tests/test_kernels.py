@@ -52,8 +52,10 @@ def _members(mask):
 
 
 def test_pure_leaf_kernels_against_brute_force():
-    # set_to_set, center_radius and further_matrix repeat the point_to_set
-    # and class_ids loops inline; hold them to those two kernels
+    # further_matrix numbers the classes through class_ids, and set_to_set
+    # and center_radius take each point's distance through point_to_set:
+    # hold the three to the class counts and to minima and maxima of those
+    # point-to-set values
     for n, b in all_bases(3):
         cls = K.class_ids(n, b)
         flat = K.further_matrix(n, b)

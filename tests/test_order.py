@@ -23,10 +23,11 @@ from furtherness import (
     product,
     product_furtherness,
     product_furtherness_nfold,
+    random_space,
     space_map,
     specialization_preorder,
 )
-from oracles import brute_product
+from oracles import brute_product, scan_beat_points
 
 
 def test_preorder_roundtrip(e2):
@@ -83,6 +84,15 @@ def test_beat_points_e2(e2):
     down, up = beat_points(e2)
     assert down == e2.mask("b")
     assert up == e2.mask("abd")
+
+
+def test_beat_points_match_the_triple_scan():
+    for n in range(1, 6):
+        for sp in enumerate_topologies(n):
+            assert beat_points(sp) == scan_beat_points(sp)
+    for seed in range(100):
+        sp = random_space(6 + seed % 5, seed)
+        assert beat_points(sp) == scan_beat_points(sp)
 
 
 def test_core_collapses_contractible(e1, e2):
@@ -188,6 +198,18 @@ def test_nfold_formula(sierp, sierp_xy, e1):
             )
 
 
+def test_product_formulas_need_one_coordinate_per_factor(sierp, e2):
+    for p, q in (((0, 1, 1), (1, 0)), ((0, 1), (1,)), ((0, 1), 3), (0, (1, 0))):
+        with pytest.raises(SpaceError, match="2-fold product need 2 coordinates"):
+            product_furtherness(sierp, e2, p, q)
+    for ps, qs in (([0], [1]), ([0, 1], [1, 0, 0]), ([0, 1], None)):
+        with pytest.raises(SpaceError, match="2-fold product need 2 coordinates"):
+            product_furtherness_nfold([sierp, e2], ps, qs)
+    assert product_furtherness_nfold([sierp, e2], [0, 1], [1, 0]) == product_furtherness(
+        sierp, e2, (0, 1), (1, 0)
+    )
+
+
 def test_product_single_factor(e2):
     assert product([e2]).basis == e2.basis
 
@@ -244,3 +266,9 @@ def test_space_map_rejects_a_bad_image(e2, sierp):
     for image in ((0, 0, 0), (0, 0, 0, 2), (0, 0, 0, -1)):
         with pytest.raises(SpaceError):
             SpaceMap(e2, sierp, image)
+
+
+def test_space_map_refuses_a_float_image(e2):
+    # a float used to be truncated to an index, so the map was built
+    with pytest.raises(SpaceError, match="a point index must be an int, got 1.9"):
+        space_map(e2, e2, [0, 1.9, 2, 3])

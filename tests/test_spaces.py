@@ -260,6 +260,26 @@ def test_index_and_mask_edge_cases(e2):
         e2.mask(1 << e2.n)
 
 
+def test_points_and_basic_sets_coerce_through_operator_index(e2):
+    # a bool reads as its int; a float, a string, bytes or None is refused
+    # rather than truncated or parsed
+    basis = FinSpace(("a", "b"), (True, 0b11)).basis
+    assert basis == (1, 3) and all(type(m) is int for m in basis)
+    for bad in (1.9, "1", None):
+        with pytest.raises(SpaceError, match="a basic set must be an int"):
+            FinSpace(("a",), (bad,))
+    for bad in (1.5, 2.0, None, b"a"):
+        with pytest.raises(SpaceError, match="a point index must be an int"):
+            e2.index(bad)
+        with pytest.raises(SpaceError, match="a point index must be an int"):
+            e2.mask([0, bad])
+    for flag in (True, False):
+        assert type(e2.mask(flag)) is int and e2.mask(flag) == flag
+    for bad in (None, 1.5):
+        with pytest.raises(SpaceError, match="a mask or an iterable"):
+            e2.mask(bad)
+
+
 def test_discrete_space_is_the_label_lookup():
     sp = FinSpace.discrete(["a", "b", "c"])
     assert sp.basis == (0b001, 0b010, 0b100)
