@@ -11,11 +11,12 @@ Distance values reported by ``point_to_set`` / ``set_to_set`` /
 ``center_radius`` use -1 for "infinite" (an empty side); callers translate
 that to ``math.inf`` at the API boundary.
 
-Each loop is written once: ``further_matrix`` numbers the classes through
-``class_ids``, and ``set_to_set`` and ``center_radius`` take each point's
-distance through ``point_to_set``, by module attribute, so a wrapper
-installed around the kernels from outside, such as a profiler or a call
-counter, sees those nested calls too.
+Each loop is written once: ``class_opens`` is the one class recoding of
+the basis and numbers the classes through ``class_ids``, ``further_matrix``
+counts classes through ``class_opens``, and ``set_to_set`` and
+``center_radius`` take each point's distance through ``point_to_set``, by
+module attribute, so a wrapper installed around the kernels from outside,
+such as a profiler or a call counter, sees those nested calls too.
 """
 
 from __future__ import annotations
@@ -38,28 +39,32 @@ def class_ids(n, basis):
     return tuple(out)
 
 
+def class_opens(n, basis):
+    """Each basic set as the mask of the ``class_ids`` it meets; when the
+    basic sets are pairwise distinct every class is one point, and the
+    basis is its own recoding."""
+    if len(set(basis)) == n:
+        return basis
+    cls = class_ids(n, basis)
+    out = []
+    for m in basis:
+        acc = 0
+        while m:
+            low = m & -m
+            acc |= 1 << cls[low.bit_length() - 1]
+            m ^= low
+        out.append(acc)
+    return tuple(out)
+
+
 def further_matrix(n, basis):
     """Flat row-major matrix of pairwise distances.
 
     Entry (x, y) counts the indistinguishability classes that meet
     ``basis[y]`` but not ``basis[x]``, which equals the least chain position
-    at which y shows up when growing opens outward from ``basis[x]``.  Each
-    basic set is recoded as the mask of the classes it meets; when the
-    basic sets are pairwise distinct every class is one point, and the
-    basis is its own recoding.
+    at which y shows up when growing opens outward from ``basis[x]``.
     """
-    if len(set(basis)) == n:
-        cls_open = basis
-    else:
-        cls = class_ids(n, basis)
-        cls_open = []
-        for m in basis:
-            acc = 0
-            while m:
-                low = m & -m
-                acc |= 1 << cls[low.bit_length() - 1]
-                m ^= low
-            cls_open.append(acc)
+    cls_open = class_opens(n, basis)
     outside = [~c for c in cls_open]
     return tuple([(cj & out).bit_count() for out in outside for cj in cls_open])
 

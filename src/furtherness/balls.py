@@ -11,7 +11,7 @@ is the join of the two.
 from __future__ import annotations
 
 from .errors import SpaceError, ZeroRadiusError
-from .spaces import FinSpace, OpenFamily, PointLike, _as_int, _open_family
+from .spaces import FinSpace, OpenFamily, PointLike, _as_int, _check_points, _open_family, _point_meets
 
 
 def ball(space: FinSpace, center: PointLike, radius: int, backward: bool = False) -> int:
@@ -52,22 +52,17 @@ def generated_topology(n: int, generators) -> OpenFamily:
     A finite topology is the unions of its minimal opens, and the minimal
     open of x is the intersection of the generators that contain x, or all
     n points when none does.  Refused past ``OPEN_FAMILY_LIMIT`` opens, as
-    every open family is; a generator that is not an ``int`` mask of the
-    n points raises ``SpaceError``.
+    every open family is.  A number of points that is not an ``int`` of at
+    least 1, or a generator that is not an ``int`` mask of the n points,
+    raises ``SpaceError``.
     """
+    _check_points(n)
     full = (1 << n) - 1
     gens = {_as_int(g, "a generator") for g in generators}
     for g in gens:
         if g & ~full:
             raise SpaceError(f"generator {g:#x} out of range for {n} points")
-    basis = []
-    for x in range(n):
-        m = full
-        for g in gens:
-            if (g >> x) & 1:
-                m &= g
-        basis.append(m)
-    return _open_family(n, tuple(basis))
+    return _open_family(n, _point_meets(n, gens))
 
 
 def ball_topology(space: FinSpace, backward: bool = False) -> OpenFamily:

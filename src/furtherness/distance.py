@@ -21,7 +21,7 @@ from typing import NamedTuple, Union
 
 from . import _kernels as K
 from .errors import SpaceError
-from .spaces import FinSpace, PointLike, SetLike
+from .spaces import FinSpace, PointLike, SetLike, _as_int
 
 Further = Union[int, float]  # non-negative int, or math.inf
 
@@ -47,6 +47,20 @@ def point_to_set(space: FinSpace, x: PointLike, target: SetLike) -> Further:
     t = space.mask(target)
     v = K.point_to_set(space.n, space.further_flat, space.index(x), t)
     return math.inf if v < 0 else v
+
+
+def _zero_masks(n: int, flat: tuple[int, ...]) -> tuple[list[int], list[int]]:
+    """Zero masks of a flat n-by-n matrix: ``rows[x]`` holds the y with entry
+    (x, y) zero and ``cols[y]`` the x with it zero."""
+    rows = [0] * n
+    cols = [0] * n
+    for x in range(n):
+        at = x * n
+        for y in range(n):
+            if flat[at + y] == 0:
+                rows[x] |= 1 << y
+                cols[y] |= 1 << x
+    return rows, cols
 
 
 class MatrixReport(NamedTuple):
@@ -76,15 +90,20 @@ class MatrixReport(NamedTuple):
 
 
 class FurtherMatrix:
-    """Square table of pairwise furtherness values."""
+    """Square table of pairwise furtherness values, each a non-negative int."""
 
     def __init__(self, labels: tuple[str, ...], flat: tuple[int, ...]):
         self._points = FinSpace.discrete(labels)
         self.labels = self._points.labels
         self.n = self._points.n
+        flat = tuple(flat)
         if len(flat) != self.n * self.n:
             raise SpaceError("flat matrix length must be n*n")
-        self.flat = tuple(flat)
+        if not set(map(type, flat)) <= {int}:
+            flat = tuple(_as_int(v, "a matrix entry") for v in flat)
+        if min(flat) < 0:
+            raise SpaceError(f"matrix entries must be non-negative, got {min(flat)}")
+        self.flat = flat
 
     @classmethod
     def of(cls, space: FinSpace) -> "FurtherMatrix":
@@ -122,21 +141,11 @@ class FurtherMatrix:
     def report(self) -> MatrixReport:
         n = self.n
         full = (1 << n) - 1
-        row_zeros = []
-        col_zeros = []
+        row_zeros, col_zeros = _zero_masks(n, self.flat)
         singles = 0
         maxima = 0
         minima = 0
-        for x in range(n):
-            rz = 0
-            cz = 0
-            for y in range(n):
-                if self.flat[x * n + y] == 0:
-                    rz |= 1 << y
-                if self.flat[y * n + x] == 0:
-                    cz |= 1 << y
-            row_zeros.append(rz)
-            col_zeros.append(cz)
+        for x, (rz, cz) in enumerate(zip(row_zeros, col_zeros)):
             if rz == 1 << x:
                 singles |= 1 << x
             if rz == full:
@@ -185,4 +194,6 @@ def furtherness_matrix(space: FinSpace) -> FurtherMatrix:
 def matrix_report(space_or_matrix) -> MatrixReport:
     if isinstance(space_or_matrix, FurtherMatrix):
         return space_or_matrix.report()
-    return FurtherMatrix.of(space_or_matrix).report()
+    if isinstance(space_or_matrix, FinSpace):
+        return FurtherMatrix.of(space_or_matrix).report()
+    raise SpaceError(f"need a space or a furtherness matrix, got {space_or_matrix!r}")

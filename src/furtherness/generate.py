@@ -27,7 +27,7 @@ from typing import Iterator
 
 from . import _kernels as K
 from .errors import SizeTooLargeError, SpaceError
-from .spaces import FinSpace, _as_int
+from .spaces import FinSpace, _as_int, _check_points
 
 ENUMERATION_LIMIT = 5
 
@@ -49,15 +49,6 @@ def _bases(n: int, t0_only: bool) -> tuple[tuple[int, ...], ...]:
     filled an entry reads the parent's; any other process fills its own.
     """
     return tuple(K.enumerate_bases(n, t0_only))
-
-
-def _check_points(n: int) -> None:
-    """Refuse a number of points below 1 or not an ``int``, as a ``bool``
-    is not."""
-    if type(n) is not int:
-        raise SpaceError(f"the number of points must be an int, got {n!r}")
-    if n < 1:
-        raise SpaceError("need at least one point")
 
 
 def _check_size(n: int) -> None:

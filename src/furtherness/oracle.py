@@ -32,8 +32,11 @@ def _nothing_between(family, o: int, v: int) -> bool:
 
 @lru_cache(maxsize=1 << 15)
 def cover_successors(space: FinSpace, o: int) -> tuple[int, ...]:
-    """Opens covering ``o``: strict supersets with nothing strictly between."""
+    """Opens covering the open ``o``: strict supersets with nothing strictly
+    between; a mask that is not an open of the space raises ``SpaceError``."""
     fam = space.open_family
+    if not isinstance(o, int) or o not in fam:
+        raise SpaceError(f"{o!r} is not an open set of the space")
     candidates = []
     seen = set()
     for a in range(space.n):

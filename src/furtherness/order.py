@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .distance import furtherness
+from .distance import _zero_masks, furtherness
 from .errors import (
     EmptyInputError,
     PreconditionViolatedError,
@@ -84,31 +84,21 @@ class QuotientResult(NamedTuple):
 def kolmogorov_quotient(space: FinSpace) -> QuotientResult:
     """The quotient by indistinguishability; see :class:`QuotientResult`.
 
-    When every class is one point the quotient has the space's own labels
-    and basis.  Either way it is built through the validating constructor.
+    A T0 space is its own quotient.  Otherwise the basic set of a class is
+    its representative's class recoding, from ``FinSpace.class_opens``.
     """
     cls = space.class_ids
     k = max(cls) + 1
     if k == space.n:
         # the class ids are then 0..n-1, and each point represents its class
-        return QuotientResult(FinSpace(space.labels, space.basis), cls, cls)
-    reps = [-1] * k
+        return QuotientResult(space, cls, cls)
     members: list[list[int]] = [[] for _ in range(k)]
     for x, c in enumerate(cls):
-        if reps[c] < 0:
-            reps[c] = x
         members[c].append(x)
+    reps = tuple(ms[0] for ms in members)
     labels = tuple("|".join(space.labels[x] for x in ms) for ms in members)
-    basis = []
-    for r in reps:
-        m = 0
-        rest = space.basis[r]
-        while rest:
-            low = rest & -rest
-            m |= 1 << cls[low.bit_length() - 1]
-            rest ^= low
-        basis.append(m)
-    return QuotientResult(FinSpace(labels, tuple(basis)), cls, tuple(reps))
+    opens = space.class_opens
+    return QuotientResult(FinSpace(labels, tuple(opens[r] for r in reps)), cls, reps)
 
 
 class SpaceMap(Frozen):
@@ -213,15 +203,7 @@ def beat_points(space: FinSpace) -> tuple[int, int]:
     from x and ``zero_to[x]`` the points x is 0-far from, in O(n^2) mask
     operations.
     """
-    n = space.n
-    flat = space.further_flat
-    zero = [0] * n
-    zero_to = [0] * n
-    for x in range(n):
-        for y in range(n):
-            if flat[x * n + y] == 0:
-                zero[x] |= 1 << y
-                zero_to[y] |= 1 << x
+    zero, zero_to = _zero_masks(space.n, space.further_flat)
     return _single_cover(zero, zero_to), _single_cover(zero_to, zero)
 
 
@@ -281,17 +263,6 @@ def product(factors: Iterable[FinSpace]) -> FinSpace:
     return FinSpace(tuple(labels), tuple(basis))
 
 
-def _class_open_sizes(space: FinSpace) -> tuple[int, ...]:
-    """Per point, the number of indistinguishability classes inside its
-    minimal open; kept on the space object, as its distance matrix is."""
-    sizes = space.__dict__.get("_class_open_sizes")
-    if sizes is None:
-        cls = space.class_ids
-        sizes = tuple(len({cls[y] for y in mask_indices(m)}) for m in space.basis)
-        space.__dict__["_class_open_sizes"] = sizes
-    return sizes
-
-
 def _check_arity(k: int, p, q) -> None:
     """Raise ``SpaceError`` unless both points have one coordinate per factor."""
     try:
@@ -321,8 +292,8 @@ def product_furtherness(
     d = space_y.index(q[1])
     fx = space_x.further_flat[a * space_x.n + c]
     fy = space_y.further_flat[b * space_y.n + d]
-    size_c = _class_open_sizes(space_x)[c]
-    size_d = _class_open_sizes(space_y)[d]
+    size_c = space_x.class_opens[c].bit_count()
+    size_d = space_y.class_opens[d].bit_count()
     return fx * size_d + fy * size_c - fx * fy
 
 
@@ -344,7 +315,7 @@ def product_furtherness_nfold(
     whole = 1
     left = 1
     for f, a, c in zip(factors, ps, qs):
-        size = _class_open_sizes(f)[f.index(c)]
+        size = f.class_opens[f.index(c)].bit_count()
         whole *= size
         left *= size - furtherness(f, a, c)
     return whole - left

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property
-from typing import Iterable, Iterator, Optional, Union
+from typing import Collection, Iterable, Iterator, Optional, Union
 
 from . import _kernels as K
 from .errors import (
@@ -42,7 +42,9 @@ OPEN_FAMILY_LIMIT = 1 << 12
 
 
 def mask_indices(mask: int) -> Iterator[int]:
-    """Indices of the set bits, ascending."""
+    """Indices of the set bits, ascending; a negative mask raises ``SpaceError``."""
+    if mask < 0:
+        raise SpaceError(f"a mask cannot be negative, got {mask}")
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1
@@ -81,6 +83,29 @@ def _open_sets(basis: tuple[int, ...], stop: Optional[int] = None) -> set[int]:
                     return seen
                 queue.append(v)
     return seen
+
+
+def _point_meets(n: int, family: Collection[int]) -> tuple[int, ...]:
+    """Per point, the meet of the sets in ``family`` that hold it, or all n
+    points when none does: the minimal opens of the topology it generates."""
+    full = (1 << n) - 1
+    out = []
+    for x in range(n):
+        m = full
+        for o in family:
+            if (o >> x) & 1:
+                m &= o
+        out.append(m)
+    return tuple(out)
+
+
+def _check_points(n: int) -> None:
+    """Refuse a number of points below 1 or not an ``int``, as a ``bool``
+    is not."""
+    if type(n) is not int:
+        raise SpaceError(f"the number of points must be an int, got {n!r}")
+    if n < 1:
+        raise SpaceError("need at least one point")
 
 
 def _as_int(value, what: str) -> int:
@@ -259,7 +284,9 @@ class FinSpace(Frozen):
             out |= 1 << self.index(p)
         return out
 
-    def members(self, mask: int) -> tuple[str, ...]:
+    def members(self, mask: SetLike) -> tuple[str, ...]:
+        if type(mask) is not int or mask & ~self.full:
+            mask = self.mask(mask)
         return tuple(self.labels[i] for i in mask_indices(mask))
 
     # -- topology ----------------------------------------------------------
@@ -339,6 +366,12 @@ class FinSpace(Frozen):
         """Indistinguishability class of each point, by first occurrence."""
         return K.class_ids(self.n, self.basis)
 
+    @cached_property
+    def class_opens(self) -> tuple[int, ...]:
+        """Each basic set as the mask of the ``class_ids`` it meets; the
+        basis itself on a T0 space."""
+        return K.class_opens(self.n, self.basis)
+
     def __repr__(self):
         sets = ",".join("{" + ",".join(self.members(m)) + "}" for m in self.basis)
         return f"FinSpace({','.join(self.labels)}; {sets})"
@@ -360,10 +393,9 @@ def from_open_sets(labels: Iterable[str], opens: Iterable[SetLike]) -> FinSpace:
     """
     points = FinSpace.discrete(labels)
     family = canonical_sets({points.mask(o) for o in opens})
-    n, full = points.n, points.full
     if 0 not in family:
         raise MissingEmptyOrFullError("empty")
-    if full not in family:
+    if points.full not in family:
         raise MissingEmptyOrFullError("full")
     have = set(family)
     for i, a in enumerate(family):
@@ -372,11 +404,4 @@ def from_open_sets(labels: Iterable[str], opens: Iterable[SetLike]) -> FinSpace:
                 raise NotClosedUnderUnionError((points.members(a), points.members(b)))
             if a & b not in have:
                 raise NotClosedUnderIntersectionError((points.members(a), points.members(b)))
-    basis = []
-    for x in range(n):
-        m = full
-        for o in family:
-            if (o >> x) & 1:
-                m &= o
-        basis.append(m)
-    return FinSpace(points.labels, tuple(basis))
+    return FinSpace(points.labels, _point_meets(points.n, family))

@@ -520,15 +520,19 @@ def _backward_ball_topology(sp: FinSpace):
     return None
 
 
+def _ball_table(sp: FinSpace, backward: bool = False) -> list[list[int]]:
+    """``balls[x][r - 1]`` is ``B.ball(sp, x, r, backward)`` for radii 1 to n."""
+    return [
+        [B.ball(sp, x, r, backward=backward) for r in range(1, sp.n + 1)]
+        for x in range(sp.n)
+    ]
+
+
 @space_property("ball-basis")
 def _ball_basis(sp: FinSpace):
     """Pairwise intersections of balls contain a ball around each member."""
-    n = sp.n
     for backward in (False, True):
-        per_point = [
-            [B.ball(sp, x, r, backward=backward) for r in range(1, n + 1)]
-            for x in range(n)
-        ]
+        per_point = _ball_table(sp, backward)
         family = {b for row in per_point for b in row}
         for b1 in family:
             for b2 in family:
@@ -626,19 +630,10 @@ def _set_to_set_rows(table: R.SubsetTable) -> list[list]:
     return rows
 
 
-def _minimal_opens(sp: FinSpace) -> list[int]:
-    """``sp.minimal_open(a)`` for every mask, with 0 for the empty set."""
-    opens = [0]
-    for a in range(1, sp.full + 1):
-        low = a & -a
-        opens.append(opens[a ^ low] | sp.basis[low.bit_length() - 1])
-    return opens
-
-
 @space_property("separation-obstruction")
 def _separation_obstruction(sp: FinSpace):
     rows = _set_to_set_rows(R.subset_table(sp))
-    opens = _minimal_opens(sp)
+    opens = [0] + [sp.minimal_open(a) for a in range(1, sp.full + 1)]
     for a in range(1, sp.full + 1):
         row = rows[a]
         open_a = opens[a]
@@ -941,11 +936,6 @@ def _union_triples(opts: VerifyOptions):
                 if found >= 3:
                     break
     return checked, None
-
-
-def _ball_table(sp: FinSpace) -> list[list[int]]:
-    """``balls[x][r - 1]`` is ``B.ball(sp, x, r)`` for radii 1 to n."""
-    return [[B.ball(sp, x, r) for r in range(1, sp.n + 1)] for x in range(sp.n)]
 
 
 @space_property("quasi-ball-identity")

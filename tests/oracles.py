@@ -273,3 +273,20 @@ def scan_beat_points(space):
         if ucount == 1:
             up |= 1 << x
     return down, up
+
+
+def brute_quotient(space):
+    """(labels, basis, class_of, representatives) of the Kolmogorov
+    quotient, read off the sets of equal minimal opens: classes numbered by
+    first point, each basic set the classes its representative's open
+    meets."""
+    opens = list(dict.fromkeys(space.basis))
+    class_of = tuple(opens.index(m) for m in space.basis)
+    members = [[x for x in range(space.n) if class_of[x] == c] for c in range(len(opens))]
+    reps = tuple(ms[0] for ms in members)
+    labels = tuple("|".join(space.labels[x] for x in ms) for ms in members)
+    basis = tuple(
+        sum(1 << c for c in {class_of[y] for y in range(space.n) if (m >> y) & 1})
+        for m in (space.basis[r] for r in reps)
+    )
+    return labels, basis, class_of, reps

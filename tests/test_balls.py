@@ -12,6 +12,7 @@ from furtherness import (
     ball_topology,
     enumerate_topologies,
     generated_topology,
+    random_space,
     symmetrized_ball,
     symmetrized_furtherness,
     symmetrized_topology,
@@ -202,3 +203,13 @@ def test_bool_radius_is_rejected(e2):
             ball(e2, "a", radius, backward=True)
         with pytest.raises(ZeroRadiusError):
             symmetrized_ball(e2, "a", radius)
+
+
+@pytest.mark.parametrize("bad", [-1, 0, 2.5, True, "2", None])
+def test_generated_topology_checks_the_number_of_points(bad):
+    # the same refusal as random_space and count_topologies
+    with pytest.raises(SpaceError) as got:
+        generated_topology(bad, [])
+    with pytest.raises(SpaceError) as want:
+        random_space(bad, 0)
+    assert str(got.value) == str(want.value)

@@ -1,4 +1,5 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ from furtherness import (
     point_to_set,
     random_space,
 )
+from furtherness.distance import _zero_masks
 from oracles import brute_furtherness, brute_point_to_set
 
 E2_ROWS = ((0, 1, 3, 1), (0, 0, 2, 1), (0, 0, 0, 0), (1, 2, 3, 0))
@@ -69,6 +71,7 @@ def test_report_e2(e2):
     assert rep.maximum_points == e2.mask("c")
     assert rep.minimum_points == 0
     assert rep.row_zeros == e2.basis
+    assert rep.col_zeros == tuple(e2.closure(1 << x) for x in range(e2.n))
     assert rep.has_zero_row_or_col
 
 
@@ -76,6 +79,8 @@ def test_report_e1(e1):
     rep = matrix_report(e1)
     assert not rep.t0
     assert not rep.distinct_rows and not rep.distinct_cols
+    assert rep.row_zeros == e1.basis
+    assert rep.col_zeros == tuple(e1.closure(1 << x) for x in range(e1.n))
 
 
 def test_matrix_str_contains_labels(e2):
@@ -158,3 +163,33 @@ def test_matrix_duplicate_labels_rejected():
 def test_matrix_length_mismatch_is_space_error():
     with pytest.raises(SpaceError, match="flat matrix length must be n\\*n"):
         FurtherMatrix(("a", "b"), (0, 0, 0))
+
+
+def test_zero_masks_match_a_per_entry_scan():
+    rng = random.Random(19)
+    flats = [(sp.n, sp.further_flat) for n in range(1, 5) for sp in enumerate_topologies(n)]
+    for _ in range(200):
+        n = rng.randint(1, 7)
+        flats.append((n, tuple(rng.choice((0, 0, 1, 2)) for _ in range(n * n))))
+    for n, flat in flats:
+        rows, cols = _zero_masks(n, flat)
+        assert rows == [sum(1 << y for y in range(n) if flat[x * n + y] == 0) for x in range(n)]
+        assert cols == [sum(1 << x for x in range(n) if flat[x * n + y] == 0) for y in range(n)]
+
+
+@pytest.mark.parametrize("bad", [42, None, "ab", ((0, 1), (1, 0))])
+def test_matrix_report_refuses_anything_but_a_space_or_a_matrix(bad):
+    with pytest.raises(SpaceError, match="need a space or a furtherness matrix"):
+        matrix_report(bad)
+
+
+def test_matrix_entries_must_be_non_negative_ints():
+    for bad in ("x", 1.0, None):
+        with pytest.raises(SpaceError, match="a matrix entry must be an int"):
+            FurtherMatrix(("a", "b"), (0, bad, 1, 0))
+    with pytest.raises(SpaceError, match="must be non-negative, got -1"):
+        FurtherMatrix(("a", "b"), (0, -1, 1, 0))
+    m = FurtherMatrix(("a", "b"), (False, True, 1, 0))
+    assert m.flat == (0, 1, 1, 0)
+    assert all(type(v) is int for v in m.flat)
+    assert m == FurtherMatrix(("a", "b"), [0, 1, 1, 0])

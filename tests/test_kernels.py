@@ -51,6 +51,19 @@ def _members(mask):
     return [i for i in range(mask.bit_length()) if (mask >> i) & 1]
 
 
+def test_class_opens_against_brute_force():
+    # the set of class ids each basic set meets, on every basis up to 5
+    # points and on seeded random spaces of 6 to 10 points
+    bases = list(all_bases(5))
+    bases += [(sp.n, sp.basis) for sp in (furtherness.random_space(6 + s % 5, s) for s in range(60))]
+    for n, b in bases:
+        cls = K.class_ids(n, b)
+        got = K.class_opens(n, b)
+        assert got == tuple(sum(1 << c for c in {cls[z] for z in _members(m)}) for m in b)
+        if len(set(b)) == n:
+            assert got is b
+
+
 def test_pure_leaf_kernels_against_brute_force():
     # further_matrix numbers the classes through class_ids, and set_to_set
     # and center_radius take each point's distance through point_to_set:

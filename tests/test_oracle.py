@@ -2,6 +2,7 @@ import pytest
 
 from furtherness import (
     ChainWitness,
+    FinSpace,
     SpaceError,
     cover_successors,
     enumerate_topologies,
@@ -88,3 +89,20 @@ def test_validate_rejects_empty():
 def test_zero_length_chain(e2):
     k, chain = furtherness_oracle(e2, "c", "a")
     assert k == 0 and chain.opens == (e2.full,)
+
+
+def test_cover_successors_refuse_a_mask_that_is_not_open():
+    sp = FinSpace(("a", "b", "c"), (1, 3, 7))
+    before = cover_successors.cache_info()
+    for bad in (99, 2, -1, 1.5):
+        with pytest.raises(SpaceError, match="is not an open set"):
+            cover_successors(sp, bad)
+    after = cover_successors.cache_info()
+    # a refusal is a miss that caches nothing
+    assert after.currsize == before.currsize
+    assert after.hits == before.hits
+    assert cover_successors(sp, 1) == (3,)
+    hits = cover_successors.cache_info().hits
+    # a bool reads as its int, and finds the int's entry
+    assert cover_successors(sp, True) == (3,)
+    assert cover_successors.cache_info().hits == hits + 1

@@ -27,7 +27,7 @@ from furtherness import (
     space_map,
     specialization_preorder,
 )
-from oracles import brute_product, scan_beat_points
+from oracles import brute_product, brute_quotient, scan_beat_points
 
 
 def test_preorder_roundtrip(e2):
@@ -78,6 +78,20 @@ def test_quotient_of_every_t0_space_keeps_its_basis_and_labels():
             q = kolmogorov_quotient(sp)
             assert q.space == sp
             assert q.class_of == q.representatives == tuple(range(n))
+
+
+def test_quotient_is_the_space_itself_exactly_when_t0():
+    for n in range(1, 5):
+        for sp in enumerate_topologies(n):
+            assert (kolmogorov_quotient(sp).space is sp) == sp.is_t0
+
+
+def test_quotient_matches_the_class_scan():
+    for n in range(1, 6):
+        for sp in enumerate_topologies(n):
+            q = kolmogorov_quotient(sp)
+            got = (q.space.labels, q.space.basis, q.class_of, q.representatives)
+            assert got == brute_quotient(sp)
 
 
 def test_beat_points_e2(e2):

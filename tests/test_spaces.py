@@ -368,3 +368,26 @@ def test_open_set_queries_take_masks_and_labels_alike(e1, e2, q1):
                 sp.minimal_open(bad)
         with pytest.raises(EmptyInputError):
             sp.minimal_open(0)
+
+
+def test_a_negative_mask_has_no_indices():
+    for bad in (-1, -8):
+        with pytest.raises(SpaceError, match="cannot be negative"):
+            list(mask_indices(bad))
+    assert list(mask_indices(0)) == []
+
+
+def test_members_coerces_like_every_mask_argument():
+    sp = FinSpace.discrete("abc")
+    for bad in (-1, 8):
+        with pytest.raises(SpaceError, match="out of range for 3 points"):
+            sp.members(bad)
+    with pytest.raises(SpaceError, match="must be a mask or an iterable"):
+        sp.members(1.5)
+    assert sp.members(0b101) == sp.members("ac") == sp.members([0, "c"]) == ("a", "c")
+    assert sp.members(True) == ("a",)
+
+
+def test_class_opens_is_the_kernel_recoding_kept_on_the_space(e1, e2):
+    assert e2.class_opens is e2.basis
+    assert e1.class_opens == (0b01, 0b01, 0b11)

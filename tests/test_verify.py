@@ -569,15 +569,11 @@ def test_union_pair_core_matches_union_analysis():
     assert pairs > 500  # 768 here
 
 
-def test_set_rows_and_minimal_opens_match_per_query():
+def test_set_rows_match_per_query():
     for sp in _fast_path_corpus():
         rows = T._set_to_set_rows(R.subset_table(sp))
-        opens = T._minimal_opens(sp)
-        assert len(rows) == len(opens) == sp.full + 1
-        assert opens[0] == 0
+        assert len(rows) == sp.full + 1
         for a in range(sp.full + 1):
-            if a:
-                assert opens[a] == sp.minimal_open(a)
             for b in range(sp.full + 1):
                 assert rows[a][b] == furtherness_to_set(sp, a, b)
 
