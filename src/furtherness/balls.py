@@ -1,7 +1,9 @@
 """Balls of the furtherness semidistance and the topologies they induce.
 
 Forward balls look outward from a point (who is within n-1 steps of me),
-backward balls look inward (who reaches me within n-1 steps).  Radius-one
+backward balls look inward (who reaches me within n-1 steps).  The balls of
+one center are the levels of its matrix row (column, backward), built in
+one pass by ``_ball_levels``, which every ball reader reads.  Radius-one
 balls are the minimal open and the point closure, and the two ball families
 regenerate the original topology and its opposite.  Taking the pointwise
 maximum of the two directions gives a genuine pseudo-metric whose topology
@@ -10,23 +12,31 @@ is the join of the two.
 
 from __future__ import annotations
 
+from itertools import accumulate
+
 from .errors import SpaceError, ZeroRadiusError
 from .spaces import FinSpace, OpenFamily, PointLike, _as_int, _check_points, _open_family, _point_meets
+
+
+def _ball_levels(space: FinSpace, x: int, backward: bool = False) -> list[int]:
+    """``levels[r - 1]`` is the ball of radius r around the point index x,
+    for r = 1..n: each point goes in the bucket of its entry in x's matrix
+    row (column, backward), and a level is the union of the buckets below
+    it.  Entries run 0..n-1, so n levels cover every radius."""
+    n = space.n
+    flat = space.further_flat
+    line = flat[x::n] if backward else flat[x * n : x * n + n]
+    buckets = [0] * n
+    for y, v in enumerate(line):
+        buckets[v] |= 1 << y
+    return list(accumulate(buckets, int.__or__))
 
 
 def ball(space: FinSpace, center: PointLike, radius: int, backward: bool = False) -> int:
     """Points with furtherness below ``radius`` from (or to) the center."""
     if isinstance(radius, bool) or not isinstance(radius, int) or radius < 1:
         raise ZeroRadiusError()
-    x = space.index(center)
-    n = space.n
-    flat = space.further_flat
-    out = 0
-    for y in range(n):
-        v = flat[y * n + x] if backward else flat[x * n + y]
-        if v < radius:
-            out |= 1 << y
-    return out
+    return _ball_levels(space, space.index(center), backward)[min(radius, space.n) - 1]
 
 
 def symmetrized_furtherness(space: FinSpace, x: PointLike, y: PointLike) -> int:
@@ -73,12 +83,7 @@ def ball_topology(space: FinSpace, backward: bool = False) -> OpenFamily:
     the opposite one.
     """
     n = space.n
-    gens = [
-        ball(space, x, r, backward=backward)
-        for x in range(n)
-        for r in range(1, n + 1)
-    ]
-    return generated_topology(n, gens)
+    return generated_topology(n, [b for x in range(n) for b in _ball_levels(space, x, backward)])
 
 
 def symmetrized_topology(space: FinSpace) -> OpenFamily:
@@ -90,6 +95,8 @@ def symmetrized_topology(space: FinSpace) -> OpenFamily:
     """
     n = space.n
     gens = [
-        symmetrized_ball(space, x, r) for x in range(n) for r in range(1, n + 1)
+        f & b
+        for x in range(n)
+        for f, b in zip(_ball_levels(space, x), _ball_levels(space, x, True))
     ]
     return generated_topology(n, gens)

@@ -30,10 +30,11 @@ def _nothing_between(family, o: int, v: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=1 << 15)
+@lru_cache(maxsize=1 << 15, typed=True)
 def cover_successors(space: FinSpace, o: int) -> tuple[int, ...]:
     """Opens covering the open ``o``: strict supersets with nothing strictly
-    between; a mask that is not an open of the space raises ``SpaceError``."""
+    between.  A mask that is not an open of the space raises ``SpaceError``;
+    the cache is typed, so a float is refused even when its int is cached."""
     fam = space.open_family
     if not isinstance(o, int) or o not in fam:
         raise SpaceError(f"{o!r} is not an open set of the space")

@@ -17,7 +17,7 @@ from .errors import (
     SpaceError,
     UnknownLabelError,
 )
-from .spaces import FinSpace, Frozen, PointLike, mask_indices
+from .spaces import FinSpace, Frozen, PointLike, _as_int, mask_indices
 
 
 class Preorder(NamedTuple):
@@ -110,6 +110,10 @@ class SpaceMap(Frozen):
         image = tuple(image)
         if len(image) != domain.n:
             raise SpaceError("map must assign an image to every domain point")
+        for i in image:
+            if type(i) is not int:
+                image = tuple(_as_int(i, "an image index") for i in image)
+                break
         for i in image:
             if not 0 <= i < codomain.n:
                 raise SpaceError(f"image index {i} out of codomain range")

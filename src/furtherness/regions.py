@@ -23,6 +23,7 @@ from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import _kernels as K
+from .balls import ball
 from .distance import Further
 from .errors import EmptyOrFullSubsetError, PreconditionViolatedError, SizeTooLargeError
 from .spaces import FinSpace, SetLike, mask_indices
@@ -371,17 +372,8 @@ def largest_forward_balls(space: FinSpace, subset: SetLike) -> tuple[BallEntry, 
     a = space.mask(subset)
     if not a or a == space.full:
         raise EmptyOrFullSubsetError()
-    n = space.n
-    flat = space.further_flat
-    center, radius = K.center_radius(n, flat, a, space.full & ~a)
-    balls = []
-    for x in mask_indices(center):
-        m = 0
-        if radius > 0:
-            for y in range(n):
-                if flat[x * n + y] < radius:
-                    m |= 1 << y
-        balls.append((x, m))
+    center, radius = K.center_radius(space.n, space.further_flat, a, space.full & ~a)
+    balls = [(x, ball(space, x, radius) if radius else 0) for x in mask_indices(center)]
     out = []
     for x, m in balls:
         nested = any(m != other and not (m & ~other) for _, other in balls)

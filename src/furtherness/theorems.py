@@ -520,19 +520,11 @@ def _backward_ball_topology(sp: FinSpace):
     return None
 
 
-def _ball_table(sp: FinSpace, backward: bool = False) -> list[list[int]]:
-    """``balls[x][r - 1]`` is ``B.ball(sp, x, r, backward)`` for radii 1 to n."""
-    return [
-        [B.ball(sp, x, r, backward=backward) for r in range(1, sp.n + 1)]
-        for x in range(sp.n)
-    ]
-
-
 @space_property("ball-basis")
 def _ball_basis(sp: FinSpace):
     """Pairwise intersections of balls contain a ball around each member."""
     for backward in (False, True):
-        per_point = _ball_table(sp, backward)
+        per_point = [B._ball_levels(sp, x, backward) for x in range(sp.n)]
         family = {b for row in per_point for b in row}
         for b1 in family:
             for b2 in family:
@@ -944,7 +936,7 @@ def _quasi_ball(sp: FinSpace):
     table's p2s field."""
     table = R.subset_table(sp)
     quasi_center, quasi_radius = R.quasi_table(sp)
-    balls = _ball_table(sp)
+    balls = [B._ball_levels(sp, x) for x in range(sp.n)]
     for s in range(1, sp.full):
         rest = sp.full & ~s
         # p2s first, since the quasi table is read from it

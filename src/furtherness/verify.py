@@ -29,6 +29,7 @@ from typing import Callable, NamedTuple, Optional
 from .errors import SizeTooLargeError, SpaceError, UnknownPropertyError
 from .generate import ENUMERATION_LIMIT, count_topologies, topology_slice
 from .regions import SUBSET_TABLE_LIMIT
+from .spaces import _as_int
 
 
 class VerifyOptions(NamedTuple):
@@ -103,12 +104,14 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
     The space properties among ``names`` share one sweep of the corpus
     (see ``_sweep``); each custom property runs its own runner.  A repeated
     name is run once and its report repeated.  Raises ``SpaceError`` before
-    anything runs when ``max_n`` is below 1 or ``samples`` below 0, where
-    every sweep would check nothing and pass, when ``jobs`` is below 1,
-    when a name is not registered (``UnknownPropertyError``), or when a
-    selected sampler cannot build spaces of ``sample_n`` points.
+    anything runs when an option is not an int (a bool reads as its int),
+    when ``max_n`` is below 1 or ``samples`` below 0, where every sweep
+    would check nothing and pass, when ``jobs`` is below 1, when a name is
+    not registered (``UnknownPropertyError``), or when a selected sampler
+    cannot build spaces of ``sample_n`` points.
     """
-    opts = opts or VerifyOptions()
+    fields = zip(VerifyOptions._fields, opts or VerifyOptions())
+    opts = VerifyOptions._make(_as_int(value, field) for field, value in fields)
     if opts.max_n < 1:
         raise SpaceError(f"max_n must be at least 1, got {opts.max_n}")
     if opts.samples < 0:

@@ -11,12 +11,15 @@ from furtherness import (
     ball,
     ball_topology,
     enumerate_topologies,
+    furtherness,
     generated_topology,
+    largest_forward_balls,
     random_space,
     symmetrized_ball,
     symmetrized_furtherness,
     symmetrized_topology,
 )
+from furtherness.balls import _ball_levels
 from furtherness.spaces import canonical_sets
 from oracles import fixpoint_generated_topology
 
@@ -91,6 +94,41 @@ def _ball_families(sp):
                 inside |= points
                 gens.append(inside)
         yield fam, gens
+
+
+def _brute_balls(sp, backward=False):
+    """``balls[x][r - 1]`` is {y : furtherness(x, y) < r}, or furtherness(y,
+    x) when backward, for radii 1..n+1."""
+    n = sp.n
+    far = [[furtherness(sp, x, y) for y in range(n)] for x in range(n)]
+    if backward:
+        far = [list(col) for col in zip(*far)]
+    return [
+        [sum(1 << y for y in range(n) if far[x][y] < r) for r in range(1, n + 2)]
+        for x in range(n)
+    ]
+
+
+def test_balls_match_a_brute_force_on_every_small_space():
+    # every space on at most five points, and six random larger ones
+    spaces = [sp for n in range(1, 6) for sp in enumerate_topologies(n)]
+    spaces += [random_space(n, seed) for n in (6, 7) for seed in (1, 2, 3)]
+    for sp in spaces:
+        n = sp.n
+        for backward in (False, True):
+            for x, want in enumerate(_brute_balls(sp, backward)):
+                assert _ball_levels(sp, x, backward) == want[:n]
+                for r in range(1, n + 2):
+                    assert ball(sp, x, r, backward=backward) == want[r - 1]
+
+
+def test_largest_forward_balls_match_a_brute_force():
+    for n in range(2, 6):
+        for sp in enumerate_topologies(n):
+            balls = _brute_balls(sp)
+            for s in range(1, sp.full):
+                for e in largest_forward_balls(sp, s):
+                    assert e.ball == (balls[e.center][e.radius - 1] if e.radius else 0)
 
 
 def test_ball_topologies_match_the_fixpoint_on_every_small_space():

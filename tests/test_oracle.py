@@ -103,6 +103,13 @@ def test_cover_successors_refuse_a_mask_that_is_not_open():
     assert after.hits == before.hits
     assert cover_successors(sp, 1) == (3,)
     hits = cover_successors.cache_info().hits
-    # a bool reads as its int, and finds the int's entry
+    # a bool reads as its int; the typed cache keeps it apart from the int
     assert cover_successors(sp, True) == (3,)
-    assert cover_successors.cache_info().hits == hits + 1
+    assert cover_successors.cache_info().hits == hits
+
+
+def test_cover_successors_refuse_a_float_equal_to_a_cached_open():
+    sp = FinSpace(("a", "b", "c"), (1, 3, 7))
+    assert cover_successors(sp, 1) == (3,)
+    with pytest.raises(SpaceError, match="is not an open set"):
+        cover_successors(sp, 1.0)

@@ -286,3 +286,20 @@ def test_space_map_refuses_a_float_image(e2):
     # a float used to be truncated to an index, so the map was built
     with pytest.raises(SpaceError, match="a point index must be an int, got 1.9"):
         space_map(e2, e2, [0, 1.9, 2, 3])
+
+
+@pytest.mark.parametrize("bad", [0.5, "a", None])
+def test_space_map_refuses_an_image_entry_that_is_not_an_int(bad):
+    sp = FinSpace(("a", "b", "c"), (1, 3, 7))
+    with pytest.raises(SpaceError, match=f"an image index must be an int, got {bad!r}"):
+        SpaceMap(sp, sp, (0, bad, 1))
+
+
+def test_space_map_reads_a_bool_image_as_its_int():
+    sp = FinSpace(("a", "b", "c"), (1, 3, 7))
+    f = SpaceMap(sp, sp, (0, True, 1))
+    assert f.image == (0, 1, 1) and all(type(i) is int for i in f.image)
+    assert f == SpaceMap(sp, sp, (0, 1, 1))
+    assert is_continuous(f)
+    with pytest.raises(SpaceError, match="image index 3 out of codomain range"):
+        SpaceMap(sp, sp, (0, True, 3))

@@ -12,7 +12,6 @@ from furtherness import (
     SizeTooLargeError,
     SpaceError,
     VerifyOptions,
-    ball,
     document_to_space,
     enumerate_topologies,
     furtherness_to_set,
@@ -189,6 +188,21 @@ def test_jobs_below_one_is_refused(jobs):
     with pytest.raises(SpaceError, match=f"jobs must be at least 1, got {jobs}$"):
         run_all(None, VerifyOptions(jobs=jobs))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("field", VerifyOptions._fields)
+@pytest.mark.parametrize("bad", [2.5, "3", None])
+def test_an_option_that_is_not_an_int_is_refused(field, bad):
+    # refused before anything runs, whichever properties are selected
+    start = time.perf_counter()
+    with pytest.raises(SpaceError, match=f"^{field} must be an int, got {bad!r}$"):
+        run_all(["zero-diagonal"], VerifyOptions(**{field: bad}))
+    assert time.perf_counter() - start < 1.0
+
+
+def test_a_bool_option_reads_as_its_int():
+    report = run_all(["zero-diagonal"], VerifyOptions(max_n=True))[0]
+    assert report.passed and report.checked == 1
 
 
 def test_singleton_cap_applies():
@@ -592,14 +606,6 @@ def test_relative_boundary_is_the_subspace_boundary():
                 assert boundary == sum(
                     1 << x for p, x in enumerate(kept) if sub_boundary[inner] >> p & 1
                 )
-
-
-def test_ball_table_is_ball():
-    for sp in _fast_path_corpus():
-        balls = T._ball_table(sp)
-        assert len(balls) == sp.n
-        for x in range(sp.n):
-            assert balls[x] == [ball(sp, x, r) for r in range(1, sp.n + 1)]
 
 
 def test_open_hulls_are_smallest_open_supersets():
