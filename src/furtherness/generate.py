@@ -8,9 +8,7 @@ holds them to it.  The enumerated bases of each size are kept in a cache
 as the kernel gives them, and every space is built from its basis
 through the validating constructor, in the process that reads it:
 ``enumerate_topologies`` yields the spaces one at a time, and
-``topology_slice`` builds a run of consecutive ones at once, the
-verifier's unit of sweep work, so a verifier worker validates the spaces
-it checks.  ``count_topologies`` counts the cached bases.
+``count_topologies`` counts the cached bases.
 
 Random spaces come from a fixed, documented generator so that seeds are
 portable: a splitmix64 stream seeded with the given value produces one
@@ -26,7 +24,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from . import _kernels as K
-from .errors import SizeTooLargeError, SpaceError
+from .errors import SizeTooLargeError
 from .spaces import FinSpace, _as_int, _check_points
 
 ENUMERATION_LIMIT = 5
@@ -45,8 +43,7 @@ def _bases(n: int, t0_only: bool) -> tuple[tuple[int, ...], ...]:
     """The enumerated bases of one size, as the kernel gives them.
 
     None is validated here: the spaces are built from them through the
-    validating constructor.  A verifier worker forked after its parent
-    filled an entry reads the parent's; any other process fills its own.
+    validating constructor.
     """
     return tuple(K.enumerate_bases(n, t0_only))
 
@@ -63,22 +60,6 @@ def enumerate_topologies(n: int, t0_only: bool = False) -> Iterator[FinSpace]:
     labels = default_labels(n)
     for basis in _bases(n, t0_only):
         yield FinSpace(labels, basis)
-
-
-def topology_slice(n: int, start: int, stop: int) -> list[FinSpace]:
-    """The labeled topologies at positions ``start`` to ``stop - 1`` of
-    ``enumerate_topologies(n)``, built at once; the verifier's sweep task.
-
-    Raises ``SpaceError`` unless ``0 <= start <= stop <= count_topologies(n)``.
-    """
-    _check_size(n)
-    bases = _bases(n, False)
-    if not (type(start) is int and type(stop) is int and 0 <= start <= stop <= len(bases)):
-        raise SpaceError(
-            f"slice {start!r}:{stop!r} is not within the {len(bases)} topologies on {n} points"
-        )
-    labels = default_labels(n)
-    return [FinSpace(labels, basis) for basis in bases[start:stop]]
 
 
 def count_topologies(n: int, t0_only: bool = False) -> int:

@@ -43,18 +43,12 @@ class Preorder(NamedTuple):
             raise PreconditionViolatedError(
                 "cover relation is only defined for a partial order"
             )
-        out = []
-        for y in range(self.n):
-            strict = self.below[y] & ~(1 << y)
-            for x in mask_indices(strict):
-                blocked = False
-                for z in mask_indices(strict & ~(1 << x)):
-                    if (self.below[z] >> x) & 1:
-                        blocked = True
-                        break
-                if not blocked:
-                    out.append((x, y))
-        return tuple(sorted(out))
+        above = [0] * self.n
+        for y, lower in enumerate(self.below):
+            for x in mask_indices(lower):
+                above[x] |= 1 << y
+        covers = _covers(self.below, above)
+        return tuple(sorted((x, y) for y, lower in enumerate(covers) for x in mask_indices(lower)))
 
 
 def specialization_preorder(space: FinSpace) -> Preorder:
@@ -181,18 +175,17 @@ def is_furtherness_preserving(f: SpaceMap) -> bool:
     return True
 
 
-def _single_cover(rel: list[int], inv: list[int]) -> int:
-    """Mask of the points x with exactly one cover in the relation: one
-    other point y in ``rel[x]`` that no third point sits between, that is
-    no z in ``rel[x]`` that also lies in ``inv[y]``."""
-    out = 0
+def _covers(rel: Sequence[int], inv: Sequence[int]) -> list[int]:
+    """Each point's mask of covers in the relation: the other points y in
+    ``rel[x]`` that no third point sits between, that is no z in ``rel[x]``
+    that also lies in ``inv[y]``."""
+    out = []
     for x, related in enumerate(rel):
-        count = 0
+        covers = 0
         for y in mask_indices(related & ~(1 << x)):
             if not related & inv[y] & ~(1 << x | 1 << y):
-                count += 1
-        if count == 1:
-            out |= 1 << x
+                covers |= 1 << y
+        out.append(covers)
     return out
 
 
@@ -208,7 +201,13 @@ def beat_points(space: FinSpace) -> tuple[int, int]:
     operations.
     """
     zero, zero_to = _zero_masks(space.n, space.further_flat)
-    return _single_cover(zero, zero_to), _single_cover(zero_to, zero)
+    down = up = 0
+    for x, (lower, upper) in enumerate(zip(_covers(zero, zero_to), _covers(zero_to, zero))):
+        if lower.bit_count() == 1:
+            down |= 1 << x
+        if upper.bit_count() == 1:
+            up |= 1 << x
+    return down, up
 
 
 def is_minimal(space: FinSpace) -> bool:

@@ -149,10 +149,7 @@ def closure_table(space: FinSpace) -> ClosureTable:
     full = space.full
     closure = [0]
     for x in range(n):
-        point = 0
-        for y in range(n):
-            if (basis[y] >> x) & 1:
-                point |= 1 << y
+        point = K.closure_mask(n, basis, 1 << x)
         closure += [c | point for c in closure]
     # s ranges upward while full ^ s ranges downward
     interior = [full ^ c for c in reversed(closure)]
@@ -264,23 +261,19 @@ def union_analysis(space: FinSpace, subsets: Sequence[SetLike]) -> UnionAnalysis
     masks = [space.mask(s) for s in subsets]
     if not masks:
         raise PreconditionViolatedError("at least one subset is required")
-    n = space.n
-    basis = space.basis
-    # one closure and one interior per part serve the clopen test, the
-    # separation test and the part's report
-    closures = []
-    interiors = []
+    # each part's report serves the clopen test, which a part without
+    # boundary fails, and the separation test, through its closure
+    reports = []
     for j, a in enumerate(masks):
         if not a:
             raise PreconditionViolatedError(f"subset #{j} is empty")
-        closure = K.closure_mask(n, basis, a)
-        interior = K.interior_mask(n, basis, a)
-        if interior == a == closure:
+        rep = region_report(space, a)
+        if not rep.boundary:
             raise PreconditionViolatedError(
                 f"subset #{j} {{{','.join(space.members(a))}}} is clopen"
             )
-        closures.append(closure)
-        interiors.append(interior)
+        reports.append(rep)
+    closures = [rep.interior | rep.boundary for rep in reports]
     for i in range(len(masks)):
         for j in range(i + 1, len(masks)):
             if masks[i] & closures[j] or closures[i] & masks[j]:
@@ -288,13 +281,9 @@ def union_analysis(space: FinSpace, subsets: Sequence[SetLike]) -> UnionAnalysis
                     f"subsets #{i} and #{j} are not separated"
                 )
 
+    # radii are finite here: every part has a boundary
+    n = space.n
     flat = space.further_flat
-    reports = []
-    for a, closure, interior in zip(masks, closures, interiors):
-        boundary = closure & ~interior
-        center, r = K.center_radius(n, flat, a, boundary)
-        # radii are finite here: no input is clopen
-        reports.append(RegionReport(a, interior, boundary, center, r))
     top = max(r.radius for r in reports)
     tilde = []
     for j, rep in enumerate(reports):
@@ -372,7 +361,7 @@ def largest_forward_balls(space: FinSpace, subset: SetLike) -> tuple[BallEntry, 
     a = space.mask(subset)
     if not a or a == space.full:
         raise EmptyOrFullSubsetError()
-    center, radius = K.center_radius(space.n, space.further_flat, a, space.full & ~a)
+    _, center, radius = quasi_report(space, a)
     balls = [(x, ball(space, x, radius) if radius else 0) for x in mask_indices(center)]
     out = []
     for x, m in balls:

@@ -27,9 +27,9 @@ from functools import partial
 from typing import Callable, NamedTuple, Optional
 
 from .errors import SizeTooLargeError, SpaceError, UnknownPropertyError
-from .generate import ENUMERATION_LIMIT, count_topologies, topology_slice
+from .generate import ENUMERATION_LIMIT, _bases, default_labels
 from .regions import SUBSET_TABLE_LIMIT
-from .spaces import _as_int
+from .spaces import FinSpace, _as_int
 
 
 class VerifyOptions(NamedTuple):
@@ -155,16 +155,15 @@ def _workers(jobs: int) -> int:
 SLICE = 256
 
 
-def _slices(top: int) -> list[tuple[int, int, int]]:
+def _slices(top: int) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
     """The corpus of a sweep: every labeled topology on at most ``top``
-    points, as ``(n, start, stop)`` slices of the enumeration order, in that
-    order.  Fills the enumerator's cache of bases for each n, so a worker
-    forked after this reads it; no space is built here, as each slice task
-    builds its own spaces through the validating constructor."""
+    points, as ``(n, bases)`` tasks of at most ``SLICE`` bases each, in
+    enumeration order.  No space is built here, as each slice task builds
+    its own spaces through the validating constructor."""
     out = []
     for n in range(1, top + 1):
-        count = count_topologies(n)
-        out += [(n, start, min(start + SLICE, count)) for start in range(0, count, SLICE)]
+        bases = _bases(n, False)
+        out += [(n, bases[start : start + SLICE]) for start in range(0, len(bases), SLICE)]
     return out
 
 
@@ -192,9 +191,10 @@ def _slice_task(plan, task) -> list[_Summary]:
     exception is returned, not raised, so that ``_sweep`` raises it only
     when the check has not failed in an earlier slice.
     """
-    n, start, stop = task
+    n, bases = task
     _registry()  # a worker that was not forked starts without the catalog
-    spaces = topology_slice(n, start, stop)
+    labels = default_labels(n)
+    spaces = [FinSpace(labels, basis) for basis in bases]
     out = []
     for name, limit in plan:
         if n > limit:

@@ -109,40 +109,48 @@ def _brute_balls(sp, backward=False):
     ]
 
 
-def test_balls_match_a_brute_force_on_every_small_space():
-    # every space on at most five points, and six random larger ones
+@pytest.fixture(scope="module")
+def brute_corpus():
+    """Every space on at most five points, then six random larger ones,
+    each with its brute-force forward and backward balls."""
     spaces = [sp for n in range(1, 6) for sp in enumerate_topologies(n)]
     spaces += [random_space(n, seed) for n in (6, 7) for seed in (1, 2, 3)]
-    for sp in spaces:
+    return [(sp, _brute_balls(sp), _brute_balls(sp, backward=True)) for sp in spaces]
+
+
+def test_balls_match_a_brute_force_on_every_small_space(brute_corpus):
+    for sp, forward, backward_balls in brute_corpus:
         n = sp.n
-        for backward in (False, True):
-            for x, want in enumerate(_brute_balls(sp, backward)):
+        for backward, balls in ((False, forward), (True, backward_balls)):
+            for x, want in enumerate(balls):
                 assert _ball_levels(sp, x, backward) == want[:n]
                 for r in range(1, n + 2):
                     assert ball(sp, x, r, backward=backward) == want[r - 1]
 
 
-def test_largest_forward_balls_match_a_brute_force():
-    for n in range(2, 6):
-        for sp in enumerate_topologies(n):
-            balls = _brute_balls(sp)
-            for s in range(1, sp.full):
-                for e in largest_forward_balls(sp, s):
-                    assert e.ball == (balls[e.center][e.radius - 1] if e.radius else 0)
+def test_largest_forward_balls_match_a_brute_force(brute_corpus):
+    # every proper nonempty subset of every space on two to five points
+    for sp, balls, _ in brute_corpus:
+        if not 2 <= sp.n <= 5:
+            continue
+        for s in range(1, sp.full):
+            for e in largest_forward_balls(sp, s):
+                assert e.ball == (balls[e.center][e.radius - 1] if e.radius else 0)
 
 
-def test_ball_topologies_match_the_fixpoint_on_every_small_space():
+def test_ball_topologies_match_the_fixpoint_on_every_small_space(brute_corpus):
     # the minimal-open construction against the union and intersection
     # closure, on every space with at most five points; one reference run
     # serves every family with the same generators
     reference = {}
-    for n in range(1, 6):
-        for sp in enumerate_topologies(n):
-            for fam, gens in _ball_families(sp):
-                key = (n, frozenset(gens))
-                if key not in reference:
-                    reference[key] = fixpoint_generated_topology(n, gens)
-                assert set(fam) == reference[key]
+    for sp, _, _ in brute_corpus:
+        if sp.n > 5:
+            continue
+        for fam, gens in _ball_families(sp):
+            key = (sp.n, frozenset(gens))
+            if key not in reference:
+                reference[key] = fixpoint_generated_topology(sp.n, gens)
+            assert set(fam) == reference[key]
 
 
 def test_generated_topology_matches_the_fixpoint_on_random_families():

@@ -14,6 +14,7 @@ from furtherness import (
     run_property,
 )
 from furtherness import generate as G
+from furtherness import verify as V
 from furtherness.generate import splitmix64
 
 
@@ -69,20 +70,19 @@ def test_enumerator_counts_scans_each_n_once():
 def test_size_cap():
     with pytest.raises(SizeTooLargeError):
         list(enumerate_topologies(6))
-    with pytest.raises(SizeTooLargeError):
-        G.topology_slice(6, 0, 1)
-    with pytest.raises(SpaceError, match="at least one point"):
-        G.topology_slice(0, 0, 1)
 
 
-@pytest.mark.parametrize(
-    "n, start, stop",
-    [(1, 0, 1), (3, 0, 29), (3, 0, 0), (3, 29, 29), (4, 64, 128), (4, 256, 355)],
-)
-def test_a_slice_is_a_run_of_the_enumeration(n, start, stop):
-    got = G.topology_slice(n, start, stop)
-    want = list(enumerate_topologies(n))[start:stop]
-    assert [(sp.labels, sp.basis) for sp in got] == [(sp.labels, sp.basis) for sp in want]
+@pytest.mark.parametrize("top", [1, 2, 3, 4, 5])
+def test_sweep_tasks_cut_the_enumeration_in_order(top):
+    # each task carries at most SLICE bases of one size; in task order they
+    # are the enumeration of every size up to top
+    tasks = V._slices(top)
+    sizes = [n for n, _ in tasks]
+    assert sizes == sorted(sizes) and set(sizes) == set(range(1, top + 1))
+    assert all(0 < len(bases) <= V.SLICE for _, bases in tasks)
+    for n in range(1, top + 1):
+        got = [basis for size, bases in tasks if size == n for basis in bases]
+        assert got == [sp.basis for sp in enumerate_topologies(n)]
 
 
 def test_labels():
@@ -132,8 +132,8 @@ def test_random_space_validates():
 def test_enumerated_bases_are_validated(monkeypatch):
     # every space is built through the validating constructor in the process
     # that reads it, so a basis the enumerator got wrong is caught when a
-    # slice holding it is built, in a verifier worker too, and a slice
-    # without it builds
+    # sweep task holding it builds its spaces, in a verifier worker too, and
+    # a task without it builds
     from furtherness import BasisNotNestedError
 
     real = G.K.enumerate_bases
@@ -149,9 +149,11 @@ def test_enumerated_bases_are_validated(monkeypatch):
         assert count_topologies(3) == 30  # the kernel's bases, as they come
         with pytest.raises(BasisNotNestedError):
             list(enumerate_topologies(3))
-        assert len(G.topology_slice(3, 0, 29)) == 29
+        bases = G._bases(3, False)
+        plan = [("triangle-inequality", 3)]
+        assert V._slice_task(plan, (3, bases[:29]))[0].checked == 29
         with pytest.raises(BasisNotNestedError):
-            G.topology_slice(3, 28, 30)
+            V._slice_task(plan, (3, bases[28:]))
         for jobs in (1, 2):
             opts = VerifyOptions(max_n=2, jobs=jobs)
             assert run_property("triangle-inequality", opts).passed
@@ -169,8 +171,6 @@ def test_a_size_must_be_an_int(n):
     with pytest.raises(SpaceError, match="must be an int"):
         list(enumerate_topologies(n))
     with pytest.raises(SpaceError, match="must be an int"):
-        G.topology_slice(n, 0, 1)
-    with pytest.raises(SpaceError, match="must be an int"):
         random_space(n, 1)
 
 
@@ -184,11 +184,3 @@ def test_a_seed_reads_through_operator_index():
     # a bool seed is its int, as a bool point index is
     assert random_space(4, True) == random_space(4, 1)
     assert random_space(4, False) == random_space(4, 0)
-
-
-@pytest.mark.parametrize(
-    "start, stop", [(-2, 29), (-1, 0), (0, 30), (29, 30), (5, 4), (0.0, 1), (0, 1.0), (False, 1)]
-)
-def test_a_slice_must_lie_within_the_enumeration(start, stop):
-    with pytest.raises(SpaceError, match="not within the 29 topologies on 3 points"):
-        G.topology_slice(3, start, stop)

@@ -44,6 +44,24 @@ def test_preorder_covers(e2):
     assert order.covers() == ((0, 1), (1, 2), (3, 2))
 
 
+def test_preorder_covers_match_the_triple_scan():
+    # x < y with no z strictly between them, scanning every triple with leq
+    for n in range(1, 6):
+        for sp in enumerate_topologies(n, t0_only=True):
+            order = specialization_preorder(sp)
+            scan = [
+                (x, y)
+                for y in range(n)
+                for x in range(n)
+                if x != y
+                and order.leq(x, y)
+                and not any(
+                    z not in (x, y) and order.leq(x, z) and order.leq(z, y) for z in range(n)
+                )
+            ]
+            assert order.covers() == tuple(sorted(scan))
+
+
 def test_covers_requires_antisymmetry(e1):
     with pytest.raises(PreconditionViolatedError):
         specialization_preorder(e1).covers()

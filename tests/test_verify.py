@@ -268,19 +268,23 @@ SPACE_PROPS = [name for name, prop in PROPERTIES.items() if prop.space]
 
 def test_worker_that_does_not_fork_loads_the_catalog():
     # a spawned worker starts from a fresh interpreter: it has only what
-    # unpickling the task imports, so _slice_task loads the catalog itself,
-    # and the enumerator fills the worker's own basis cache
+    # unpickling the task imports, so _slice_task loads the catalog itself;
+    # each task carries its bases, so the worker enumerates nothing unless a
+    # check does, as symmetrized-smallest-join does
     has_catalog = "'furtherness.theorems' in __import__('sys').modules"
     cached = "__import__('furtherness.generate').generate._bases.cache_info().currsize"
     plan = [(name, PROPERTIES[name].cap or 3) for name in SPACE_PROPS]
+    without_join = [(name, limit) for name, limit in plan if name != "symmetrized-smallest-join"]
     slices = V._slices(3)
     task = partial(V._slice_task, plan)
     with multiprocessing.get_context("spawn").Pool(1) as pool:
         assert pool.apply(eval, (has_catalog,)) is False
         assert pool.apply(eval, (cached,)) == 0
-        spawned = pool.map(task, slices)
+        pool.map(partial(V._slice_task, without_join), slices)
         assert pool.apply(eval, (has_catalog,)) is True
-        assert pool.apply(eval, (cached,)) == 3  # the bases on 1, 2 and 3 points
+        assert pool.apply(eval, (cached,)) == 0
+        spawned = pool.map(task, slices)
+        assert pool.apply(eval, (cached,)) == 3  # the join's bases on 1, 2 and 3 points
     in_process = [task(t) for t in slices]
     assert [sum(s.checked for s in summaries) for summaries in spawned] == [
         len(plan) * count for count in (1, 4, 29)
@@ -381,7 +385,7 @@ def test_failures_at_slice_boundaries_match_own_sweeps(jobs):
             assert calls == {r.prop: r.checked for r in reports}
         # within a slice, a check stops at its counterexample
         plan = [(name, 5) for name in names]
-        for task in [(4, 0, V.SLICE), (4, V.SLICE, len(on4))]:
+        for task in [(4, on4[: V.SLICE]), (4, on4[V.SLICE :])]:
             calls.update(dict.fromkeys(names, 0))
             summaries = V._slice_task(plan, task)
             assert calls == {s.name: s.checked for s in summaries}
