@@ -11,12 +11,12 @@ Distance values reported by ``point_to_set`` / ``set_to_set`` /
 ``center_radius`` use -1 for "infinite" (an empty side); callers translate
 that to ``math.inf`` at the API boundary.
 
-Each loop is written once: ``class_opens`` is the one class recoding of
-the basis and numbers the classes through ``class_ids``, ``further_matrix``
-counts classes through ``class_opens``, and ``set_to_set`` and
-``center_radius`` take each point's distance through ``point_to_set``, by
-module attribute, so a wrapper installed around the kernels from outside,
-such as a profiler or a call counter, sees those nested calls too.
+Each loop is written once and calls no other kernel: ``FinSpace`` hands
+``class_opens`` its class ids and ``further_matrix`` its class recoding.
+Only ``set_to_set`` and ``center_radius`` nest a kernel, taking each
+point's distance through ``point_to_set`` by module attribute, so a
+wrapper installed around the kernels from outside, such as a profiler or
+a call counter, sees those nested calls too.
 """
 
 from __future__ import annotations
@@ -39,13 +39,9 @@ def class_ids(n, basis):
     return tuple(out)
 
 
-def class_opens(n, basis):
-    """Each basic set as the mask of the ``class_ids`` it meets; when the
-    basic sets are pairwise distinct every class is one point, and the
-    basis is its own recoding."""
-    if len(set(basis)) == n:
-        return basis
-    cls = class_ids(n, basis)
+def class_opens(n, basis, cls):
+    """Each basic set as the mask of the classes it meets, from the class
+    ids ``cls`` of its points."""
     out = []
     for m in basis:
         acc = 0
@@ -57,14 +53,13 @@ def class_opens(n, basis):
     return tuple(out)
 
 
-def further_matrix(n, basis):
-    """Flat row-major matrix of pairwise distances.
+def further_matrix(n, cls_open):
+    """Flat row-major matrix of pairwise distances from the class recoding.
 
     Entry (x, y) counts the indistinguishability classes that meet
-    ``basis[y]`` but not ``basis[x]``, which equals the least chain position
-    at which y shows up when growing opens outward from ``basis[x]``.
+    ``cls_open[y]`` but not ``cls_open[x]``, which equals the least chain
+    position at which y shows up when growing opens outward from x.
     """
-    cls_open = class_opens(n, basis)
     outside = [~c for c in cls_open]
     return tuple([(cj & out).bit_count() for out in outside for cj in cls_open])
 

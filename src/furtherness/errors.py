@@ -22,9 +22,16 @@ class SpaceError(ValueError):
 
 
 class DuplicateLabelError(SpaceError):
-    def __init__(self, label: str):
+    """A label given twice, or, with ``joined`` and ``separator``, the label
+    that two tuples of member labels both join to."""
+
+    def __init__(self, label: str, joined: tuple = (), separator: str = ""):
         self.label = label
-        super().__init__(f"duplicate point label {label!r}")
+        message = f"duplicate point label {label!r}"
+        if joined:
+            a, b = joined
+            message += f": {a!r} and {b!r} both join to it with {separator!r}"
+        super().__init__(message)
 
 
 class MissingEmptyOrFullError(SpaceError):

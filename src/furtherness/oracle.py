@@ -18,8 +18,13 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .errors import SpaceError
+from .errors import SizeTooLargeError, SpaceError
 from .spaces import FinSpace, PointLike, canonical_sets
+
+# full-length cover paths that ``witness_chains`` walks before it refuses:
+# the discrete space on n - 1 points plus a top point has (n - 2)! of them
+# from a discrete point to the top, 720 at 8 points and 5,040 at 9
+WITNESS_PATH_LIMIT = 1 << 12
 
 
 def _nothing_between(family, o: int, v: int) -> bool:
@@ -132,15 +137,24 @@ def witness_chains(space: FinSpace, x: PointLike, y: PointLike) -> tuple[ChainWi
 
     Enumerates all cover paths of length furtherness_oracle(x, y) from the
     minimal open of x and keeps those ending in an open containing y; no
-    path is pruned, so callers can inspect the full witness set.
+    path is pruned, so callers can inspect the full witness set.  Raises
+    ``SizeTooLargeError`` once the walk reaches more than
+    ``WITNESS_PATH_LIMIT`` such paths.
     """
     k, _ = furtherness_oracle(space, x, y)
     j = space.index(y)
     out: list[ChainWitness] = []
     chain = [space.min_open(x)]
+    walked = 0
 
     def rec():
+        nonlocal walked
         if len(chain) - 1 == k:
+            walked += 1
+            if walked > WITNESS_PATH_LIMIT:
+                raise SizeTooLargeError(
+                    walked, WITNESS_PATH_LIMIT, "witness chain search", "cover paths", at_least=True
+                )
             if (chain[-1] >> j) & 1:
                 out.append(ChainWitness(tuple(chain)))
             return

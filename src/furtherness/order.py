@@ -12,6 +12,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
 from .distance import _zero_masks, furtherness
 from .errors import (
+    DuplicateLabelError,
     EmptyInputError,
     PreconditionViolatedError,
     SpaceError,
@@ -61,13 +62,27 @@ def order_to_space(order: Preorder) -> FinSpace:
     return FinSpace(order.labels, order.below)
 
 
+def _joined_labels(members: Sequence[tuple[str, ...]], sep: str) -> tuple[str, ...]:
+    """Each tuple of member labels joined by ``sep``.  Two tuples that join
+    to one label, as ``('a', 'b,c')`` and ``('a,b', 'c')`` do with ``,``,
+    raise ``DuplicateLabelError`` naming both and the separator."""
+    seen: dict[str, tuple[str, ...]] = {}
+    for ms in members:
+        label = sep.join(ms)
+        if label in seen:
+            raise DuplicateLabelError(label, (seen[label], ms), sep)
+        seen[label] = ms
+    return tuple(seen)
+
+
 class QuotientResult(NamedTuple):
     """Identification of mutually 0-far points.
 
     ``class_of[x]`` is the class index of original point x and
     ``representatives[c]`` the first original point of class c; the quotient
     space carries one point per class, labeled by joining member labels
-    with "|".
+    with "|"; two classes whose labels join alike raise
+    ``DuplicateLabelError``.
     """
 
     space: FinSpace
@@ -82,15 +97,14 @@ def kolmogorov_quotient(space: FinSpace) -> QuotientResult:
     its representative's class recoding, from ``FinSpace.class_opens``.
     """
     cls = space.class_ids
-    k = max(cls) + 1
-    if k == space.n:
+    if space.is_t0:
         # the class ids are then 0..n-1, and each point represents its class
         return QuotientResult(space, cls, cls)
-    members: list[list[int]] = [[] for _ in range(k)]
+    members: list[list[int]] = [[] for _ in range(max(cls) + 1)]
     for x, c in enumerate(cls):
         members[c].append(x)
     reps = tuple(ms[0] for ms in members)
-    labels = tuple("|".join(space.labels[x] for x in ms) for ms in members)
+    labels = _joined_labels([tuple(space.labels[x] for x in ms) for ms in members], "|")
     opens = space.class_opens
     return QuotientResult(FinSpace(labels, tuple(opens[r] for r in reps)), cls, reps)
 
@@ -239,21 +253,23 @@ def product(factors: Iterable[FinSpace]) -> FinSpace:
     """Product space; points are factor-index tuples in row-major order.
 
     The minimal open of a tuple is the product of the factor minimal opens;
-    labels join the factor labels with a comma.  Factors are multiplied in
-    one at a time: point p of the product so far becomes the block of
-    points p * k to p * k + k - 1 for a k-point factor, so the minimal open
-    of (p, j) holds ``f.basis[j] << (q * k)`` for each q in that of p.
+    labels join the factor labels with a comma, and two label tuples that
+    join alike raise ``DuplicateLabelError`` (see ``_joined_labels``).
+    Factors are multiplied in one at a time: point p of the product so far
+    becomes the block of points p * k to p * k + k - 1 for a k-point
+    factor, so the minimal open of (p, j) holds ``f.basis[j] << (q * k)``
+    for each q in that of p.
     """
     factors = list(factors)
     if not factors:
         raise EmptyInputError("factor list")
     first, *rest = factors
-    labels = list(first.labels)
+    points = [(label,) for label in first.labels]
     basis = list(first.basis)
     for f in rest:
         size = f.n
         opens = f.basis
-        labels = [f"{left},{right}" for left in labels for right in f.labels]
+        points = [p + (label,) for p in points for label in f.labels]
         grown = []
         for m in basis:
             shifts = [q * size for q in mask_indices(m)]
@@ -263,7 +279,7 @@ def product(factors: Iterable[FinSpace]) -> FinSpace:
                     acc |= u << shift
                 grown.append(acc)
         basis = grown
-    return FinSpace(tuple(labels), tuple(basis))
+    return FinSpace(_joined_labels(points, ","), tuple(basis))
 
 
 def _check_arity(k: int, p, q) -> None:

@@ -359,18 +359,19 @@ class FinSpace(Frozen):
     @cached_property
     def further_flat(self) -> tuple[int, ...]:
         """Row-major distance matrix as a flat tuple (see ``distance``)."""
-        return K.further_matrix(self.n, self.basis)
+        return K.further_matrix(self.n, self.class_opens)
 
     @cached_property
     def class_ids(self) -> tuple[int, ...]:
-        """Indistinguishability class of each point, by first occurrence."""
-        return K.class_ids(self.n, self.basis)
+        """Indistinguishability class of each point, by first occurrence;
+        0..n-1 on a T0 space."""
+        return tuple(range(self.n)) if self.is_t0 else K.class_ids(self.n, self.basis)
 
     @cached_property
     def class_opens(self) -> tuple[int, ...]:
         """Each basic set as the mask of the ``class_ids`` it meets; the
         basis itself on a T0 space."""
-        return K.class_opens(self.n, self.basis)
+        return self.basis if self.is_t0 else K.class_opens(self.n, self.basis, self.class_ids)
 
     def __repr__(self):
         sets = ",".join("{" + ",".join(self.members(m)) + "}" for m in self.basis)

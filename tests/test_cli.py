@@ -127,6 +127,16 @@ def test_union_analysis(space_file, e2, capsys):
     assert data["direct"]["radius"] == 2
 
 
+def test_union_analysis_with_a_predicted_center(space_file, e2, capsys):
+    code, out, _ = run_cli(["union", space_file(e2), "--subsets", "a,b|d"], capsys)
+    assert code == 0
+    data = json.loads(out)
+    assert data["inputs"] == [["a", "b"], ["d"]]
+    assert data["case"] == "tie-dominates"
+    assert data["predicted_center"] == data["direct"]["center"] == ["a", "d"]
+    assert data["predicted_radius"] == data["direct"]["radius"] == 3
+
+
 def test_union_rejects_clopen_part(space_file, q1, capsys):
     code, _, err = run_cli(["union", space_file(q1), "--subsets", "a,b|c"], capsys)
     assert code == 1
@@ -178,6 +188,18 @@ def test_product_document(space_file, sierp, sierp_xy, capsys):
     sp = document_to_space(json.loads(out))
     assert sp.labels == ("a,x", "a,y", "b,x", "b,y")
     assert furtherness(sp, "a,x", "b,y") == 3
+
+
+def test_product_and_quotient_refuse_labels_that_join_alike(space_file, capsys):
+    left = space_file(FinSpace(("a", "a,b"), (1, 2)))
+    right = space_file(FinSpace(("b,c", "c"), (1, 2)), name="other.json")
+    code, out, err = run_cli(["product", left, right], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "both join to it with ','" in err
+    glued = space_file(FinSpace(("a|b", "a", "b"), (1, 6, 6)), name="glued.json")
+    code, out, err = run_cli(["quotient", glued], capsys)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "both join to it with '|'" in err
 
 
 def test_dot_modes(space_file, e1, capsys):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from furtherness import (
+    FinSpace,
     FurtherMatrix,
     SpaceError,
     UnknownLabelError,
@@ -66,6 +67,10 @@ def test_row_dominates(e2):
 
 def test_report_e2(e2):
     rep = matrix_report(e2)
+    # a matrix reports what its space does, and hashes with its equals
+    m = furtherness_matrix(e2)
+    assert matrix_report(m) == rep
+    assert hash(m) == hash(furtherness_matrix(FinSpace(e2.labels, e2.basis)))
     assert rep.t0
     assert rep.open_singletons == e2.mask("ad")
     assert rep.maximum_points == e2.mask("c")

@@ -163,6 +163,12 @@ def test_enumerated_bases_are_validated(monkeypatch):
         G._bases.cache_clear()
 
 
+def test_family_scan_refuses_five_points():
+    # 2^30 subfamilies of the proper subsets of 5 points
+    with pytest.raises(SizeTooLargeError, match="family enumeration supports at most 4 points"):
+        family_generated_bases(5)
+
+
 @pytest.mark.parametrize("n", [2.5, 3.0, "3", True, False, None])
 def test_a_size_must_be_an_int(n):
     for call in (count_topologies, family_generated_bases):

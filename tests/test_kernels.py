@@ -58,20 +58,20 @@ def test_class_opens_against_brute_force():
     bases += [(sp.n, sp.basis) for sp in (furtherness.random_space(6 + s % 5, s) for s in range(60))]
     for n, b in bases:
         cls = K.class_ids(n, b)
-        got = K.class_opens(n, b)
+        got = K.class_opens(n, b, cls)
         assert got == tuple(sum(1 << c for c in {cls[z] for z in _members(m)}) for m in b)
         if len(set(b)) == n:
-            assert got is b
+            assert furtherness.FinSpace(furtherness.default_labels(n), b).class_opens is b
 
 
 def test_pure_leaf_kernels_against_brute_force():
-    # further_matrix numbers the classes through class_ids, and set_to_set
-    # and center_radius take each point's distance through point_to_set:
-    # hold the three to the class counts and to minima and maxima of those
-    # point-to-set values
+    # further_matrix counts the classes of the class recoding, and
+    # set_to_set and center_radius take each point's distance through
+    # point_to_set: hold the three to the class counts and to minima and
+    # maxima of those point-to-set values
     for n, b in all_bases(3):
         cls = K.class_ids(n, b)
-        flat = K.further_matrix(n, b)
+        flat = K.further_matrix(n, K.class_opens(n, b, cls))
         for x in range(n):
             for y in range(n):
                 grown = {cls[z] for z in _members(b[y])} - {cls[z] for z in _members(b[x])}
@@ -111,16 +111,43 @@ def _class_count_matrix(n, basis):
     return tuple(out)
 
 
+def _recoded(n, basis):
+    return K.class_opens(n, basis, K.class_ids(n, basis))
+
+
 def test_further_matrix_is_the_class_count():
     for n, b in all_bases(4):
-        assert K.further_matrix(n, b) == _class_count_matrix(n, b), b
+        assert K.further_matrix(n, _recoded(n, b)) == _class_count_matrix(n, b), b
     # a wide T0 chain, where the basic sets are their own class recoding,
     # and the same chain with every point doubled, where they are not
     n = 40
     chain = tuple((1 << (i + 1)) - 1 for i in range(n))
     assert K.further_matrix(n, chain) == _class_count_matrix(n, chain)
     doubled = tuple((1 << (2 * (i // 2) + 2)) - 1 for i in range(n))
-    assert K.further_matrix(n, doubled) == _class_count_matrix(n, doubled)
+    assert K.further_matrix(n, _recoded(n, doubled)) == _class_count_matrix(n, doubled)
+
+
+def test_each_class_kernel_runs_at_most_once_per_space(monkeypatch):
+    # FinSpace derives the class ids, the class recoding and the matrix
+    # once each, every one from the one before it, and a T0 space, its
+    # own recoding and its own quotient, runs neither class kernel
+    calls = []
+    for name in ("class_ids", "class_opens", "further_matrix"):
+        kernel = getattr(K, name)
+
+        def counted(*args, _name=name, _kernel=kernel):
+            calls.append(_name)
+            return _kernel(*args)
+
+        monkeypatch.setattr(K, name, counted)
+    for n, b in all_bases(4):
+        sp = furtherness.FinSpace(furtherness.default_labels(n), b)
+        calls.clear()
+        assert len(sp.further_flat) == n * n and len(sp.class_opens) == n
+        assert furtherness.kolmogorov_quotient(sp).class_of == sp.class_ids
+        assert len(calls) == len(set(calls)), (b, calls)
+        want = {"further_matrix"} if sp.is_t0 else {"class_ids", "class_opens", "further_matrix"}
+        assert set(calls) == want, (b, calls)
 
 
 @pytest.mark.parametrize("t0_only", [False, True])

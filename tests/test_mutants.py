@@ -1,0 +1,131 @@
+"""Kernel mutants against the verifier registry.
+
+Each mutant replaces one attribute of ``_kernels``, which every module
+calls by attribute, so the patch reaches every caller.  The registry runs
+at ``max_n=3`` in a fresh interpreter per mutant, since the per-process
+caches (the enumerated bases, the point-to-set rows, the cover LRU) would
+carry a mutant into later tests.  A mutant is killed when some property
+fails or the sweep raises a ``SpaceError``; each kill is pinned, so a
+property that stops catching its mutant, or a witness that stops reading
+back, fails here.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import furtherness
+from furtherness import document_to_space
+from furtherness.verify import PROPERTIES
+
+# runs the registry under the mutant ``mutant`` defined by the source in
+# argv[2], which sees the kernel it replaces as ``orig``; prints the
+# reports, or the name of the SpaceError that ended the sweep
+CHILD = """
+import json, sys
+from furtherness import _kernels as K
+from furtherness.errors import SpaceError
+from furtherness.verify import VerifyOptions, run_all
+name, source = sys.argv[1:]
+scope = {"orig": getattr(K, name)}
+exec(source, scope)
+setattr(K, name, scope["mutant"])
+try:
+    out = [r.to_json() for r in run_all(None, VerifyOptions(max_n=3))]
+except SpaceError as exc:
+    out = type(exc).__name__
+print(json.dumps(out))
+"""
+
+# name -> (kernel replaced, source of ``mutant``, the failing properties
+# in registry order, or the SpaceError subclass the sweep raises)
+MUTANTS = {
+    "matrix counts points, not classes": (
+        "class_opens",
+        "def mutant(n, basis, cls):\n"
+        "    return basis\n",
+        # the quotient takes its basic sets from the recoding, which then
+        # holds point bits past the number of classes
+        "SpaceError",
+    ),
+    "matrix transposed": (
+        "further_matrix",
+        "def mutant(n, cls_open):\n"
+        "    flat = orig(n, cls_open)\n"
+        "    return tuple(flat[y * n + x] for x in range(n) for y in range(n))\n",
+        (
+            "zero-characterization", "oracle-equivalence", "chain-witness",
+            "zero-count-bound", "extreme-points", "matrix-report-flags", "product-formula",
+            "product-nfold", "ball-radius-one", "forward-ball-topology",
+            "backward-ball-topology", "point-set-closure", "radius-zero-interior",
+            "center-in-interior",
+        ),
+    ),
+    "point_to_set takes the max": (
+        "point_to_set",
+        "def mutant(n, flat, x, target):\n"
+        "    if not target:\n"
+        "        return -1\n"
+        "    return max(flat[x * n + t] for t in range(n) if (target >> t) & 1)\n",
+        ("radius-clopen", "union-pairs", "union-random", "union-triples", "quasi-ball-identity"),
+    ),
+    "closure loses bit 3": (
+        "closure_mask",
+        "def mutant(n, basis, a):\n"
+        "    return orig(n, basis, a) & ~8\n",
+        # union-random, on its 6-point samples, finds a part clopen
+        "PreconditionViolatedError",
+    ),
+    "closure tests subset, not meet": (
+        "closure_mask",
+        "def mutant(n, basis, a):\n"
+        "    out = 0\n"
+        "    for y in range(n):\n"
+        "        if not basis[y] & ~a:\n"
+        "            out |= 1 << y\n"
+        "    return out\n",
+        # the opposite space's basis misses its own points
+        "PointNotInOwnBasisError",
+    ),
+}
+
+
+def _labels_named(witness):
+    """The strings of a witness that name points: those in its lists, at
+    any depth, and its ``point``."""
+    out = [witness["point"]] if "point" in witness else []
+    stack = [v for v in witness.values() if isinstance(v, list)]
+    while stack:
+        for item in stack.pop():
+            if isinstance(item, list):
+                stack.append(item)
+            else:
+                out.append(item)
+    return out
+
+
+@pytest.mark.parametrize("mutant", list(MUTANTS))
+def test_registry_kills_kernel_mutant(mutant):
+    name, source, killed = MUTANTS[mutant]
+    src = str(Path(furtherness.__file__).resolve().parents[1])
+    done = subprocess.run(
+        [sys.executable, "-c", CHILD, name, source], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, check=True,
+    )
+    out = json.loads(done.stdout)
+    if isinstance(killed, str):
+        assert out == killed
+        return
+    failing = [r for r in out if not r["passed"]]
+    assert tuple(r["prop"] for r in failing) == killed
+    for report in failing:
+        if not PROPERTIES[report["prop"]].space:
+            continue
+        witness = dict(report["counterexample"])
+        sp = document_to_space(witness.pop("space"))
+        names = _labels_named(witness)
+        assert set(names) <= set(sp.labels), (report["prop"], witness)

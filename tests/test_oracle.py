@@ -1,8 +1,11 @@
+import time
+
 import pytest
 
 from furtherness import (
     ChainWitness,
     FinSpace,
+    SizeTooLargeError,
     SpaceError,
     cover_successors,
     enumerate_topologies,
@@ -57,6 +60,30 @@ def test_all_minimal_chains_end_at_the_two_point_open(e2):
             assert chains
             for chain in chains:
                 assert chain.opens[-1] == target
+
+
+def _discrete_with_top(n):
+    """The discrete space on n - 1 points and a top point whose minimal open
+    is every point: (n - 2)! minimal chains from a discrete point to the top."""
+    return FinSpace([f"p{i}" for i in range(n)], [1 << i for i in range(n - 1)] + [(1 << n) - 1])
+
+
+def test_witness_chains_walks_every_minimal_chain_under_the_bound():
+    sp = _discrete_with_top(8)
+    chains = witness_chains(sp, 0, 7)
+    assert len(chains) == 720
+    assert len(set(chains)) == 720
+    for chain in chains:
+        chain.validate(sp, 0)
+
+
+def test_witness_chains_refuses_past_the_path_bound():
+    # 5,040 full-length paths at 9 points; the walk stops at the 4,097th
+    sp = _discrete_with_top(9)
+    start = time.perf_counter()
+    with pytest.raises(SizeTooLargeError, match="4096 cover paths, got at least 4097"):
+        witness_chains(sp, 0, 8)
+    assert time.perf_counter() - start < 5
 
 
 def test_validate_rejects_wrong_start(e2):

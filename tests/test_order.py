@@ -4,6 +4,8 @@ import pickle
 import pytest
 
 from furtherness import (
+    DuplicateLabelError,
+    EmptyInputError,
     FinSpace,
     PreconditionViolatedError,
     SpaceError,
@@ -73,6 +75,18 @@ def test_quotient_e1(e1):
     assert q.space.labels == ("1|2", "3")
     assert q.space.basis == (0b01, 0b11)
     assert q.space.is_t0
+
+
+def test_quotient_refuses_labels_that_join_alike():
+    # the class {a, b} joins to the label of the class {a|b}
+    sp = FinSpace(("a|b", "a", "b"), (1, 6, 6))
+    with pytest.raises(DuplicateLabelError) as info:
+        kolmogorov_quotient(sp)
+    assert info.value.label == "a|b"
+    assert "('a|b',) and ('a', 'b') both join to it with '|'" in str(info.value)
+    # a class label that collides with none is kept
+    sp = FinSpace(("a|b", "a", "c"), (1, 6, 6))
+    assert kolmogorov_quotient(sp).space.labels == ("a|b", "a|c")
 
 
 def test_quotient_distance_preserved(e1):
@@ -173,6 +187,27 @@ def test_product_basis(sierp, sierp_xy):
     assert prod.labels == ("a,x", "a,y", "b,x", "b,y")
     assert prod.min_open("a,x") == prod.mask(["a,x"])
     assert prod.min_open("b,y") == prod.full
+
+
+def test_product_refuses_labels_that_join_alike():
+    # ('a', 'b,c') and ('a,b', 'c') both join to 'a,b,c'
+    left = FinSpace(("a", "a,b"), (1, 2))
+    right = FinSpace(("b,c", "c"), (1, 2))
+    with pytest.raises(DuplicateLabelError) as info:
+        product([left, right])
+    assert info.value.label == "a,b,c"
+    assert "('a', 'b,c') and ('a,b', 'c') both join to it with ','" in str(info.value)
+    # labels that join apart are kept as they are
+    assert product([left, FinSpace(("b", "c"), (1, 2))]).labels == ("a,b", "a,c", "a,b,b", "a,b,c")
+
+
+@pytest.mark.parametrize("call", [
+    lambda: product([]),
+    lambda: product_furtherness_nfold([], (), ()),
+])
+def test_products_refuse_an_empty_factor_list(call):
+    with pytest.raises(EmptyInputError):
+        call()
 
 
 def test_product_sierpinski_pair_value(sierp, sierp_xy):

@@ -1,4 +1,5 @@
 import json
+import re
 import time
 
 import pytest
@@ -108,6 +109,18 @@ def test_schema_rejects_missing_basis_entry():
 def test_schema_rejects_non_object():
     with pytest.raises(SchemaError):
         document_to_space([1, 2])
+
+
+@pytest.mark.parametrize("doc, why", [
+    ({"points": "ab", "min_basis": {}}, '"points" must be a list of label strings'),
+    ({"points": ["a", 1], "min_basis": {}}, '"points" must be a list of label strings'),
+    ({"points": ["a"], "opens": {"a": ["a"]}}, '"opens" must be a list of label lists'),
+    ({"points": ["a"], "min_basis": [["a"]]}, '"min_basis" must map labels to label lists'),
+    ({"points": ["a"], "min_basis": {"a": ["a"], "z": ["z"]}}, "min_basis names unknown points"),
+])
+def test_schema_rejects_malformed_fields(doc, why):
+    with pytest.raises(SchemaError, match=re.escape(why)):
+        document_to_space(doc)
 
 
 def test_schema_rejects_unknown_member():

@@ -105,6 +105,8 @@ def test_subspace(e2):
     sub = e2.subspace(e2.mask("ac"))
     assert sub.labels == ("a", "c")
     assert sub.basis == (0b01, 0b11)
+    with pytest.raises(EmptyInputError, match="subspace carrier"):
+        e2.subspace(0)
 
 
 def test_t0(e1, e2):
@@ -121,6 +123,11 @@ def test_duplicate_label_rejected():
 def test_point_missing_from_own_basis():
     with pytest.raises(PointNotInOwnBasisError):
         FinSpace(("a", "b"), (0b10, 0b10))
+
+
+def test_basis_needs_one_open_per_point():
+    with pytest.raises(SpaceError, match="one open set per point"):
+        FinSpace(("a", "b"), (0b01,))
 
 
 def test_basis_nesting_enforced():
@@ -170,6 +177,9 @@ def test_equality_and_hash(e2):
     twin = FinSpace(e2.labels, e2.basis)
     assert twin == e2 and hash(twin) == hash(e2)
     assert FinSpace(("a", "b"), (0b01, 0b11)) != FinSpace(("a", "b"), (0b11, 0b10))
+    # another type is not equal, whatever its fields
+    assert e2 != (e2.labels, e2.basis)
+    assert e2.__eq__(e2.open_family) is NotImplemented
 
 
 def test_subspace_of_everything_is_identity(e2):
