@@ -194,7 +194,10 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-_SUBSET = dict(required=True, help="comma-separated point labels")
+_SUBSET = dict(
+    required=True,
+    help="comma-separated point labels; a label that holds ',' cannot be named",
+)
 
 # name -> (handler, positional file arguments, options as (flag, add_argument keywords))
 COMMANDS = {
@@ -205,7 +208,10 @@ COMMANDS = {
     "region": (region, ("file",), (("--subset", _SUBSET),)),
     "quasi": (quasi, ("file",), (("--subset", _SUBSET),)),
     "union": (union, ("file",), (
-        ("--subsets", dict(required=True, help='pipe-separated subsets, e.g. "d|b" or "a,b|c"')),
+        ("--subsets", dict(required=True, help=(
+            'pipe-separated subsets, e.g. "d|b" or "a,b|c"; a label that holds'
+            " '|' or ',' cannot be named"
+        ))),
     )),
     "balls": (balls, ("file",), (
         ("--center", dict(required=True, help="point label")),

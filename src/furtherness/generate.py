@@ -136,7 +136,8 @@ def splitmix64(seed: int) -> Iterator[int]:
 
 
 def random_space(n: int, seed: int) -> FinSpace:
-    """Deterministic pseudo-random space; see the module docstring.  A seed
+    """Deterministic pseudo-random space; see the module docstring.  The
+    seed is taken modulo 2**64, so -1 and 2**64 - 1 give one space; a seed
     that is not an ``int`` raises ``SpaceError``."""
     _check_points(n)
     stream = splitmix64(_as_int(seed, "the seed"))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .distance import _zero_masks, furtherness
+from .distance import furtherness
 from .errors import (
     DuplicateLabelError,
     EmptyInputError,
@@ -31,7 +31,14 @@ class Preorder(NamedTuple):
     def n(self) -> int:
         return len(self.labels)
 
-    def leq(self, x: int, y: int) -> bool:
+    def leq(self, x: PointLike, y: PointLike) -> bool:
+        """Whether x <= y, for indices or labels as ``FinSpace.index`` takes
+        them: an unknown label raises ``UnknownLabelError``, and any other
+        point that is not an index in range ``SpaceError``."""
+        n = len(self.labels)
+        if type(x) is not int or type(y) is not int or not (0 <= x < n and 0 <= y < n):
+            points = FinSpace.discrete(self.labels)
+            x, y = points.index(x), points.index(y)
         return bool((self.below[y] >> x) & 1)
 
     @property
@@ -39,16 +46,16 @@ class Preorder(NamedTuple):
         return len(set(self.below)) == self.n
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Transitive reduction, as (lower, upper) pairs; needs antisymmetry."""
+        """Transitive reduction, as (lower, upper) pairs; needs antisymmetry.
+
+        A relation that is not a preorder raises the ``SpaceError`` of
+        :func:`order_to_space`.
+        """
         if not self.is_antisymmetric:
             raise PreconditionViolatedError(
                 "cover relation is only defined for a partial order"
             )
-        above = [0] * self.n
-        for y, lower in enumerate(self.below):
-            for x in mask_indices(lower):
-                above[x] |= 1 << y
-        covers = _covers(self.below, above)
+        covers = _covers(self.below, order_to_space(self).point_closures)
         return tuple(sorted((x, y) for y, lower in enumerate(covers) for x in mask_indices(lower)))
 
 
@@ -211,10 +218,10 @@ def beat_points(space: FinSpace) -> tuple[int, int]:
     mirror image.  On a space with distinguishable points this says the set
     strictly below (above) x has a maximum (minimum).  Both directions are
     read from the two masks of the relation, ``zero[x]`` the points 0-far
-    from x and ``zero_to[x]`` the points x is 0-far from, in O(n^2) mask
-    operations.
+    from x (its minimal open) and ``zero_to[x]`` the points x is 0-far from
+    (its closure), in O(n^2) mask operations and with no distance matrix.
     """
-    zero, zero_to = _zero_masks(space.n, space.further_flat)
+    zero, zero_to = space.basis, space.point_closures
     down = up = 0
     for x, (lower, upper) in enumerate(zip(_covers(zero, zero_to), _covers(zero_to, zero))):
         if lower.bit_count() == 1:

@@ -145,11 +145,9 @@ def closure_table(space: FinSpace) -> ClosureTable:
     n = space.n
     if n > SUBSET_TABLE_LIMIT:
         raise SizeTooLargeError(n, SUBSET_TABLE_LIMIT, "subset table")
-    basis = space.basis
     full = space.full
     closure = [0]
-    for x in range(n):
-        point = K.closure_mask(n, basis, 1 << x)
+    for point in space.point_closures:
         closure += [c | point for c in closure]
     # s ranges upward while full ^ s ranges downward
     interior = [full ^ c for c in reversed(closure)]

@@ -335,10 +335,7 @@ class FinSpace(Frozen):
         The minimal open of x in the opposite space is the closure of {x}
         here.
         """
-        basis = tuple(
-            K.closure_mask(self.n, self.basis, 1 << x) for x in range(self.n)
-        )
-        return FinSpace(self.labels, basis)
+        return FinSpace(self.labels, self.point_closures)
 
     def subspace(self, points: SetLike) -> "FinSpace":
         """Restriction to a nonempty point set, labels kept."""
@@ -372,6 +369,13 @@ class FinSpace(Frozen):
         """Each basic set as the mask of the ``class_ids`` it meets; the
         basis itself on a T0 space."""
         return self.basis if self.is_t0 else K.class_opens(self.n, self.basis, self.class_ids)
+
+    @cached_property
+    def point_closures(self) -> tuple[int, ...]:
+        """The closure of each point: the points whose minimal open holds
+        it.  These are the zero columns of the distance matrix, and the
+        basis of the opposite space."""
+        return tuple(K.closure_mask(self.n, self.basis, 1 << x) for x in range(self.n))
 
     def __repr__(self):
         sets = ",".join("{" + ",".join(self.members(m)) + "}" for m in self.basis)

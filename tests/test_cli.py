@@ -202,6 +202,20 @@ def test_product_and_quotient_refuse_labels_that_join_alike(space_file, capsys):
     assert err.startswith("error:") and "both join to it with '|'" in err
 
 
+def test_a_label_holding_a_separator_cannot_be_named_in_a_subset(space_file, capsys):
+    # the subset arguments split on ',' (and --subsets on '|' first), so
+    # the label 'a,b' reads as the labels 'a' and 'b'
+    path = space_file(FinSpace(("a,b", "c"), (1, 3)))
+    for argv in (["region", path, "--subset", "a,b"], ["union", path, "--subsets", "a,b|c"]):
+        code, out, err = run_cli(argv, capsys)
+        assert code == 1 and out == ""
+        assert err == "error: unknown point label 'a'\n"
+    piped = space_file(FinSpace(("a|b", "c"), (1, 2)), name="piped.json")
+    code, out, err = run_cli(["union", piped, "--subsets", "a|b|c"], capsys)
+    assert code == 1 and out == ""
+    assert err == "error: unknown point label 'a'\n"
+
+
 def test_dot_modes(space_file, e1, capsys):
     code, out, _ = run_cli(["dot", space_file(e1)], capsys)
     assert code == 0

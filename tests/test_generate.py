@@ -111,6 +111,9 @@ def test_splitmix_reference_stream():
 def test_random_space_deterministic():
     for seed in (0, 1, 99):
         assert random_space(6, seed) == random_space(6, seed)
+    # the seed is taken modulo 2**64
+    assert random_space(6, 0) == random_space(6, 2**64)
+    assert random_space(6, -1) == random_space(6, 2**64 - 1)
 
 
 def test_random_space_varies():

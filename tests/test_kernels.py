@@ -7,6 +7,7 @@ import pytest
 import furtherness
 from furtherness import _kernels as K
 from furtherness import family_generated_bases
+from furtherness.regions import closure_table
 
 from oracles import scan_all_masks_bases
 
@@ -148,6 +149,26 @@ def test_each_class_kernel_runs_at_most_once_per_space(monkeypatch):
         assert len(calls) == len(set(calls)), (b, calls)
         want = {"further_matrix"} if sp.is_t0 else {"class_ids", "class_opens", "further_matrix"}
         assert set(calls) == want, (b, calls)
+
+
+def test_the_point_closures_run_the_closure_kernel_at_most_once_per_point(monkeypatch):
+    # the opposite space, the closure table and the beat points all read
+    # the one tuple of point closures
+    calls = []
+    kernel = K.closure_mask
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(K, "closure_mask", counted)
+    for n, b in all_bases(4):
+        sp = furtherness.FinSpace(furtherness.default_labels(n), b)
+        calls.clear()
+        assert sp.opposite().basis == sp.point_closures
+        assert closure_table(sp).closure[sp.full] == sp.full
+        furtherness.beat_points(sp)
+        assert len(calls) <= n, (b, calls)
 
 
 @pytest.mark.parametrize("t0_only", [False, True])

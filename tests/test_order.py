@@ -4,10 +4,13 @@ import pickle
 import pytest
 
 from furtherness import (
+    BasisNotNestedError,
     DuplicateLabelError,
     EmptyInputError,
     FinSpace,
+    PointNotInOwnBasisError,
     PreconditionViolatedError,
+    Preorder,
     SpaceError,
     SpaceMap,
     UnknownLabelError,
@@ -41,6 +44,17 @@ def test_preorder_roundtrip(e2):
     assert order_to_space(order) == e2
 
 
+def test_leq_takes_indices_or_labels_and_refuses_anything_else():
+    order = Preorder(("a", "b", "c"), (0b001, 0b011, 0b111))
+    assert order.leq("a", "b") is order.leq(0, 1) is order.leq("a", 1) is True
+    assert order.leq("c", "b") is order.leq(2, "b") is False
+    for x, y in ((0, 5), (5, 0), (-1, 0), (0, -1), (0, 1.0), (None, 0)):
+        with pytest.raises(SpaceError):
+            order.leq(x, y)
+    with pytest.raises(UnknownLabelError, match="'z'"):
+        order.leq("a", "z")
+
+
 def test_preorder_covers(e2):
     order = specialization_preorder(e2)
     assert order.covers() == ((0, 1), (1, 2), (3, 2))
@@ -67,6 +81,18 @@ def test_preorder_covers_match_the_triple_scan():
 def test_covers_requires_antisymmetry(e1):
     with pytest.raises(PreconditionViolatedError):
         specialization_preorder(e1).covers()
+
+
+@pytest.mark.parametrize(
+    "below, error",
+    [((0b11, 0b01), PointNotInOwnBasisError), ((0b011, 0b110, 0b100), BasisNotNestedError)],
+)
+def test_covers_refuses_a_relation_that_is_not_a_preorder(below, error):
+    # antisymmetric, but not reflexive (the first) or not transitive (the second)
+    order = Preorder(("a", "b", "c")[: len(below)], below)
+    assert order.is_antisymmetric
+    with pytest.raises(error):
+        order.covers()
 
 
 def test_quotient_e1(e1):
@@ -139,6 +165,16 @@ def test_beat_points_match_the_triple_scan():
     for seed in range(100):
         sp = random_space(6 + seed % 5, seed)
         assert beat_points(sp) == scan_beat_points(sp)
+
+
+def test_beat_points_core_and_is_minimal_build_no_distance_matrix():
+    # the 0-far relation is read from the basis and the point closures
+    for n in range(1, 5):
+        for sp in enumerate_topologies(n):
+            beat_points(sp)
+            is_minimal(sp)
+            out = core(sp)
+            assert "further_flat" not in sp.__dict__ and "further_flat" not in out.__dict__
 
 
 def test_core_collapses_contractible(e1, e2):

@@ -24,6 +24,7 @@ from furtherness import (
     mask_indices,
     random_space,
 )
+from furtherness.distance import _zero_masks
 from furtherness.spaces import canonical_sets
 from oracles import (
     brute_boundary,
@@ -99,6 +100,17 @@ def test_opposite_family(e2):
         frozenset(e2.members(e2.full & ~o)) for o in e2.open_family
     }
     assert op.opposite() == e2
+
+
+def test_point_closures_are_the_closures_zero_columns_and_opposite_basis():
+    spaces = [sp for n in range(1, 6) for sp in enumerate_topologies(n)]
+    spaces += [random_space(n, seed) for n in range(6, 21) for seed in range(1, 4)]
+    for sp in spaces:
+        n = sp.n
+        closures = sp.point_closures
+        assert closures == tuple(sp.closure(1 << x) for x in range(n))
+        assert closures == tuple(_zero_masks(n, sp.further_flat)[1])
+        assert closures == sp.opposite().basis
 
 
 def test_subspace(e2):
