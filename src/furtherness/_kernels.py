@@ -8,8 +8,8 @@ only implementation; the rest of the package calls it as
 ``from . import _kernels as K``.
 
 Distance values reported by ``point_to_set`` / ``set_to_set`` /
-``center_radius`` use -1 for "infinite" (an empty side); callers translate
-that to ``math.inf`` at the API boundary.
+``center_radius`` are ``math.inf`` for an empty side, as at the API, and
+an ``int`` otherwise; the loops compare ``int`` entries only.
 
 Each loop is written once and calls no other kernel: ``FinSpace`` hands
 ``class_opens`` its class ids and ``further_matrix`` its class recoding.
@@ -20,6 +20,8 @@ a call counter, sees those nested calls too.
 """
 
 from __future__ import annotations
+
+from math import inf
 
 
 def class_ids(n, basis):
@@ -91,30 +93,34 @@ def minimal_open_mask(n, basis, a):
 
 
 def point_to_set(n, flat, x, target):
-    """min over t in target of flat[x][t]; -1 when target is empty."""
+    """min over t in target of flat[x][t]; ``math.inf`` when target is empty."""
     if not target:
-        return -1
-    best = -1
+        return inf
     row = x * n
+    low = target & -target
+    best = flat[row + low.bit_length() - 1]
+    target ^= low
     while target:
         low = target & -target
         v = flat[row + low.bit_length() - 1]
-        if best < 0 or v < best:
+        if v < best:
             best = v
         target ^= low
     return best
 
 
 def set_to_set(n, flat, a, b):
-    """min over pairs; -1 when either side is empty."""
+    """min over pairs; ``math.inf`` when either side is empty."""
     if not a or not b:
-        return -1
-    best = -1
+        return inf
+    low = a & -a
+    a ^= low
+    best = point_to_set(n, flat, low.bit_length() - 1, b)
     while a:
         low = a & -a
         a ^= low
         v = point_to_set(n, flat, low.bit_length() - 1, b)
-        if best < 0 or v < best:
+        if v < best:
             best = v
     return best
 
@@ -122,17 +128,15 @@ def set_to_set(n, flat, a, b):
 def center_radius(n, flat, a, target):
     """Points of ``a`` furthest from ``target``, with that furthest value.
 
-    Returns ``(center_mask, radius)``; radius is -1 (infinite) when
+    Returns ``(center_mask, radius)``; radius is ``math.inf`` when
     ``target`` is empty, in which case every point of ``a`` is central.
-    An empty ``a`` yields ``(0, -1)``.
+    An empty ``a`` yields ``(0, math.inf)``.
     """
-    if not a:
-        return 0, -1
-    if not target:
-        return a, -1
-    best = -1
-    center = 0
-    rest = a
+    if not a or not target:
+        return a, inf
+    center = a & -a
+    rest = a ^ center
+    best = point_to_set(n, flat, center.bit_length() - 1, target)
     while rest:
         low = rest & -rest
         rest ^= low

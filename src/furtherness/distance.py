@@ -16,12 +16,11 @@ for an empty side.
 
 from __future__ import annotations
 
-import math
 from typing import NamedTuple, Union
 
 from . import _kernels as K
 from .errors import SpaceError
-from .spaces import FinSpace, PointLike, SetLike, _as_int
+from .spaces import FinSpace, Frozen, PointLike, SetLike, _as_int
 
 Further = Union[int, float]  # non-negative int, or math.inf
 
@@ -39,14 +38,12 @@ def furtherness_to_set(space: FinSpace, source: SetLike, target: SetLike) -> Fur
     """
     t = space.mask(target)
     s = space.mask(source)
-    v = K.set_to_set(space.n, space.further_flat, s, t)
-    return math.inf if v < 0 else v
+    return K.set_to_set(space.n, space.further_flat, s, t)
 
 
 def point_to_set(space: FinSpace, x: PointLike, target: SetLike) -> Further:
     t = space.mask(target)
-    v = K.point_to_set(space.n, space.further_flat, space.index(x), t)
-    return math.inf if v < 0 else v
+    return K.point_to_set(space.n, space.further_flat, space.index(x), t)
 
 
 def _zero_masks(n: int, flat: tuple[int, ...]) -> tuple[list[int], list[int]]:
@@ -89,21 +86,22 @@ class MatrixReport(NamedTuple):
         return self.distinct_rows
 
 
-class FurtherMatrix:
+class FurtherMatrix(Frozen):
     """Square table of pairwise furtherness values, each a non-negative int."""
 
+    _fields = ("labels", "flat")
+
     def __init__(self, labels: tuple[str, ...], flat: tuple[int, ...]):
-        self._points = FinSpace.discrete(labels)
-        self.labels = self._points.labels
-        self.n = self._points.n
+        points = FinSpace.discrete(labels)
+        n = points.n
         flat = tuple(flat)
-        if len(flat) != self.n * self.n:
+        if len(flat) != n * n:
             raise SpaceError("flat matrix length must be n*n")
         if not set(map(type, flat)) <= {int}:
             flat = tuple(_as_int(v, "a matrix entry") for v in flat)
         if min(flat) < 0:
             raise SpaceError(f"matrix entries must be non-negative, got {min(flat)}")
-        self.flat = flat
+        self.__dict__.update(labels=points.labels, flat=flat, n=n, _points=points)
 
     @classmethod
     def of(cls, space: FinSpace) -> "FurtherMatrix":
@@ -165,16 +163,6 @@ class FurtherMatrix:
             distinct_cols=len(set(cols)) == n,
             has_zero_row_or_col=bool(maxima or minima),
         )
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FurtherMatrix)
-            and self.labels == other.labels
-            and self.flat == other.flat
-        )
-
-    def __hash__(self):
-        return hash((self.labels, self.flat))
 
     def __str__(self):
         w = max(len(lab) for lab in self.labels)

@@ -21,41 +21,41 @@ from .errors import (
 from .spaces import FinSpace, Frozen, PointLike, _as_int, mask_indices
 
 
-class Preorder(NamedTuple):
-    """Reflexive transitive relation; ``below[y]`` masks {x | x <= y}."""
+class Preorder(Frozen):
+    """Reflexive transitive relation; ``below[y]`` masks {x | x <= y}.
 
-    labels: tuple[str, ...]
-    below: tuple[int, ...]
+    The down-sets are a minimal basis, so the constructor validates them as
+    a ``FinSpace``, which it keeps: a relation that is not a preorder raises
+    that ``SpaceError`` at construction."""
+
+    _fields = ("labels", "below")
+
+    def __init__(self, labels: Iterable[str], below: Iterable[int]):
+        space = FinSpace(labels, below)
+        self.__dict__.update(labels=space.labels, below=space.basis, _space=space)
 
     @property
     def n(self) -> int:
-        return len(self.labels)
+        return self._space.n
 
     def leq(self, x: PointLike, y: PointLike) -> bool:
         """Whether x <= y, for indices or labels as ``FinSpace.index`` takes
         them: an unknown label raises ``UnknownLabelError``, and any other
         point that is not an index in range ``SpaceError``."""
-        n = len(self.labels)
-        if type(x) is not int or type(y) is not int or not (0 <= x < n and 0 <= y < n):
-            points = FinSpace.discrete(self.labels)
-            x, y = points.index(x), points.index(y)
-        return bool((self.below[y] >> x) & 1)
+        index = self._space.index
+        return bool((self.below[index(y)] >> index(x)) & 1)
 
     @property
     def is_antisymmetric(self) -> bool:
-        return len(set(self.below)) == self.n
+        return self._space.is_t0
 
     def covers(self) -> tuple[tuple[int, int], ...]:
-        """Transitive reduction, as (lower, upper) pairs; needs antisymmetry.
-
-        A relation that is not a preorder raises the ``SpaceError`` of
-        :func:`order_to_space`.
-        """
+        """Transitive reduction, as (lower, upper) pairs; needs antisymmetry."""
         if not self.is_antisymmetric:
             raise PreconditionViolatedError(
                 "cover relation is only defined for a partial order"
             )
-        covers = _covers(self.below, order_to_space(self).point_closures)
+        covers = _covers(self.below, self._space.point_closures)
         return tuple(sorted((x, y) for y, lower in enumerate(covers) for x in mask_indices(lower)))
 
 
@@ -66,7 +66,7 @@ def specialization_preorder(space: FinSpace) -> Preorder:
 
 def order_to_space(order: Preorder) -> FinSpace:
     """Inverse translation; down-set masks are exactly a minimal basis."""
-    return FinSpace(order.labels, order.below)
+    return order._space
 
 
 def _joined_labels(members: Sequence[tuple[str, ...]], sep: str) -> tuple[str, ...]:
@@ -324,7 +324,7 @@ def product_furtherness(
 
 
 def product_furtherness_nfold(
-    factors: Sequence[FinSpace],
+    factors: Iterable[FinSpace],
     ps: Sequence[PointLike],
     qs: Sequence[PointLike],
 ) -> int:
@@ -335,6 +335,7 @@ def product_furtherness_nfold(
     this reduces to :func:`product_furtherness`.  Raises ``SpaceError``
     unless both points have one coordinate per factor.
     """
+    factors = tuple(factors)
     if not factors:
         raise EmptyInputError("factor list")
     _check_arity(len(factors), ps, qs)

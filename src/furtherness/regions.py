@@ -47,7 +47,7 @@ def region_report(space: FinSpace, subset: SetLike) -> RegionReport:
     interior = space.interior(a)
     boundary = space.closure(a) & ~interior
     center, r = K.center_radius(space.n, space.further_flat, a, boundary)
-    return RegionReport(a, interior, boundary, center, math.inf if r < 0 else r)
+    return RegionReport(a, interior, boundary, center, r)
 
 
 class QuasiReport(NamedTuple):
@@ -61,7 +61,7 @@ class QuasiReport(NamedTuple):
 def quasi_report(space: FinSpace, subset: SetLike) -> QuasiReport:
     a = space.mask(subset)
     center, r = K.center_radius(space.n, space.further_flat, a, space.full & ~a)
-    return QuasiReport(a, center, math.inf if r < 0 else r)
+    return QuasiReport(a, center, r)
 
 
 class ClosureTable(NamedTuple):
@@ -290,8 +290,7 @@ def union_analysis(space: FinSpace, subsets: Sequence[SetLike]) -> UnionAnalysis
             for i, other in enumerate(reports):
                 if i == j:
                     continue
-                v = K.point_to_set(n, flat, c, other.boundary)
-                if 0 <= v < rep.radius:
+                if K.point_to_set(n, flat, c, other.boundary) < rep.radius:
                     t |= 1 << c
                     break
         tilde.append(t)

@@ -776,10 +776,17 @@ def _qualifying_pairs(table: R.ClosureTable):
             b = (b - rest) & rest
 
 
+def _reading(ana: R.UnionAnalysis):
+    """What the union theorems read off ``union_analysis``: the case, the
+    predicted center (0 when there is none), the largest radius of the
+    parts, and the union's center and radius."""
+    top = max(rep.radius for rep in ana.reports)
+    return ana.case, ana.predicted_center or 0, top, ana.direct.center, ana.direct.radius
+
+
 def _pair_union(table: R.SubsetTable, a: int, b: int):
-    """``union_analysis`` of a pair ``_qualifying_pairs`` proved, read from
-    the table: the case, the predicted center (0 when there is none) and
-    the larger radius of the two parts.
+    """``_reading(union_analysis(sp, [a, b]))`` of a pair ``_qualifying_pairs``
+    proved, which is what ``union_analysis`` checks first, read from the table.
     """
     radius = table.radius
     center = table.center
@@ -804,20 +811,20 @@ def _pair_union(table: R.SubsetTable, a: int, b: int):
         case = "tie-dominates" if tie else "max-dominates"
     else:
         case = "tie-collapses" if tie else "max-collapses"
-    return case, predicted, top
+    union = a | b
+    return case, predicted, top, center[union], radius[union]
 
 
-def _union_verdict(sp, parts, case, predicted, top, center, radius):
+def _union_verdict(sp, parts, reading):
     """Check exactly what the union theorems claim for this arity.
 
-    ``predicted`` is the predicted center (0 when there is none), ``top``
-    the largest radius of the parts, ``center`` and ``radius`` those of the
-    union.  Pairs carry the full package: the max-radius bound, the
-    prediction in dominate cases, strict decrease in collapse cases.  Larger
-    families only claim the prediction when it is nonempty; their
-    empty-prediction case makes no promise beyond the direct computation
-    existing.
+    ``reading`` is a :func:`_reading` or a :func:`_pair_union`.  Pairs carry
+    the full package: the max-radius bound, the prediction in dominate
+    cases, strict decrease in collapse cases.  Larger families only claim
+    the prediction when it is nonempty; their empty-prediction case makes
+    no promise beyond the direct computation existing.
     """
+    case, predicted, top, center, radius = reading
     pair = len(parts) == 2
     if pair and radius > top:
         return _fail(sp, parts=[_set(sp, p) for p in parts], bound="exceeded")
@@ -837,26 +844,7 @@ def _union_verdict(sp, parts, case, predicted, top, center, radius):
 
 def _check_union(sp: FinSpace, parts: list[int]) -> Optional[dict]:
     """The union theorems on ``union_analysis``, the definition."""
-    ana = R.union_analysis(sp, parts)
-    top = max(rep.radius for rep in ana.reports)
-    # a prediction, when there is one, is nonempty and has radius top
-    predicted = ana.predicted_center or 0
-    return _union_verdict(
-        sp, parts, ana.case, predicted, top, ana.direct.center, ana.direct.radius
-    )
-
-
-def _check_union_pair(sp: FinSpace, table: R.SubsetTable, a: int, b: int):
-    """``_check_union(sp, [a, b])`` on a proven pair, read from the table.
-
-    ``_qualifying_pairs`` proves what ``union_analysis`` checks before it
-    computes, so the witnesses are the ones ``_check_union`` gives.
-    """
-    case, predicted, top = _pair_union(table, a, b)
-    union = a | b
-    return _union_verdict(
-        sp, [a, b], case, predicted, top, table.center[union], table.radius[union]
-    )
+    return _union_verdict(sp, parts, _reading(R.union_analysis(sp, parts)))
 
 
 @space_property("union-pairs")
@@ -868,19 +856,11 @@ def _union_pairs(sp: FinSpace):
     reading that differs is a counterexample, named by ``table="union"``.
     """
     table = R.subset_table(sp)
-    pairs = _qualifying_pairs(R.closure_table(sp))
-    first = next(pairs, None)
-    if first is None:
-        return None
-    a, b = first
-    ana = R.union_analysis(sp, [a, b])
-    top = max(rep.radius for rep in ana.reports)
-    direct = (ana.case, ana.predicted_center or 0, top, ana.direct.center, ana.direct.radius)
-    union = a | b
-    if (*_pair_union(table, a, b), table.center[union], table.radius[union]) != direct:
-        return _fail(sp, parts=[_set(sp, a), _set(sp, b)], table="union")
-    for a, b in itertools.chain([first], pairs):
-        w = _check_union_pair(sp, table, a, b)
+    for k, (a, b) in enumerate(_qualifying_pairs(R.closure_table(sp))):
+        reading = _pair_union(table, a, b)
+        if not k and reading != _reading(R.union_analysis(sp, [a, b])):
+            return _fail(sp, parts=[_set(sp, a), _set(sp, b)], table="union")
+        w = _union_verdict(sp, [a, b], reading)
         if w is not None:
             return w
     return None

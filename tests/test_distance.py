@@ -198,3 +198,21 @@ def test_matrix_entries_must_be_non_negative_ints():
     assert m.flat == (0, 1, 1, 0)
     assert all(type(v) is int for v in m.flat)
     assert m == FurtherMatrix(("a", "b"), [0, 1, 1, 0])
+
+
+def test_matrix_is_a_frozen_value(e2):
+    m = furtherness_matrix(e2)
+    twin = FurtherMatrix(list(e2.labels), list(m.flat))
+    assert m == twin and hash(m) == hash(twin)
+    assert m != FurtherMatrix(e2.labels, (0,) * 16)
+    # another type is not equal, whatever its fields
+    assert m != (m.labels, m.flat) and m != m.flat
+    assert m.__eq__(m.flat) is NotImplemented
+    table = {m: 1}
+    for name, value in (("labels", ("a",)), ("flat", (9,) * 16), ("n", 1)):
+        with pytest.raises(AttributeError):
+            setattr(m, name, value)
+        with pytest.raises(AttributeError):
+            delattr(m, name)
+    # so a matrix keeps the hash it was stored under
+    assert m.flat == twin.flat and m in table and table[twin] == 1

@@ -2,6 +2,8 @@
 a machine word, and the names that outside wrappers bind to.
 """
 
+import math
+
 import pytest
 
 import furtherness
@@ -80,12 +82,12 @@ def test_pure_leaf_kernels_against_brute_force():
         for a in _subsets(n):
             for t in _subsets(n):
                 dists = {x: K.point_to_set(n, flat, x, t) for x in _members(a)}
-                want = min(dists.values()) if a and t else -1
+                want = min(dists.values()) if a and t else math.inf
                 assert K.set_to_set(n, flat, a, t) == want
                 if not a:
-                    want = (0, -1)
+                    want = (0, math.inf)
                 elif not t:
-                    want = (a, -1)
+                    want = (a, math.inf)
                 else:
                     best = max(dists.values())
                     want = (sum(1 << x for x, v in dists.items() if v == best), best)

@@ -67,9 +67,10 @@ MUTANTS = {
     ),
     "point_to_set takes the max": (
         "point_to_set",
+        "import math\n"
         "def mutant(n, flat, x, target):\n"
         "    if not target:\n"
-        "        return -1\n"
+        "        return math.inf\n"
         "    return max(flat[x * n + t] for t in range(n) if (target >> t) & 1)\n",
         ("radius-clopen", "union-pairs", "union-random", "union-triples", "quasi-ball-identity"),
     ),

@@ -85,14 +85,19 @@ def test_covers_requires_antisymmetry(e1):
 
 @pytest.mark.parametrize(
     "below, error",
-    [((0b11, 0b01), PointNotInOwnBasisError), ((0b011, 0b110, 0b100), BasisNotNestedError)],
+    [
+        ((0b11, 0b01), PointNotInOwnBasisError),
+        ((0b011, 0b110, 0b100), BasisNotNestedError),
+        ((0b1,), SpaceError),
+    ],
 )
 def test_covers_refuses_a_relation_that_is_not_a_preorder(below, error):
-    # antisymmetric, but not reflexive (the first) or not transitive (the second)
-    order = Preorder(("a", "b", "c")[: len(below)], below)
-    assert order.is_antisymmetric
+    # antisymmetric, but not reflexive (the first) or not transitive (the
+    # second), or one down-set short of its two labels (the third): each is
+    # refused when the preorder is built, before covers or leq can read it
+    labels = ("a", "b", "c")[: max(len(below), 2)]
     with pytest.raises(error):
-        order.covers()
+        Preorder(labels, below)
 
 
 def test_quotient_e1(e1):
@@ -240,6 +245,7 @@ def test_product_refuses_labels_that_join_alike():
 @pytest.mark.parametrize("call", [
     lambda: product([]),
     lambda: product_furtherness_nfold([], (), ()),
+    lambda: product_furtherness_nfold(iter([]), (), ()),
 ])
 def test_products_refuse_an_empty_factor_list(call):
     with pytest.raises(EmptyInputError):
@@ -311,6 +317,15 @@ def test_product_formulas_need_one_coordinate_per_factor(sierp, e2):
     assert product_furtherness_nfold([sierp, e2], [0, 1], [1, 0]) == product_furtherness(
         sierp, e2, (0, 1), (1, 0)
     )
+
+
+def test_nfold_formula_takes_any_iterable_of_factors(sierp, e2):
+    # as product does: a generator or an iterator is read once, in order
+    ps, qs = ("a", "b"), ("b", "a")
+    want = product_furtherness_nfold([sierp, e2], ps, qs)
+    assert product_furtherness_nfold(iter([sierp, e2]), ps, qs) == want
+    assert product_furtherness_nfold((f for f in (sierp, e2)), ps, qs) == want
+    assert product_furtherness_nfold(iter([sierp]), ("a",), ("b",)) == furtherness(sierp, "a", "b")
 
 
 def test_product_single_factor(e2):

@@ -534,14 +534,24 @@ def test_union_pair_verdict_names_the_broken_theorem():
     sp = FinSpace(("a", "b", "c"), (0b001, 0b010, 0b111))
     table = R.subset_table(sp)
     assert list(T._qualifying_pairs(table)) == [(0b001, 0b010)]
-    assert T._check_union_pair(sp, table, 0b001, 0b010) is None
+    ana = R.union_analysis(sp, [0b001, 0b010])
+    assert (ana.case, ana.predicted_center, ana.direct.center, ana.direct.radius) == (
+        "tie-dominates", 0b011, 0b011, 2
+    )
+    assert [rep.radius for rep in ana.reports] == [2, 2]
+    assert T._pair_union(table, 0b001, 0b010) == ("tie-dominates", 0b011, 2, 0b011, 2)
+
+    def verdict(table):
+        return T._union_verdict(sp, [0b001, 0b010], T._pair_union(table, 0b001, 0b010))
+
+    assert verdict(table) is None
     radius = list(table.radius)
     radius[0b011] = 99  # larger than both parts
-    w = T._check_union_pair(sp, table._replace(radius=tuple(radius)), 0b001, 0b010)
+    w = verdict(table._replace(radius=tuple(radius)))
     assert w["bound"] == "exceeded" and w["parts"] == [["a"], ["b"]]
     center = list(table.center)
     center[0b011] = 0b100  # not the two centers the theorem predicts
-    w = T._check_union_pair(sp, table._replace(center=tuple(center)), 0b001, 0b010)
+    w = verdict(table._replace(center=tuple(center)))
     assert w["case"] == "tie-dominates"
     assert (w["predicted"], w["direct"]) == (["a", "b"], ["c"])
 
@@ -574,15 +584,17 @@ def test_union_pair_core_matches_union_analysis():
         ]
         for a, b in found:
             ana = R.union_analysis(sp, [a, b])
-            case, predicted, top = T._pair_union(table, a, b)
+            reading = T._pair_union(table, a, b)
+            case, predicted, top, center, radius = reading
             assert case == ana.case
             assert predicted == (ana.predicted_center or 0)
             assert top == max(rep.radius for rep in ana.reports)
             assert ana.predicted_radius in (None, top)
-            union = a | b
-            assert table.center[union] == ana.direct.center
-            assert table.radius[union] == ana.direct.radius
-            assert T._check_union_pair(sp, table, a, b) == T._check_union(sp, [a, b])
+            assert center == ana.direct.center
+            assert radius == ana.direct.radius
+            assert reading == T._reading(ana)
+            verdict = T._union_verdict(sp, [a, b], reading)
+            assert verdict == T._check_union(sp, [a, b])
         pairs += len(found)
     assert pairs > 500  # 768 here
 
