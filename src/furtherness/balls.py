@@ -42,9 +42,8 @@ def ball(space: FinSpace, center: PointLike, radius: int, backward: bool = False
 def symmetrized_furtherness(space: FinSpace, x: PointLike, y: PointLike) -> int:
     """max of the two one-way values; symmetric and triangle-true."""
     n = space.n
-    # an in-range int index is its own coercion
-    i = x if type(x) is int and 0 <= x < n else space.index(x)
-    j = y if type(y) is int and 0 <= y < n else space.index(y)
+    i = space.index(x)
+    j = space.index(y)
     flat = space.further_flat
     there = flat[i * n + j]
     back = flat[j * n + i]

@@ -20,7 +20,7 @@ from typing import NamedTuple, Union
 
 from . import _kernels as K
 from .errors import SpaceError
-from .spaces import FinSpace, Frozen, PointLike, SetLike, _as_int
+from .spaces import FinSpace, Frozen, PointLike, SetLike, _as_ints
 
 Further = Union[int, float]  # non-negative int, or math.inf
 
@@ -97,8 +97,7 @@ class FurtherMatrix(Frozen):
         flat = tuple(flat)
         if len(flat) != n * n:
             raise SpaceError("flat matrix length must be n*n")
-        if not set(map(type, flat)) <= {int}:
-            flat = tuple(_as_int(v, "a matrix entry") for v in flat)
+        flat = _as_ints(flat, "a matrix entry")
         if min(flat) < 0:
             raise SpaceError(f"matrix entries must be non-negative, got {min(flat)}")
         self.__dict__.update(labels=points.labels, flat=flat, n=n, _points=points)

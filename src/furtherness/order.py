@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
-from .distance import furtherness
 from .errors import (
     DuplicateLabelError,
     EmptyInputError,
@@ -18,7 +17,7 @@ from .errors import (
     SpaceError,
     UnknownLabelError,
 )
-from .spaces import FinSpace, Frozen, PointLike, _as_int, mask_indices
+from .spaces import FinSpace, Frozen, PointLike, _as_ints, mask_indices
 
 
 class Preorder(Frozen):
@@ -125,10 +124,7 @@ class SpaceMap(Frozen):
         image = tuple(image)
         if len(image) != domain.n:
             raise SpaceError("map must assign an image to every domain point")
-        for i in image:
-            if type(i) is not int:
-                image = tuple(_as_int(i, "an image index") for i in image)
-                break
+        image = _as_ints(image, "an image index")
         for i in image:
             if not 0 <= i < codomain.n:
                 raise SpaceError(f"image index {i} out of codomain range")
@@ -256,6 +252,24 @@ def core(space: FinSpace) -> FinSpace:
         out = out.subspace(out.full & ~low)
 
 
+def _factors(factors: Iterable[FinSpace]) -> tuple[FinSpace, ...]:
+    """The factors of a product, read once into a tuple.  A single space,
+    or anything else that is not iterable, and an entry that is not a
+    ``FinSpace`` raise ``SpaceError``; an empty list raises
+    ``EmptyInputError``."""
+    try:
+        factors = iter(factors)
+    except TypeError:
+        raise SpaceError(f"the factors must be an iterable of spaces, got {factors!r}") from None
+    factors = tuple(factors)
+    if not factors:
+        raise EmptyInputError("factor list")
+    for f in factors:
+        if not isinstance(f, FinSpace):
+            raise SpaceError(f"a factor must be a FinSpace, got {f!r}")
+    return factors
+
+
 def product(factors: Iterable[FinSpace]) -> FinSpace:
     """Product space; points are factor-index tuples in row-major order.
 
@@ -267,10 +281,7 @@ def product(factors: Iterable[FinSpace]) -> FinSpace:
     factor, so the minimal open of (p, j) holds ``f.basis[j] << (q * k)``
     for each q in that of p.
     """
-    factors = list(factors)
-    if not factors:
-        raise EmptyInputError("factor list")
-    first, *rest = factors
+    first, *rest = _factors(factors)
     points = [(label,) for label in first.labels]
     basis = list(first.basis)
     for f in rest:
@@ -305,22 +316,11 @@ def product_furtherness(
     p: tuple[PointLike, PointLike],
     q: tuple[PointLike, PointLike],
 ) -> int:
-    """Distance between two points of a binary product, in closed form.
-
-    Uses only the factor distances and the class counts of the target
-    minimal opens, so the product space itself is never built.  Raises
-    ``SpaceError`` unless both points are pairs.
-    """
-    _check_arity(2, p, q)
-    a = space_x.index(p[0])
-    b = space_y.index(p[1])
-    c = space_x.index(q[0])
-    d = space_y.index(q[1])
-    fx = space_x.further_flat[a * space_x.n + c]
-    fy = space_y.further_flat[b * space_y.n + d]
-    size_c = space_x.class_opens[c].bit_count()
-    size_d = space_y.class_opens[d].bit_count()
-    return fx * size_d + fy * size_c - fx * fy
+    """Distance between two points of a binary product: the two-factor case
+    of :func:`product_furtherness_nfold`, fx * |U_d| + fy * |U_c| - fx * fy
+    for factor distances fx, fy and the class counts of the target minimal
+    opens.  Raises ``SpaceError`` unless both points are pairs."""
+    return product_furtherness_nfold((space_x, space_y), p, q)
 
 
 def product_furtherness_nfold(
@@ -331,18 +331,20 @@ def product_furtherness_nfold(
     """Closed form for any number of factors.
 
     The distance is the difference between the product of the target class
-    counts and the product of their per-factor leftovers; for two factors
-    this reduces to :func:`product_furtherness`.  Raises ``SpaceError``
-    unless both points have one coordinate per factor.
+    counts and the product of their per-factor leftovers, read from each
+    factor's matrix and class recoding, so the product space itself is
+    never built.  The factors are read as :func:`product` reads them; then
+    ``SpaceError`` is raised unless both points have one coordinate per
+    factor, and each coordinate of ``ps``, then of ``qs``, is indexed.
     """
-    factors = tuple(factors)
-    if not factors:
-        raise EmptyInputError("factor list")
+    factors = _factors(factors)
     _check_arity(len(factors), ps, qs)
+    sources = list(map(FinSpace.index, factors, ps))
+    targets = list(map(FinSpace.index, factors, qs))
     whole = 1
     left = 1
-    for f, a, c in zip(factors, ps, qs):
-        size = f.class_opens[f.index(c)].bit_count()
+    for f, a, c in zip(factors, sources, targets):
+        size = f.class_opens[c].bit_count()
         whole *= size
-        left *= size - furtherness(f, a, c)
+        left *= size - f.further_flat[a * f.n + c]
     return whole - left

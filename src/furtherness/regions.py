@@ -10,10 +10,9 @@ prediction is a claim under test here, not a shortcut.
 
 ``region_report`` and ``quasi_report`` answer one subset per call and are
 the definition.  ``subset_table`` answers the region questions for every
-subset of a space at once, ``closure_table`` only its closure, interior
-and boundary half, and ``quasi_table`` the quasi ones from the subset
-table, on demand, for the verifier's sweeps, which check them against the
-per-query functions.
+subset of a space at once, and ``closure_table`` only its closure,
+interior and boundary half, on demand, for the verifier's sweeps, which
+check them against the per-query functions.
 """
 
 from __future__ import annotations
@@ -84,8 +83,7 @@ class SubsetTable(NamedTuple):
     ``radius[s]`` equal the fields of ``region_report(space, s)`` (with the
     closure added), and ``p2s[x][t]`` is ``point_to_set(space, x, t)``;
     infinity is ``math.inf`` throughout.  The first three fields are those
-    of :func:`closure_table`, and the quasi data, which few readers need,
-    comes from :func:`quasi_table`.
+    of :func:`closure_table`.
     """
 
     closure: tuple[int, ...]
@@ -209,21 +207,6 @@ def subset_table(space: FinSpace) -> SubsetTable:
     )
     space.__dict__["_subset_table"] = table
     return table
-
-
-def quasi_table(space: FinSpace) -> tuple[tuple[int, ...], tuple[Further, ...]]:
-    """``(quasi_center, quasi_radius)`` of every subset, indexed by mask.
-
-    Entry ``s`` of each equals that field of ``quasi_report(space, s)``: the
-    centers and radii against the complements, read from the subset
-    table's ``p2s``.  Kept on the space object, as the subset table is.
-    """
-    quasi = space.__dict__.get("_quasi_table")
-    if quasi is None:
-        full = space.full
-        quasi = _centers([full ^ s for s in range(full + 1)], subset_table(space).p2s)
-        space.__dict__["_quasi_table"] = quasi
-    return quasi
 
 
 def are_separated(space: FinSpace, first: SetLike, second: SetLike) -> bool:

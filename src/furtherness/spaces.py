@@ -117,6 +117,16 @@ def _as_int(value, what: str) -> int:
         raise SpaceError(f"{what} must be an int, got {value!r}") from None
 
 
+def _as_ints(values: Iterable, what: str) -> tuple[int, ...]:
+    """``values`` as a tuple, each entry read by ``_as_int`` unless every
+    one is exactly an ``int``."""
+    values = tuple(values)
+    for v in values:
+        if type(v) is not int:
+            return tuple(_as_int(v, what) for v in values)
+    return values
+
+
 class Frozen:
     """Base of the immutable records that keep a ``__dict__``.
 
@@ -201,11 +211,7 @@ class FinSpace(Frozen):
 
     def __init__(self, labels: Iterable[str], basis: Iterable[int]):
         labels = tuple(labels)
-        basis = tuple(basis)
-        for m in basis:
-            if type(m) is not int:
-                basis = tuple(_as_int(m, "a basic set") for m in basis)
-                break
+        basis = _as_ints(basis, "a basic set")
         if not labels:
             raise EmptyInputError("point list")
         seen: set[str] = set()
@@ -285,9 +291,7 @@ class FinSpace(Frozen):
         return out
 
     def members(self, mask: SetLike) -> tuple[str, ...]:
-        if type(mask) is not int or mask & ~self.full:
-            mask = self.mask(mask)
-        return tuple(self.labels[i] for i in mask_indices(mask))
+        return tuple(self.labels[i] for i in mask_indices(self.mask(mask)))
 
     # -- topology ----------------------------------------------------------
 
@@ -296,14 +300,13 @@ class FinSpace(Frozen):
 
     def minimal_open(self, points: SetLike) -> int:
         """Smallest open superset of a nonempty point set."""
-        # an in-range int mask is its own coercion
-        a = points if type(points) is int and not points & ~self.full else self.mask(points)
+        a = self.mask(points)
         if not a:
             raise EmptyInputError()
         return K.minimal_open_mask(self.n, self.basis, a)
 
     def is_open(self, points: SetLike) -> bool:
-        a = points if type(points) is int and not points & ~self.full else self.mask(points)
+        a = self.mask(points)
         return K.minimal_open_mask(self.n, self.basis, a) == a
 
     @cached_property

@@ -912,23 +912,25 @@ def _union_triples(opts: VerifyOptions):
 
 @space_property("quasi-ball-identity")
 def _quasi_ball(sp: FinSpace):
-    """Quasi-radius balls, which also checks the quasi table and the subset
-    table's p2s field."""
+    """Quasi-radius balls, which also checks ``quasi_report`` and the subset
+    table's p2s field against ``point_to_set``."""
     table = R.subset_table(sp)
-    quasi_center, quasi_radius = R.quasi_table(sp)
     balls = [B._ball_levels(sp, x) for x in range(sp.n)]
     for s in range(1, sp.full):
         rest = sp.full & ~s
-        # p2s first, since the quasi table is read from it
         lims = []
         for x in mask_indices(s):
             lim = D.point_to_set(sp, x, rest)
             if table.p2s[x][rest] != lim:
                 return _fail(sp, subset=_set(sp, s), point=sp.labels[x], table="p2s")
             lims.append((x, lim))
+        # the quasi radius is the largest distance to the rest, and the
+        # quasi center the points that reach it
         q = R.quasi_report(sp, s)
-        if quasi_center[s] != q.quasi_center or quasi_radius[s] != q.quasi_radius:
-            return _fail(sp, subset=_set(sp, s), table="quasi")
+        top = max(lim for _, lim in lims)
+        center = sum(1 << x for x, lim in lims if lim == top)
+        if (q.quasi_center, q.quasi_radius) != (center, top):
+            return _fail(sp, subset=_set(sp, s), quasi_center=_set(sp, q.quasi_center))
         for x, lim in lims:
             for r, ball in enumerate(balls[x], 1):
                 inside = not (ball & ~s)

@@ -1,7 +1,8 @@
-"""Kernel mutants against the verifier registry.
+"""Kernel and ``FinSpace`` mutants against the verifier registry.
 
 Each mutant replaces one attribute of ``_kernels``, which every module
-calls by attribute, so the patch reaches every caller.  The registry runs
+calls by attribute, or one cached property of ``FinSpace``, which every
+space reads, so the patch reaches every caller.  The registry runs
 at ``max_n=3`` in a fresh interpreter per mutant, since the per-process
 caches (the enumerated bases, the point-to-set rows, the cover LRU) would
 carry a mutant into later tests.  A mutant is killed when some property
@@ -23,17 +24,29 @@ from furtherness import document_to_space
 from furtherness.verify import PROPERTIES
 
 # runs the registry under the mutant ``mutant`` defined by the source in
-# argv[2], which sees the kernel it replaces as ``orig``; prints the
-# reports, or the name of the SpaceError that ended the sweep
+# argv[2], which sees the kernel or the property getter it replaces as
+# ``orig``; a name ``FinSpace.<attr>`` replaces that cached property with a
+# new one; prints the reports, or the name of the SpaceError that ended
+# the sweep
 CHILD = """
 import json, sys
+from functools import cached_property
 from furtherness import _kernels as K
 from furtherness.errors import SpaceError
+from furtherness.spaces import FinSpace
 from furtherness.verify import VerifyOptions, run_all
 name, source = sys.argv[1:]
-scope = {"orig": getattr(K, name)}
-exec(source, scope)
-setattr(K, name, scope["mutant"])
+owner, _, attr = name.rpartition(".")
+if owner == "FinSpace":
+    scope = {"orig": vars(FinSpace)[attr].func}
+    exec(source, scope)
+    prop = cached_property(scope["mutant"])
+    prop.__set_name__(FinSpace, attr)
+    setattr(FinSpace, attr, prop)
+else:
+    scope = {"orig": getattr(K, name)}
+    exec(source, scope)
+    setattr(K, name, scope["mutant"])
 try:
     out = [r.to_json() for r in run_all(None, VerifyOptions(max_n=3))]
 except SpaceError as exc:
@@ -41,8 +54,9 @@ except SpaceError as exc:
 print(json.dumps(out))
 """
 
-# name -> (kernel replaced, source of ``mutant``, the failing properties
-# in registry order, or the SpaceError subclass the sweep raises)
+# name -> (kernel or ``FinSpace.<cached property>`` replaced, source of
+# ``mutant``, the failing properties in registry order, or the SpaceError
+# subclass the sweep raises)
 MUTANTS = {
     "matrix counts points, not classes": (
         "class_opens",
@@ -91,6 +105,29 @@ MUTANTS = {
         "    return out\n",
         # the opposite space's basis misses its own points
         "PointNotInOwnBasisError",
+    ),
+    "point_closures returns the basis": (
+        "FinSpace.point_closures",
+        "def mutant(self):\n"
+        "    return self.basis\n",
+        # the opposite space and the closure table are built from it
+        (
+            "opposite-involution", "minimal-rigidity", "backward-ball-topology",
+            "symmetrized-smallest-join", "point-set-closure", "radius-zero-interior",
+            "center-in-interior", "radius-clopen", "union-pairs",
+        ),
+    ),
+    "is_t0 is always true": (
+        "FinSpace.is_t0",
+        "def mutant(self):\n"
+        "    return True\n",
+        # a space with twin points is then its own quotient, and its
+        # matrix counts points, not classes
+        (
+            "t0-criterion", "oracle-equivalence", "chain-witness", "cover-single-step",
+            "matrix-report-flags", "quotient-preserves", "minimal-rigidity",
+            "symmetrized-discrete-t0", "symmetrized-disconnected",
+        ),
     ),
 }
 

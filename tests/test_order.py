@@ -252,6 +252,39 @@ def test_products_refuse_an_empty_factor_list(call):
         call()
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda sp: product(sp), "iterable of spaces"),
+    (lambda sp: product([1, 2]), "a factor must be a FinSpace, got 1"),
+    (lambda sp: product_furtherness_nfold(sp, ("a",), ("b",)), "iterable of spaces"),
+    (lambda sp: product_furtherness_nfold(5, ("a",), ("b",)), "iterable of spaces"),
+    (lambda sp: product_furtherness(sp, 3, ("a", "a"), ("b", "b")), "a factor must be a FinSpace, got 3"),
+])
+def test_products_refuse_factors_that_are_not_a_list_of_spaces(call, message):
+    # a space passed where its list is expected, or a list holding anything
+    # but spaces, is refused before a coordinate is read
+    sp = FinSpace(("a", "b"), (1, 3))
+    with pytest.raises(SpaceError, match=message):
+        call(sp)
+
+
+def test_product_formulas_index_every_source_coordinate_first(sierp, e2):
+    # the arity, then each coordinate of p, then each of q: of two bad
+    # coordinates, the first in that order is named
+    for p, q, named in (
+        (("x", 0), ("y", 0), "x"),
+        ((0, "x"), ("y", 0), "x"),
+        ((0, 0), ("y", "z"), "y"),
+    ):
+        with pytest.raises(UnknownLabelError, match=f"'{named}'"):
+            product_furtherness(sierp, e2, p, q)
+        with pytest.raises(UnknownLabelError, match=f"'{named}'"):
+            product_furtherness_nfold([sierp, e2], p, q)
+    with pytest.raises(SpaceError, match="2-fold product need 2 coordinates"):
+        product_furtherness(sierp, e2, ("x", 0), ("y",))
+    with pytest.raises(SpaceError, match="point index 9 out of range"):
+        product_furtherness(sierp, e2, (0, 9), (-1, 0))
+
+
 def test_product_sierpinski_pair_value(sierp, sierp_xy):
     assert product_furtherness(sierp, sierp_xy, ("a", "x"), ("b", "y")) == 3
 

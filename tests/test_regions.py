@@ -18,7 +18,7 @@ from furtherness import (
     union_analysis,
 )
 from furtherness import regions as R
-from furtherness.regions import SUBSET_TABLE_LIMIT, closure_table, quasi_table, subset_table
+from furtherness.regions import SUBSET_TABLE_LIMIT, closure_table, subset_table
 
 
 def test_region_e1_no_interior(e1):
@@ -194,15 +194,19 @@ def test_radius_zero_iff_no_interior(e1, e2, q1):
 
 def _assert_table_is_the_definition(sp):
     table = subset_table(sp)
-    quasi_center, quasi_radius = quasi_table(sp)
     for s in range(sp.full + 1):
         rep = region_report(sp, s)
-        q = quasi_report(sp, s)
         assert table.closure[s] == sp.closure(s)
         assert table.interior[s] == sp.interior(s) == rep.interior
         assert table.boundary[s] == sp.boundary(s) == rep.boundary
         assert (table.center[s], table.radius[s]) == (rep.center, rep.radius)
-        assert (quasi_center[s], quasi_radius[s]) == (q.quasi_center, q.quasi_radius)
+        # the quasi radius is the largest distance from the subset to the
+        # rest (infinite for an empty side), the quasi center the points
+        # that reach it
+        limits = {x: point_to_set(sp, x, sp.full & ~s) for x in range(sp.n) if s >> x & 1}
+        top = max(limits.values(), default=math.inf)
+        center = sum(1 << x for x, lim in limits.items() if lim == top)
+        assert tuple(quasi_report(sp, s)) == (s, center, top)
         for x in range(sp.n):
             assert table.p2s[x][s] == point_to_set(sp, x, s)
 
@@ -288,11 +292,8 @@ def test_subset_table_shape(e2):
     # empty target, empty subset and clopen full set are infinite
     assert all(row[0] == math.inf for row in table.p2s)
     assert table.radius[0] == table.radius[e2.full] == math.inf
-    quasi_center, quasi_radius = quasi_table(e2)
-    assert len(quasi_center) == len(quasi_radius) == size
-    assert quasi_radius[0] == quasi_radius[e2.full] == math.inf
-    # both tables are kept on the space and built once
-    assert subset_table(e2) is table and quasi_table(e2) is quasi_table(e2)
+    # the table is kept on the space and built once
+    assert subset_table(e2) is table
 
 
 def test_subset_table_size_limit():

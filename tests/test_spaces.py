@@ -23,6 +23,7 @@ from furtherness import (
     default_labels,
     mask_indices,
     random_space,
+    symmetrized_furtherness,
 )
 from furtherness.distance import _zero_masks
 from furtherness.spaces import canonical_sets
@@ -408,6 +409,35 @@ def test_members_coerces_like_every_mask_argument():
         sp.members(1.5)
     assert sp.members(0b101) == sp.members("ac") == sp.members([0, "c"]) == ("a", "c")
     assert sp.members(True) == ("a",)
+
+
+def test_int_masks_and_indices_coerce_through_mask_and_index(monkeypatch, e2):
+    # an in-range int is read by FinSpace.mask or index like any other
+    # point or point set, so no caller keeps a copy of their checks
+    calls = []
+
+    def counted(name):
+        real = getattr(FinSpace, name)
+
+        def wrapper(self, value):
+            calls.append(name)
+            return real(self, value)
+
+        return wrapper
+
+    for name in ("mask", "index"):
+        monkeypatch.setattr(FinSpace, name, counted(name))
+    e2.further_flat
+    queries = [
+        (lambda: e2.is_open(0b0101), ["mask"]),
+        (lambda: e2.minimal_open(0b0101), ["mask"]),
+        (lambda: e2.members(0b0101), ["mask"]),
+        (lambda: symmetrized_furtherness(e2, 0, 3), ["index", "index"]),
+    ]
+    for query, want in queries:
+        calls.clear()
+        query()
+        assert calls == want
 
 
 def test_class_opens_is_the_kernel_recoding_kept_on_the_space(e1, e2):

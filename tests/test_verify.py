@@ -469,8 +469,6 @@ _TABLE_CHECKS = [
     ("radius-clopen", field, 0b001, -1, "table", field)
     for field in ("closure", "interior", "boundary", "center", "radius")
 ] + [
-    ("quasi-ball-identity", "quasi_center", 0b001, -1, "table", "quasi"),
-    ("quasi-ball-identity", "quasi_radius", 0b001, -1, "table", "quasi"),
     ("quasi-ball-identity", "p2s", 0b001, -1, "table", "p2s"),
     # the union of the first two points: its table reading differs from
     # union_analysis on the space's first pair
@@ -490,20 +488,14 @@ def test_table_cross_check_catches_a_wrong_entry(
     # the region properties read subset_table, radius-clopen and
     # quasi-ball-identity hold it to region_report and point_to_set, and
     # union-pairs holds it to union_analysis on the first pair of every
-    # space; quasi-ball-identity holds quasi_table to quasi_report: one
-    # wrong entry must surface as a counterexample that names the subset
-    quasi = ("quasi_center", "quasi_radius")
-    patched = "quasi_table" if field in quasi else "subset_table"
-    real = getattr(R, patched)
+    # space: one wrong entry must surface as a counterexample that names
+    # the subset
+    real = R.subset_table
 
     def one_wrong_entry(sp):
         table = real(sp)
         if sp.n < 3:
             return table
-        if field in quasi:
-            values = [list(column) for column in table]
-            values[quasi.index(field)][subset] = value
-            return tuple(map(tuple, values))
         if field == "p2s":
             rows = [list(row) for row in table.p2s]
             rows[0][sp.full & ~subset] = value  # from the point to the rest
@@ -512,7 +504,7 @@ def test_table_cross_check_catches_a_wrong_entry(
         values[subset] = value  # no mask or radius is negative
         return table._replace(**{field: tuple(values)})
 
-    monkeypatch.setattr(R, patched, one_wrong_entry)
+    monkeypatch.setattr(R, "subset_table", one_wrong_entry)
     report = run_property(prop, VerifyOptions(max_n=3, jobs=1))
     assert not report.passed
     ce = report.counterexample
@@ -526,6 +518,31 @@ def test_table_cross_check_catches_a_wrong_entry(
     else:
         assert ce["subset"] == members
         assert report.checked == 6  # 1 + 4 spaces, then the first on three points
+
+
+@pytest.mark.parametrize("field, value", [("quasi_center", 0b011), ("quasi_radius", 99)])
+def test_quasi_ball_identity_holds_quasi_report_to_point_to_set(monkeypatch, field, value):
+    # quasi-ball-identity reads the distance from every point of a proper
+    # subset to the rest: a quasi report that is not the largest of those
+    # distances and the points that reach it must surface, naming the
+    # subset and the reported quasi center
+    real = R.quasi_report
+
+    def one_wrong_report(sp, subset):
+        q = real(sp, subset)
+        if sp.n < 3 or subset != 0b001:
+            return q
+        return q._replace(**{field: value})
+
+    monkeypatch.setattr(R, "quasi_report", one_wrong_report)
+    report = run_property("quasi-ball-identity", VerifyOptions(max_n=3, jobs=1))
+    assert not report.passed
+    ce = report.counterexample
+    sp = document_to_space(ce["space"])
+    center = value if field == "quasi_center" else real(sp, 0b001).quasi_center
+    assert ce["subset"] == list(sp.members(0b001))
+    assert ce["quasi_center"] == list(sp.members(center))
+    assert report.checked == 6  # 1 + 4 spaces, then the first on three points
 
 
 def test_union_pair_verdict_names_the_broken_theorem():
@@ -649,29 +666,6 @@ def test_open_membership_catches_a_larger_minimal_open(monkeypatch):
     assert ce["minimal"] == list(sp.labels)
     subset = sp.mask(ce["subset"])
     assert real(sp, subset) != sp.full and not sp.is_open(subset)
-
-
-N5_PAR_PROPS = [
-    "radius-monotone", "point-set-closure", "union-pairs", "symmetrized-metric",
-    "quotient-preserves", "open-membership",
-]
-
-
-def test_six_sweep_properties_build_no_quasi_table(monkeypatch):
-    built = []
-    real = R.quasi_table
-
-    def counted(sp):
-        built.append(sp)
-        return real(sp)
-
-    monkeypatch.setattr(R, "quasi_table", counted)
-    reports = run_all(N5_PAR_PROPS, VerifyOptions(max_n=4))
-    assert all(r.passed for r in reports) and [r.checked for r in reports] == [389] * 6
-    assert built == []
-    # the one reader does ask for it
-    assert run_property("quasi-ball-identity", VerifyOptions(max_n=2)).passed
-    assert len(built) == 5
 
 
 def test_union_samplers_build_no_subset_table(monkeypatch):
