@@ -11,12 +11,17 @@ Distance values reported by ``point_to_set`` / ``set_to_set`` /
 ``center_radius`` are ``math.inf`` for an empty side, as at the API, and
 an ``int`` otherwise; the loops compare ``int`` entries only.
 
-Each loop is written once and calls no other kernel: ``FinSpace`` hands
-``class_opens`` its class ids and ``further_matrix`` its class recoding.
-Only ``set_to_set`` and ``center_radius`` nest a kernel, taking each
-point's distance through ``point_to_set`` by module attribute, so a
-wrapper installed around the kernels from outside, such as a profiler or
-a call counter, sees those nested calls too.
+Each loop is written once: ``images`` maps masks through a point map (the
+class recoding, a subspace's renumbering, a map's image of each minimal
+open), and ``minimal_open_mask`` unions the basic sets over a mask (the
+constructor's nesting check, each row of ``transitive_closure``).  Three
+kernels nest another by module attribute, so a wrapper installed from
+outside, such as a profiler or a call counter, sees those calls too:
+``set_to_set`` and ``center_radius`` call ``point_to_set``, and
+``transitive_closure`` calls ``minimal_open_mask``.  The enumerator's
+nesting prune stays its own loop: it reads only the rows already placed
+and stops at the first that fails, where a union call per candidate made
+``enumerate_bases`` slower.
 """
 
 from __future__ import annotations
@@ -41,15 +46,15 @@ def class_ids(n, basis):
     return tuple(out)
 
 
-def class_opens(n, basis, cls):
-    """Each basic set as the mask of the classes it meets, from the class
-    ids ``cls`` of its points."""
+def images(n, masks, ids):
+    """Each mask as the mask of the ids its points carry: point y of a mask
+    becomes bit ``ids[y]``."""
     out = []
-    for m in basis:
+    for m in masks:
         acc = 0
         while m:
             low = m & -m
-            acc |= 1 << cls[low.bit_length() - 1]
+            acc |= 1 << ids[low.bit_length() - 1]
             m ^= low
         out.append(acc)
     return tuple(out)
@@ -161,12 +166,7 @@ def transitive_closure(n, rows):
     while changed:
         changed = False
         for x in range(n):
-            acc = out[x]
-            m = acc
-            while m:
-                low = m & -m
-                acc |= out[low.bit_length() - 1]
-                m ^= low
+            acc = minimal_open_mask(n, out, out[x])
             if acc != out[x]:
                 out[x] = acc
                 changed = True

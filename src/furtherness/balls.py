@@ -15,7 +15,16 @@ from __future__ import annotations
 from itertools import accumulate
 
 from .errors import SpaceError, ZeroRadiusError
-from .spaces import FinSpace, OpenFamily, PointLike, _as_int, _check_points, _open_family, _point_meets
+from .spaces import (
+    FinSpace,
+    OpenFamily,
+    PointLike,
+    _as_int,
+    _check_points,
+    _iterable,
+    _open_family,
+    _point_meets,
+)
 
 
 def _ball_levels(space: FinSpace, x: int, backward: bool = False) -> list[int]:
@@ -67,6 +76,7 @@ def generated_topology(n: int, generators) -> OpenFamily:
     """
     _check_points(n)
     full = (1 << n) - 1
+    generators = _iterable(generators, "the generators must be an iterable of masks, got {!r}")
     gens = {_as_int(g, "a generator") for g in generators}
     for g in gens:
         if g & ~full:

@@ -20,7 +20,7 @@ from typing import NamedTuple, Union
 
 from . import _kernels as K
 from .errors import SpaceError
-from .spaces import FinSpace, Frozen, PointLike, SetLike, _as_ints
+from .spaces import FinSpace, Frozen, PointLike, SetLike, _as_ints, _iterable
 
 Further = Union[int, float]  # non-negative int, or math.inf
 
@@ -94,7 +94,7 @@ class FurtherMatrix(Frozen):
     def __init__(self, labels: tuple[str, ...], flat: tuple[int, ...]):
         points = FinSpace.discrete(labels)
         n = points.n
-        flat = tuple(flat)
+        flat = tuple(_iterable(flat, "a flat matrix must be an iterable of ints, got {!r}"))
         if len(flat) != n * n:
             raise SpaceError("flat matrix length must be n*n")
         flat = _as_ints(flat, "a matrix entry")

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping, NamedTuple, Sequence, Union
 
+from . import _kernels as K
 from .errors import (
     DuplicateLabelError,
     EmptyInputError,
@@ -17,7 +18,7 @@ from .errors import (
     SpaceError,
     UnknownLabelError,
 )
-from .spaces import FinSpace, Frozen, PointLike, _as_ints, mask_indices
+from .spaces import FinSpace, Frozen, PointLike, _as_ints, _iterable, mask_indices
 
 
 class Preorder(Frozen):
@@ -121,7 +122,7 @@ class SpaceMap(Frozen):
     _fields = ("domain", "codomain", "image")
 
     def __init__(self, domain: FinSpace, codomain: FinSpace, image: Iterable[int]):
-        image = tuple(image)
+        image = tuple(_iterable(image, "a map's images must be an iterable of indices, got {!r}"))
         if len(image) != domain.n:
             raise SpaceError("map must assign an image to every domain point")
         image = _as_ints(image, "an image index")
@@ -148,6 +149,7 @@ def space_map(
             raise SpaceError(f"map assigns no image to domain point {missing[0]!r}")
         image = tuple(codomain.index(mapping[lab]) for lab in domain.labels)
     else:
+        mapping = _iterable(mapping, "a map must be a mapping or an iterable of points, got {!r}")
         image = tuple(codomain.index(p) for p in mapping)
     return SpaceMap(domain, codomain, image)
 
@@ -157,13 +159,12 @@ def identity_map(space: FinSpace) -> SpaceMap:
 
 
 def is_continuous(f: SpaceMap) -> bool:
-    """Zero-distance preservation: y in U_x forces f(y) in U_{f(x)}."""
+    """Zero-distance preservation: y in U_x forces f(y) in U_{f(x)}, so the
+    image of each minimal open U_x (from ``images``) lies in U_{f(x)}."""
     dom, cod, img = f.domain, f.codomain, f.image
-    for x in range(dom.n):
-        target = cod.basis[img[x]]
-        for y in mask_indices(dom.basis[x]):
-            if not (target >> img[y]) & 1:
-                return False
+    for u, y in zip(K.images(dom.n, dom.basis, img), img):
+        if u & ~cod.basis[y]:
+            return False
     return True
 
 
@@ -257,11 +258,7 @@ def _factors(factors: Iterable[FinSpace]) -> tuple[FinSpace, ...]:
     or anything else that is not iterable, and an entry that is not a
     ``FinSpace`` raise ``SpaceError``; an empty list raises
     ``EmptyInputError``."""
-    try:
-        factors = iter(factors)
-    except TypeError:
-        raise SpaceError(f"the factors must be an iterable of spaces, got {factors!r}") from None
-    factors = tuple(factors)
+    factors = tuple(_iterable(factors, "the factors must be an iterable of spaces, got {!r}"))
     if not factors:
         raise EmptyInputError("factor list")
     for f in factors:

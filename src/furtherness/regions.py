@@ -25,7 +25,7 @@ from . import _kernels as K
 from .balls import ball
 from .distance import Further
 from .errors import EmptyOrFullSubsetError, PreconditionViolatedError, SizeTooLargeError
-from .spaces import FinSpace, SetLike, mask_indices
+from .spaces import FinSpace, SetLike, _iterable, mask_indices
 
 # a subset table holds about n * 2**n entries
 SUBSET_TABLE_LIMIT = 12
@@ -239,6 +239,7 @@ class UnionAnalysis(NamedTuple):
 
 
 def union_analysis(space: FinSpace, subsets: Sequence[SetLike]) -> UnionAnalysis:
+    subsets = _iterable(subsets, "the subsets must be an iterable of point sets, got {!r}")
     masks = [space.mask(s) for s in subsets]
     if not masks:
         raise PreconditionViolatedError("at least one subset is required")

@@ -36,6 +36,8 @@ from .errors import (
 PointLike = Union[int, str]
 SetLike = Union[int, Iterable[PointLike]]
 
+_LABELS = "the labels must be an iterable of strings, got {!r}"
+
 # opens in the largest family built: the discrete space on twelve points,
 # as large as a subset table goes
 OPEN_FAMILY_LIMIT = 1 << 12
@@ -106,6 +108,17 @@ def _check_points(n: int) -> None:
         raise SpaceError(f"the number of points must be an int, got {n!r}")
     if n < 1:
         raise SpaceError("need at least one point")
+
+
+def _iterable(values, message: str):
+    """``values`` itself, once ``iter`` takes it, so a tuple is not copied;
+    a value that is not iterable raises ``SpaceError`` with ``message``,
+    formatted with its repr."""
+    try:
+        iter(values)
+    except TypeError:
+        raise SpaceError(message.format(values)) from None
+    return values
 
 
 def _as_int(value, what: str) -> int:
@@ -210,7 +223,11 @@ class FinSpace(Frozen):
     _fields = ("labels", "basis")
 
     def __init__(self, labels: Iterable[str], basis: Iterable[int]):
-        labels = tuple(labels)
+        # the builders in the package pass tuples, which need no check
+        if type(labels) is not tuple:
+            labels = tuple(_iterable(labels, _LABELS))
+        if type(basis) is not tuple:
+            basis = _iterable(basis, "a basis must be an iterable of masks, got {!r}")
         basis = _as_ints(basis, "a basic set")
         if not labels:
             raise EmptyInputError("point list")
@@ -230,14 +247,11 @@ class FinSpace(Frozen):
                 raise SpaceError(f"basic set of {labels[x]!r} is out of range")
             if not (m >> x) & 1:
                 raise PointNotInOwnBasisError(labels[x])
+        # a basic set nests those of its points exactly when it is their union
         for x, m in enumerate(basis):
-            rest = m
-            while rest:
-                low = rest & -rest
-                y = low.bit_length() - 1
-                if basis[y] & ~m:
-                    raise BasisNotNestedError(labels[x], labels[y])
-                rest ^= low
+            if K.minimal_open_mask(n, basis, m) != m:
+                y = next(y for y in mask_indices(m) if basis[y] & ~m)
+                raise BasisNotNestedError(labels[x], labels[y])
         self.__dict__.update(labels=labels, basis=basis, n=n, full=full)
 
     @classmethod
@@ -248,7 +262,7 @@ class FinSpace(Frozen):
         so it is also the validated label lookup for data that is not a
         space yet (an open family, a basis given by labels, a matrix).
         """
-        labels = tuple(labels)
+        labels = tuple(_iterable(labels, _LABELS))
         return cls(labels, tuple(1 << i for i in range(len(labels))))
 
     # -- coercion ----------------------------------------------------------
@@ -281,12 +295,8 @@ class FinSpace(Frozen):
         if isinstance(points, int):
             # a bool reads as its int
             return self.mask(operator.index(points))
-        try:
-            points = iter(points)
-        except TypeError:
-            raise SpaceError(f"a point set must be a mask or an iterable, got {points!r}") from None
         out = 0
-        for p in points:
+        for p in _iterable(points, "a point set must be a mask or an iterable, got {!r}"):
             out |= 1 << self.index(p)
         return out
 
@@ -341,18 +351,17 @@ class FinSpace(Frozen):
         return FinSpace(self.labels, self.point_closures)
 
     def subspace(self, points: SetLike) -> "FinSpace":
-        """Restriction to a nonempty point set, labels kept."""
+        """Restriction to a nonempty point set, labels kept: the ``images`` of
+        the kept basic sets, cut to it, under the kept points' positions."""
         a = self.mask(points)
         if not a:
             raise EmptyInputError("subspace carrier")
         kept = list(mask_indices(a))
-        pos = {x: k for k, x in enumerate(kept)}
+        pos = [0] * self.n
+        for k, x in enumerate(kept):
+            pos[x] = k
         labels = tuple(self.labels[x] for x in kept)
-        basis = []
-        for x in kept:
-            m = self.basis[x] & a
-            basis.append(sum(1 << pos[y] for y in mask_indices(m)))
-        return FinSpace(labels, tuple(basis))
+        return FinSpace(labels, K.images(self.n, [self.basis[x] & a for x in kept], pos))
 
     # -- kernel products shared by the other modules ------------------------
 
@@ -371,7 +380,7 @@ class FinSpace(Frozen):
     def class_opens(self) -> tuple[int, ...]:
         """Each basic set as the mask of the ``class_ids`` it meets; the
         basis itself on a T0 space."""
-        return self.basis if self.is_t0 else K.class_opens(self.n, self.basis, self.class_ids)
+        return self.basis if self.is_t0 else K.images(self.n, self.basis, self.class_ids)
 
     @cached_property
     def point_closures(self) -> tuple[int, ...]:
@@ -388,6 +397,7 @@ class FinSpace(Frozen):
 def from_minimal_basis(labels: Iterable[str], basis: Iterable[SetLike]) -> FinSpace:
     """Build a space from per-point minimal opens (masks or label lists)."""
     points = FinSpace.discrete(labels)
+    basis = _iterable(basis, "a basis must be an iterable of point sets, got {!r}")
     return FinSpace(points.labels, tuple(points.mask(b) for b in basis))
 
 
@@ -400,6 +410,7 @@ def from_open_sets(labels: Iterable[str], opens: Iterable[SetLike]) -> FinSpace:
     opens that contain it.
     """
     points = FinSpace.discrete(labels)
+    opens = _iterable(opens, "the opens must be an iterable of point sets, got {!r}")
     family = canonical_sets({points.mask(o) for o in opens})
     if 0 not in family:
         raise MissingEmptyOrFullError("empty")

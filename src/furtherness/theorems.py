@@ -25,7 +25,13 @@ from . import order as O
 from . import oracle as ORC
 from . import regions as R
 from .dot import export_dot
-from .generate import enumerate_topologies, family_generated_bases, random_space
+from .generate import (
+    _bases,
+    default_labels,
+    enumerate_topologies,
+    family_generated_bases,
+    random_space,
+)
 from .serialization import parse_space, serialize_space, space_to_document
 from .spaces import FinSpace, from_open_sets, mask_indices
 from .verify import VerifyOptions, custom_property, space_property
@@ -891,9 +897,10 @@ def _union_random(opts: VerifyOptions):
 @custom_property("union-triples")
 def _union_triples(opts: VerifyOptions):
     checked = 0
-    for index, sp in enumerate(enumerate_topologies(5)):
-        if index % 31:
-            continue
+    labels = default_labels(5)
+    # every 31st space on 5 points, in enumeration order; only these are built
+    for basis in _bases(5, False)[::31]:
+        sp = FinSpace(labels, basis)
         pairs = set(_qualifying_pairs(R.closure_table(sp)))
         members = sorted({s for pair in pairs for s in pair})
         found = 0

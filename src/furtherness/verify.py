@@ -29,7 +29,7 @@ from typing import Callable, NamedTuple, Optional
 from .errors import SizeTooLargeError, SpaceError, UnknownPropertyError
 from .generate import ENUMERATION_LIMIT, _bases, default_labels
 from .regions import SUBSET_TABLE_LIMIT
-from .spaces import FinSpace, _as_int
+from .spaces import FinSpace, _as_int, _iterable
 
 
 class VerifyOptions(NamedTuple):
@@ -106,9 +106,9 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
     name is run once and its report repeated.  Raises ``SpaceError`` before
     anything runs when an option is not an int (a bool reads as its int),
     when ``max_n`` is below 1 or ``samples`` below 0, where every sweep
-    would check nothing and pass, when ``jobs`` is below 1, when a name is
-    not registered (``UnknownPropertyError``), or when a selected sampler
-    cannot build spaces of ``sample_n`` points.
+    would check nothing and pass, when ``jobs`` is below 1, when ``names``
+    is not iterable or a name is not registered (``UnknownPropertyError``),
+    or when a selected sampler cannot build spaces of ``sample_n`` points.
     """
     fields = zip(VerifyOptions._fields, opts or VerifyOptions())
     opts = VerifyOptions._make(_as_int(value, field) for field, value in fields)
@@ -119,7 +119,9 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
     if opts.jobs < 1:
         raise SpaceError(f"jobs must be at least 1, got {opts.jobs}")
     registry = _registry()
-    names = list(registry if names is None else names)
+    if names is None:
+        names = registry
+    names = list(_iterable(names, "the property names must be an iterable, got {!r}"))
     for name in names:
         if name not in registry:
             raise UnknownPropertyError(name, registry)

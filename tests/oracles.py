@@ -151,10 +151,16 @@ def reference_basis_outcome(labels, basis):
     labels (nonempty, nonempty distinct strings), one basic set per point
     inside the point range, then the two invariants, each point in its own
     basic set and every basic set nested in those that contain its point,
-    scanned by outer point and then inner point, ascending.  Works on
-    Python sets of indices; ``basis`` holds ints or bools.
+    scanned by outer point and then inner point, ascending.  Labels or a
+    basis that cannot be iterated, as ``None`` or an int, come first, the
+    labels before the basis.  Works on Python sets of indices; ``basis``
+    holds ints or bools.
     """
-    labels = list(labels)
+    try:
+        labels = list(labels)
+        basis = list(basis)
+    except TypeError:
+        return ("SpaceError", ())
     if not labels:
         return ("EmptyInputError", ())
     seen = []

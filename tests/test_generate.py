@@ -121,6 +121,31 @@ def test_random_space_varies():
     assert len(spaces) > 1
 
 
+def _warshall_basis(n, seed):
+    """The documented construction in its plainest form: one splitmix64
+    word per ordered pair (i, j), i != j, row-major, makes j lie below i
+    when its top two bits are zero; then Warshall's closure of that
+    relation with the diagonal, read back as one mask per point."""
+    stream = splitmix64(seed)
+    below = [[i == j for j in range(n)] for i in range(n)]
+    for i in range(n):
+        for j in range(n):
+            if i != j and next(stream) >> 62 == 0:
+                below[i][j] = True
+    for k in range(n):
+        for i in range(n):
+            if below[i][k]:
+                for j in range(n):
+                    below[i][j] = below[i][j] or below[k][j]
+    return tuple(sum(1 << j for j in range(n) if below[i][j]) for i in range(n))
+
+
+def test_random_space_is_the_closure_of_the_documented_edges():
+    for n in range(1, 13):
+        for seed in range(50):
+            assert random_space(n, seed).basis == _warshall_basis(n, seed), (n, seed)
+
+
 def test_random_space_one_point():
     sp = random_space(1, 5)
     assert sp.n == 1 and sp.basis == (1,)

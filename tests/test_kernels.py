@@ -3,6 +3,7 @@ a machine word, and the names that outside wrappers bind to.
 """
 
 import math
+import random
 
 import pytest
 
@@ -55,13 +56,14 @@ def _members(mask):
 
 
 def test_class_opens_against_brute_force():
-    # the set of class ids each basic set meets, on every basis up to 5
-    # points and on seeded random spaces of 6 to 10 points
+    # the images of the basic sets under the class ids: the set of class
+    # ids each basic set meets, on every basis up to 5 points and on
+    # seeded random spaces of 6 to 10 points
     bases = list(all_bases(5))
     bases += [(sp.n, sp.basis) for sp in (furtherness.random_space(6 + s % 5, s) for s in range(60))]
     for n, b in bases:
         cls = K.class_ids(n, b)
-        got = K.class_opens(n, b, cls)
+        got = K.images(n, b, cls)
         assert got == tuple(sum(1 << c for c in {cls[z] for z in _members(m)}) for m in b)
         if len(set(b)) == n:
             assert furtherness.FinSpace(furtherness.default_labels(n), b).class_opens is b
@@ -74,7 +76,7 @@ def test_pure_leaf_kernels_against_brute_force():
     # maxima of those point-to-set values
     for n, b in all_bases(3):
         cls = K.class_ids(n, b)
-        flat = K.further_matrix(n, K.class_opens(n, b, cls))
+        flat = K.further_matrix(n, K.images(n, b, cls))
         for x in range(n):
             for y in range(n):
                 grown = {cls[z] for z in _members(b[y])} - {cls[z] for z in _members(b[x])}
@@ -92,6 +94,40 @@ def test_pure_leaf_kernels_against_brute_force():
                     best = max(dists.values())
                     want = (sum(1 << x for x, v in dists.items() if v == best), best)
                 assert K.center_radius(n, flat, a, t) == want
+
+
+def _fixpoint_closure(n, rows):
+    """The reflexive-transitive closure of the relation {(i, j) : j in
+    rows[i]}, as pairs, grown until no chained pair is new; read back as
+    one mask per point."""
+    pairs = {(i, i) for i in range(n)}
+    pairs |= {(i, j) for i in range(n) for j in _members(rows[i])}
+    while True:
+        chained = {(i, k) for i, j in pairs for j2, k in pairs if j == j2}
+        if chained <= pairs:
+            return tuple(sum(1 << j for i2, j in pairs if i2 == i) for i in range(n))
+        pairs |= chained
+
+
+def test_transitive_closure_against_a_brute_fixpoint(monkeypatch):
+    # random rows of 1 to 9 points, each pair related with probability 1/4
+    rng = random.Random(7)
+    for n in range(1, 10):
+        for _ in range(40):
+            rows = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
+            assert K.transitive_closure(n, rows) == _fixpoint_closure(n, rows), (n, rows)
+    # each row grows through the union kernel, by module attribute, so a
+    # wrapper around the kernels sees those calls
+    calls = []
+    kernel = K.minimal_open_mask
+
+    def counted(*args):
+        calls.append(args)
+        return kernel(*args)
+
+    monkeypatch.setattr(K, "minimal_open_mask", counted)
+    assert K.transitive_closure(3, [0b010, 0b100, 0]) == (0b111, 0b110, 0b100)
+    assert len(calls) >= 3
 
 
 def _class_count_matrix(n, basis):
@@ -115,7 +151,7 @@ def _class_count_matrix(n, basis):
 
 
 def _recoded(n, basis):
-    return K.class_opens(n, basis, K.class_ids(n, basis))
+    return K.images(n, basis, K.class_ids(n, basis))
 
 
 def test_further_matrix_is_the_class_count():
@@ -135,7 +171,7 @@ def test_each_class_kernel_runs_at_most_once_per_space(monkeypatch):
     # once each, every one from the one before it, and a T0 space, its
     # own recoding and its own quotient, runs neither class kernel
     calls = []
-    for name in ("class_ids", "class_opens", "further_matrix"):
+    for name in ("class_ids", "images", "further_matrix"):
         kernel = getattr(K, name)
 
         def counted(*args, _name=name, _kernel=kernel):
@@ -149,7 +185,7 @@ def test_each_class_kernel_runs_at_most_once_per_space(monkeypatch):
         assert len(sp.further_flat) == n * n and len(sp.class_opens) == n
         assert furtherness.kolmogorov_quotient(sp).class_of == sp.class_ids
         assert len(calls) == len(set(calls)), (b, calls)
-        want = {"further_matrix"} if sp.is_t0 else {"class_ids", "class_opens", "further_matrix"}
+        want = {"further_matrix"} if sp.is_t0 else {"class_ids", "images", "further_matrix"}
         assert set(calls) == want, (b, calls)
 
 

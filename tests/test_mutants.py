@@ -59,12 +59,21 @@ print(json.dumps(out))
 # subclass the sweep raises)
 MUTANTS = {
     "matrix counts points, not classes": (
-        "class_opens",
-        "def mutant(n, basis, cls):\n"
-        "    return basis\n",
-        # the quotient takes its basic sets from the recoding, which then
-        # holds point bits past the number of classes
+        "images",
+        "def mutant(n, masks, ids):\n"
+        "    return masks\n",
+        # a subspace takes its basic sets from the images, which then keep
+        # the point bits of the whole space, past the kept points (so does
+        # the quotient, past the number of classes)
         "SpaceError",
+    ),
+    "images add id 0": (
+        "images",
+        "def mutant(n, masks, ids):\n"
+        "    return tuple(m | 1 for m in orig(n, masks, ids))\n",
+        # a subspace's first point joins every basic set, which then fails
+        # to nest that point's own
+        "BasisNotNestedError",
     ),
     "matrix transposed": (
         "further_matrix",

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import furtherness
 from furtherness import (
     BasisNotNestedError,
     DuplicateLabelError,
@@ -120,6 +121,27 @@ def test_subspace(e2):
     assert sub.basis == (0b01, 0b11)
     with pytest.raises(EmptyInputError, match="subspace carrier"):
         e2.subspace(0)
+
+
+def _restricted_family(space, carrier):
+    """The opens of ``space`` cut to ``carrier``, as label sets, from the
+    whole open family of its basis."""
+    family = family_from_basis(space.labels, [frozenset(space.members(m)) for m in space.basis])
+    cut = frozenset(space.members(carrier))
+    return {o & cut for o in family}
+
+
+def test_subspace_opens_are_the_restricted_opens():
+    # every carrier of every space on at most 4 points and of random spaces
+    # of 6 to 8 points: the subspace topology is {O & C : O open}
+    spaces = [sp for n in range(1, 5) for sp in enumerate_topologies(n)]
+    spaces += [random_space(6 + s % 3, s) for s in range(6)]
+    for sp in spaces:
+        for carrier in range(1, sp.full + 1):
+            sub = sp.subspace(carrier)
+            assert sub.labels == sp.members(carrier)
+            got = family_from_basis(sub.labels, [frozenset(sub.members(m)) for m in sub.basis])
+            assert got == _restricted_family(sp, carrier), (sp, carrier)
 
 
 def test_t0(e1, e2):
@@ -354,10 +376,13 @@ def test_constructor_matches_the_reference_validator_on_every_row_tuple():
 
 @pytest.mark.parametrize(
     "labels",
-    [(), ("",), ("a", ""), ("a", 1), (None,), ("a", "a"), ("b", "a", "b"), ("a", "b", "")],
+    [
+        (), ("",), ("a", ""), ("a", 1), (None,), ("a", "a"), ("b", "a", "b"), ("a", "b", ""),
+        None, 5,
+    ],
 )
 def test_constructor_matches_the_reference_validator_on_bad_labels(labels):
-    for basis in [(), (0b1,), (0b1, 0b10), (0b1, 0b11, 0b111), (0b10, 0b1)]:
+    for basis in [(), (0b1,), (0b1, 0b10), (0b1, 0b11, 0b111), (0b10, 0b1), None, 5]:
         assert _constructor_outcome(labels, basis) == reference_basis_outcome(labels, basis)
 
 
@@ -443,3 +468,28 @@ def test_int_masks_and_indices_coerce_through_mask_and_index(monkeypatch, e2):
 def test_class_opens_is_the_kernel_recoding_kept_on_the_space(e1, e2):
     assert e2.class_opens is e2.basis
     assert e1.class_opens == (0b01, 0b01, 0b11)
+
+
+_SPACE = FinSpace(("a", "b"), (0b01, 0b11))
+
+# every public reader of a collection, given something that is not iterable
+NOT_ITERABLE = {
+    "FinSpace labels": lambda: FinSpace(None, [1]),
+    "FinSpace basis": lambda: FinSpace(["a"], None),
+    "FinSpace.discrete": lambda: FinSpace.discrete(None),
+    "from_minimal_basis": lambda: from_minimal_basis(["a"], None),
+    "from_open_sets": lambda: from_open_sets(["a"], 5),
+    "Preorder": lambda: furtherness.Preorder(["a"], None),
+    "SpaceMap": lambda: furtherness.SpaceMap(_SPACE, _SPACE, None),
+    "space_map": lambda: furtherness.space_map(_SPACE, _SPACE, 5),
+    "generated_topology": lambda: furtherness.generated_topology(3, 5),
+    "union_analysis": lambda: furtherness.union_analysis(_SPACE, 5),
+    "FurtherMatrix": lambda: furtherness.FurtherMatrix(("a",), None),
+    "run_all": lambda: furtherness.run_all(5),
+}
+
+
+@pytest.mark.parametrize("call", list(NOT_ITERABLE))
+def test_a_collection_that_is_not_iterable_raises_space_error(call):
+    with pytest.raises(SpaceError, match="must be a.* iterable"):
+        NOT_ITERABLE[call]()

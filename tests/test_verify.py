@@ -672,24 +672,24 @@ def test_union_samplers_build_no_subset_table(monkeypatch):
     # they read only the closure half; union_analysis needs no subset table
     spaces = []
     real_random = T.random_space
-    real_enumerate = T.enumerate_topologies
+    real_space = T.FinSpace
 
     def random_space(n, seed):
         spaces.append(real_random(n, seed))
         return spaces[-1]
 
-    def enumerate_topologies(n):
-        for sp in real_enumerate(n):
-            spaces.append(sp)
-            yield sp
+    def FinSpace(labels, basis):
+        spaces.append(real_space(labels, basis))
+        return spaces[-1]
 
     monkeypatch.setattr(T, "random_space", random_space)
-    monkeypatch.setattr(T, "enumerate_topologies", enumerate_topologies)
+    monkeypatch.setattr(T, "FinSpace", FinSpace)
     opts = VerifyOptions(samples=40, sample_n=6)
     reports = run_all(["union-random", "union-triples"], opts)
     assert all(r.passed for r in reports) and reports[1].checked == 63
-    assert len(spaces) == 40 + 6942
+    # the random spaces come first, then every 31st space on 5 points, the
+    # only ones union-triples builds
+    assert len(spaces) == 40 + 224
+    assert [sp.basis for sp in spaces[40:]] == [sp.basis for sp in T.enumerate_topologies(5)][::31]
     assert not any("_subset_table" in sp.__dict__ for sp in spaces)
-    # the random spaces come first, then every 31st space on 5 points is read
-    read = spaces[:40] + spaces[40::31]
-    assert all("_closure_table" in sp.__dict__ for sp in read)
+    assert all("_closure_table" in sp.__dict__ for sp in spaces)
