@@ -167,10 +167,7 @@ def enumerate_cmd(args):
 
 def verify(args):
     """Run the theorem checkers; exit 2 if any property fails."""
-    opts = VerifyOptions(
-        max_n=args.max_n, samples=args.samples, sample_n=args.sample_n, seed=args.seed,
-        jobs=args.jobs,
-    )
+    opts = VerifyOptions._make(getattr(args, field) for field in VerifyOptions._fields)
     reports = run_all(args.props, opts)  # None: the whole registry
     for report in reports:
         print(json.dumps(report.to_json()))
@@ -198,6 +195,8 @@ _SUBSET = dict(
     required=True,
     help="comma-separated point labels; a label that holds ',' cannot be named",
 )
+
+_VERIFY = VerifyOptions()  # each verify flag's default is its field's
 
 # name -> (handler, positional file arguments, options as (flag, add_argument keywords))
 COMMANDS = {
@@ -231,12 +230,12 @@ COMMANDS = {
         ("--count-only", dict(action="store_true")),
     )),
     "verify": (verify, (), (
-        ("--max-n", dict(type=int, default=4, help="default: %(default)s")),
-        ("--samples", dict(type=int, default=1000, help="default: %(default)s")),
-        ("--sample-n", dict(type=int, default=6, help="default: %(default)s")),
-        ("--seed", dict(type=int, default=1, help="default: %(default)s")),
+        ("--max-n", dict(type=int, default=_VERIFY.max_n, help="default: %(default)s")),
+        ("--samples", dict(type=int, default=_VERIFY.samples, help="default: %(default)s")),
+        ("--sample-n", dict(type=int, default=_VERIFY.sample_n, help="default: %(default)s")),
+        ("--seed", dict(type=int, default=_VERIFY.seed, help="default: %(default)s")),
         ("--jobs", dict(
-            type=int, default=1,
+            type=int, default=_VERIFY.jobs,
             help="worker processes for sweeps, at most one per CPU (default: %(default)s)",
         )),
         ("--prop", dict(

@@ -133,13 +133,8 @@ def closure_table(space: FinSpace) -> ClosureTable:
     ``closure[s] | closure({x})``.  Interiors are complements of closures
     of complements.  Needs no distances.  Raises ``SizeTooLargeError``
     above ``SUBSET_TABLE_LIMIT`` points, before anything is allocated.
-
-    The table is kept on the space object, as its distance matrix is, so
-    every reader of one space shares one build, and it goes with the space.
+    Not kept: :func:`subset_table`, which is, holds the same three fields.
     """
-    table = space.__dict__.get("_closure_table")
-    if table is not None:
-        return table
     n = space.n
     if n > SUBSET_TABLE_LIMIT:
         raise SizeTooLargeError(n, SUBSET_TABLE_LIMIT, "subset table")
@@ -150,9 +145,7 @@ def closure_table(space: FinSpace) -> ClosureTable:
     # s ranges upward while full ^ s ranges downward
     interior = [full ^ c for c in reversed(closure)]
     boundary = [c & ~i for c, i in zip(closure, interior)]
-    table = ClosureTable(tuple(closure), tuple(interior), tuple(boundary))
-    space.__dict__["_closure_table"] = table
-    return table
+    return ClosureTable(tuple(closure), tuple(interior), tuple(boundary))
 
 
 # distinct distance rows whose point-to-set rows are kept: every row of the
@@ -187,7 +180,7 @@ def subset_table(space: FinSpace) -> SubsetTable:
     ``_p2s_row``, so spaces that share a distance row share its
     point-to-set row.  Raises ``SizeTooLargeError`` above
     ``SUBSET_TABLE_LIMIT`` points, before anything is allocated.  Kept on
-    the space object, as the closure table is.
+    the space object, as its distance matrix is, and the one table kept.
     """
     table = space.__dict__.get("_subset_table")
     if table is not None:

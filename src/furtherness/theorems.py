@@ -630,10 +630,16 @@ def _set_to_set_rows(table: R.SubsetTable) -> list[list]:
 
 @space_property("separation-obstruction")
 def _separation_obstruction(sp: FinSpace):
+    """Separation by opens, which also checks the set-to-set rows against
+    ``furtherness_to_set``, the definition, at each set's complement; an
+    entry that differs is a counterexample, named by ``table="set"``."""
     rows = _set_to_set_rows(R.subset_table(sp))
     opens = [0] + [sp.minimal_open(a) for a in range(1, sp.full + 1)]
     for a in range(1, sp.full + 1):
         row = rows[a]
+        rest = sp.full & ~a
+        if row[rest] != D.furtherness_to_set(sp, a, rest):
+            return _fail(sp, subset=_set(sp, a), table="set")
         open_a = opens[a]
         for b in range(1, sp.full + 1):
             if row[b] == 0 and not (open_a & opens[b]):
@@ -761,8 +767,9 @@ def _subspace_radius(sp: FinSpace):
     return None
 
 
-def _qualifying_pairs(table: R.ClosureTable):
-    """Separated pairs ``a < b`` of nonempty sets, neither clopen, ascending.
+def _qualifying_pairs(table):
+    """Separated pairs ``a < b`` of nonempty sets, neither clopen, ascending,
+    from the ``closure`` and ``interior`` fields of a closure or subset table.
 
     ``b`` misses the closure of ``a``, hence ``a`` too, so it runs over the
     subsets of the rest in ascending order.  A set is clopen when its
@@ -862,7 +869,7 @@ def _union_pairs(sp: FinSpace):
     reading that differs is a counterexample, named by ``table="union"``.
     """
     table = R.subset_table(sp)
-    for k, (a, b) in enumerate(_qualifying_pairs(R.closure_table(sp))):
+    for k, (a, b) in enumerate(_qualifying_pairs(table)):
         reading = _pair_union(table, a, b)
         if not k and reading != _reading(R.union_analysis(sp, [a, b])):
             return _fail(sp, parts=[_set(sp, a), _set(sp, b)], table="union")
@@ -968,26 +975,18 @@ def _enumerator_counts(opts: VerifyOptions):
     want_t0 = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
     checked = 0
     for n in range(1, min(opts.max_n, 5) + 1):
-        seen = set()
-        count = 0
-        for sp in enumerate_topologies(n):
-            seen.add(sp.basis)
-            count += 1
+        bases = [sp.basis for sp in enumerate_topologies(n)]
+        t0_bases = [sp.basis for sp in enumerate_topologies(n, t0_only=True)]
+        count = len(bases)
         checked += count
-        if count != want_all[n] or len(seen) != count:
+        if count != want_all[n] or len(set(bases)) != count:
             return checked, {"n": n, "count": count}
-        if n in want_t0:
-            t0count = sum(1 for _ in enumerate_topologies(n, t0_only=True))
-            if t0count != want_t0[n]:
-                return checked, {"n": n, "t0_count": t0count}
+        if len(t0_bases) != want_t0[n]:
+            return checked, {"n": n, "t0_count": len(t0_bases)}
         if n <= 4:
-            cross = family_generated_bases(n)
-            if cross != frozenset(s.basis for s in enumerate_topologies(n)):
+            if family_generated_bases(n) != frozenset(bases):
                 return checked, {"n": n, "generator": "family"}
-            cross_t0 = family_generated_bases(n, t0_only=True)
-            if cross_t0 != frozenset(
-                s.basis for s in enumerate_topologies(n, t0_only=True)
-            ):
+            if family_generated_bases(n, t0_only=True) != frozenset(t0_bases):
                 return checked, {"n": n, "generator": "family-t0"}
     return checked, None
 

@@ -107,7 +107,8 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
     anything runs when an option is not an int (a bool reads as its int),
     when ``max_n`` is below 1 or ``samples`` below 0, where every sweep
     would check nothing and pass, when ``jobs`` is below 1, when ``names``
-    is not iterable or a name is not registered (``UnknownPropertyError``),
+    is a string, which would read as its characters, or not iterable, or a
+    name is not registered (``UnknownPropertyError``),
     or when a selected sampler cannot build spaces of ``sample_n`` points.
     """
     fields = zip(VerifyOptions._fields, opts or VerifyOptions())
@@ -121,6 +122,11 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
     registry = _registry()
     if names is None:
         names = registry
+    if isinstance(names, str):
+        raise SpaceError(
+            f"the property names must be a list of names, got the string {names!r};"
+            " pass [name] or call run_property(name)"
+        )
     names = list(_iterable(names, "the property names must be an iterable, got {!r}"))
     for name in names:
         if name not in registry:

@@ -411,6 +411,13 @@ def test_verify_help_shows_defaults(capsys):
         assert re.search(rf"{flag} [A-Z_]+ [^-\[\]]*default: {default}\b", text), flag
 
 
+def test_verify_flag_defaults_are_the_option_defaults():
+    # the parser takes each default from VerifyOptions, so none can drift
+    args = C._parser(["verify"]).parse_args(["verify"])
+    for field, default in V.VerifyOptions()._asdict().items():
+        assert getattr(args, field) == default, field
+
+
 def test_usage_errors_exit_one(space_file, e2, capsys):
     doc = space_file(e2)
     for argv in (

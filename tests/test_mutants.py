@@ -95,7 +95,40 @@ MUTANTS = {
         "    if not target:\n"
         "        return math.inf\n"
         "    return max(flat[x * n + t] for t in range(n) if (target >> t) & 1)\n",
-        ("radius-clopen", "union-pairs", "union-random", "union-triples", "quasi-ball-identity"),
+        # set_to_set reads point_to_set, so separation-obstruction's
+        # comparison with furtherness_to_set sees it too
+        (
+            "separation-obstruction", "radius-clopen", "union-pairs", "union-random",
+            "union-triples", "quasi-ball-identity",
+        ),
+    ),
+    "center takes the nearest point": (
+        "center_radius",
+        "def mutant(n, flat, a, target):\n"
+        "    if not a or not target:\n"
+        "        return orig(n, flat, a, target)\n"
+        "    near = {x: orig(n, flat, 1 << x, target)[1] for x in range(n) if a >> x & 1}\n"
+        "    best = min(near.values())\n"
+        "    return sum(1 << x for x, v in near.items() if v == best), best\n",
+        ("radius-clopen", "union-random", "union-triples", "quasi-ball-identity"),
+    ),
+    "set_to_set takes the max": (
+        "set_to_set",
+        "import math\n"
+        "def mutant(n, flat, a, b):\n"
+        "    if not a or not b:\n"
+        "        return math.inf\n"
+        "    xs = [x for x in range(n) if a >> x & 1]\n"
+        "    return max(flat[x * n + y] for x in xs for y in range(n) if b >> y & 1)\n",
+        # the subset table's set rows take the min, so only the comparison
+        # with furtherness_to_set sees it
+        ("separation-obstruction",),
+    ),
+    "interior drops the last point": (
+        "interior_mask",
+        "def mutant(n, basis, a):\n"
+        "    return orig(n, basis, a) & ~(1 << (n - 1))\n",
+        ("interior-closure-duality", "radius-clopen", "union-pairs"),
     ),
     "closure loses bit 3": (
         "closure_mask",
@@ -125,6 +158,36 @@ MUTANTS = {
             "symmetrized-smallest-join", "point-set-closure", "radius-zero-interior",
             "center-in-interior", "radius-clopen", "union-pairs",
         ),
+    ),
+    "class_ids merges every class": (
+        "class_ids",
+        "def mutant(n, basis):\n"
+        "    return (0,) * n\n",
+        # every space that is not T0 then has one class, so its matrix
+        # is all zeros
+        (
+            "zero-characterization", "oracle-equivalence", "chain-witness", "extreme-points",
+            "matrix-report-flags", "preserving-implies-continuous", "product-formula",
+            "product-nfold", "ball-radius-one", "forward-ball-topology",
+            "backward-ball-topology", "symmetrized-smallest-join", "separation-obstruction",
+            "radius-zero-interior", "center-in-interior", "subspace-radius-monotone",
+        ),
+    ),
+    "class_opens returns the basis": (
+        "FinSpace.class_opens",
+        "def mutant(self):\n"
+        "    return self.basis\n",
+        # the quotient of a space with twin points takes basic sets that
+        # keep point bits past its classes, which its constructor refuses
+        "SpaceError",
+    ),
+    "class_ids splits twins": (
+        "FinSpace.class_ids",
+        "def mutant(self):\n"
+        "    return tuple(range(self.n))\n",
+        # the quotient keeps twin points apart, so its specialization
+        # order is no partial order and the Hasse diagram's covers refuse it
+        "PreconditionViolatedError",
     ),
     "is_t0 is always true": (
         "FinSpace.is_t0",

@@ -266,12 +266,11 @@ def test_closure_table_matches_subset_table_and_space():
         _assert_closure_table_is_the_definition(random_space(7, seed))
 
 
-def test_closure_table_is_kept_and_shared(e2):
-    table = closure_table(e2)
-    assert closure_table(e2) is table
-    # the subset table reads the kept half instead of repeating it
-    full = subset_table(e2)
-    assert full.closure is table.closure and full.boundary is table.boundary
+def test_subset_table_is_the_one_table_kept(e2):
+    table = subset_table(e2)
+    assert subset_table(e2) is table
+    # the closure table is the subset table's first three fields
+    assert closure_table(e2) == table[:3]
 
 
 def test_closure_table_size_limit():
@@ -280,7 +279,6 @@ def test_closure_table_size_limit():
     sp = FinSpace.discrete([f"p{i}" for i in range(40)])
     with pytest.raises(SizeTooLargeError, match=f"at most {SUBSET_TABLE_LIMIT} points"):
         closure_table(sp)
-    assert "_closure_table" not in sp.__dict__
 
 
 def test_subset_table_shape(e2):

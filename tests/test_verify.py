@@ -1,5 +1,6 @@
 import json
 import multiprocessing
+import re
 import time
 import traceback
 from functools import partial
@@ -470,6 +471,9 @@ _TABLE_CHECKS = [
     for field in ("closure", "interior", "boundary", "center", "radius")
 ] + [
     ("quasi-ball-identity", "p2s", 0b001, -1, "table", "p2s"),
+    # the set-to-set rows are built from the p2s rows, and held to
+    # furtherness_to_set at each set's complement
+    ("separation-obstruction", "p2s", 0b001, -1, "table", "set"),
     # the union of the first two points: its table reading differs from
     # union_analysis on the space's first pair
     ("union-pairs", "radius", 0b011, 99, "table", "union"),
@@ -485,9 +489,10 @@ _TABLE_CHECKS = [
 def test_table_cross_check_catches_a_wrong_entry(
     monkeypatch, prop, field, subset, value, key, tag
 ):
-    # the region properties read subset_table, radius-clopen and
-    # quasi-ball-identity hold it to region_report and point_to_set, and
-    # union-pairs holds it to union_analysis on the first pair of every
+    # the region properties read subset_table, radius-clopen,
+    # quasi-ball-identity and separation-obstruction hold it to
+    # region_report, point_to_set and furtherness_to_set, and union-pairs
+    # holds it to union_analysis on the first pair of every
     # space: one wrong entry must surface as a counterexample that names
     # the subset
     real = R.subset_table
@@ -669,10 +674,17 @@ def test_open_membership_catches_a_larger_minimal_open(monkeypatch):
 
 
 def test_union_samplers_build_no_subset_table(monkeypatch):
-    # they read only the closure half; union_analysis needs no subset table
+    # they read only the closure half, built once per space; union_analysis
+    # needs no subset table
     spaces = []
+    tables = []
     real_random = T.random_space
     real_space = T.FinSpace
+    real_table = R.closure_table
+
+    def closure_table(sp):
+        tables.append(sp)
+        return real_table(sp)
 
     def random_space(n, seed):
         spaces.append(real_random(n, seed))
@@ -684,6 +696,7 @@ def test_union_samplers_build_no_subset_table(monkeypatch):
 
     monkeypatch.setattr(T, "random_space", random_space)
     monkeypatch.setattr(T, "FinSpace", FinSpace)
+    monkeypatch.setattr(R, "closure_table", closure_table)
     opts = VerifyOptions(samples=40, sample_n=6)
     reports = run_all(["union-random", "union-triples"], opts)
     assert all(r.passed for r in reports) and reports[1].checked == 63
@@ -692,4 +705,31 @@ def test_union_samplers_build_no_subset_table(monkeypatch):
     assert len(spaces) == 40 + 224
     assert [sp.basis for sp in spaces[40:]] == [sp.basis for sp in T.enumerate_topologies(5)][::31]
     assert not any("_subset_table" in sp.__dict__ for sp in spaces)
-    assert all("_closure_table" in sp.__dict__ for sp in spaces)
+    assert len(tables) == len(spaces) and all(a is b for a, b in zip(tables, spaces))
+
+
+@pytest.mark.parametrize("max_n, built", [(4, 631), (5, 11804)])
+def test_enumerator_counts_enumerates_each_corpus_once(monkeypatch, max_n, built):
+    # every topology and every T0 topology on n points, once each: 389 + 242
+    # spaces up to 4 points, and 6,942 + 4,231 more on 5
+    constructed = []
+    real_init = FinSpace.__init__
+
+    def init(self, *args, **kwargs):
+        constructed.append(self)
+        real_init(self, *args, **kwargs)
+
+    monkeypatch.setattr(FinSpace, "__init__", init)
+    report = run_property("enumerator-counts", VerifyOptions(max_n=max_n))
+    assert report.passed and report.checked == {4: 389, 5: 7331}[max_n]
+    assert len(constructed) == built
+
+
+@pytest.mark.parametrize("names", ["union-triples", ""])
+def test_a_string_of_names_is_refused(names):
+    # a string would read as its characters: "union-triples" as the
+    # unknown name 'u', and "" as no name at all, so nothing would run
+    message = f"got the string {names!r}; pass [name] or call run_property(name)"
+    with pytest.raises(SpaceError, match=re.escape(message)):
+        run_all(names, SMALL)
+    assert [r.prop for r in run_all(["union-triples"], SMALL)] == ["union-triples"]
