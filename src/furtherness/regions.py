@@ -10,22 +10,23 @@ prediction is a claim under test here, not a shortcut.
 
 ``region_report`` and ``quasi_report`` answer one subset per call and are
 the definition.  ``subset_table`` answers the region questions for every
-subset of a space at once, and ``closure_table`` only its closure,
-interior and boundary half, on demand, for the verifier's sweeps, which
-check them against the per-query functions.
+subset of a space at once, for the verifier's sweeps, which check it
+against the per-query functions; its distance half is filled on first
+read, so a sweep that reads only closures and interiors builds no
+distances.
 """
 
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import _kernels as K
 from .balls import ball
 from .distance import Further
 from .errors import EmptyOrFullSubsetError, PreconditionViolatedError, SizeTooLargeError
-from .spaces import FinSpace, SetLike, _iterable, mask_indices
+from .spaces import FinSpace, Frozen, SetLike, _iterable, mask_indices
 
 # a subset table holds about n * 2**n entries
 SUBSET_TABLE_LIMIT = 12
@@ -63,37 +64,6 @@ def quasi_report(space: FinSpace, subset: SetLike) -> QuasiReport:
     return QuasiReport(a, center, r)
 
 
-class ClosureTable(NamedTuple):
-    """Topology data of every subset of one space, indexed by mask.
-
-    ``closure[s]``, ``interior[s]`` and ``boundary[s]`` equal
-    ``space.closure(s)``, ``space.interior(s)`` and the boundary field of
-    ``region_report(space, s)``.
-    """
-
-    closure: tuple[int, ...]
-    interior: tuple[int, ...]
-    boundary: tuple[int, ...]
-
-
-class SubsetTable(NamedTuple):
-    """Region data of every subset of one space, indexed by mask.
-
-    ``closure[s]``, ``interior[s]``, ``boundary[s]``, ``center[s]`` and
-    ``radius[s]`` equal the fields of ``region_report(space, s)`` (with the
-    closure added), and ``p2s[x][t]`` is ``point_to_set(space, x, t)``;
-    infinity is ``math.inf`` throughout.  The first three fields are those
-    of :func:`closure_table`.
-    """
-
-    closure: tuple[int, ...]
-    interior: tuple[int, ...]
-    boundary: tuple[int, ...]
-    center: tuple[int, ...]
-    radius: tuple[Further, ...]
-    p2s: tuple[tuple[Further, ...], ...]
-
-
 def _centers(targets, p2s):
     """Points of each subset furthest from its target, and that distance.
 
@@ -125,29 +95,6 @@ def _centers(targets, p2s):
     return tuple(centers), tuple(radii)
 
 
-def closure_table(space: FinSpace) -> ClosureTable:
-    """One pass over all 2**n subsets of ``space``; see :class:`ClosureTable`.
-
-    The subsets of the first x + 1 points are those of the first x points,
-    without and with point x, so a set s gains x with closure
-    ``closure[s] | closure({x})``.  Interiors are complements of closures
-    of complements.  Needs no distances.  Raises ``SizeTooLargeError``
-    above ``SUBSET_TABLE_LIMIT`` points, before anything is allocated.
-    Not kept: :func:`subset_table`, which is, holds the same three fields.
-    """
-    n = space.n
-    if n > SUBSET_TABLE_LIMIT:
-        raise SizeTooLargeError(n, SUBSET_TABLE_LIMIT, "subset table")
-    full = space.full
-    closure = [0]
-    for point in space.point_closures:
-        closure += [c | point for c in closure]
-    # s ranges upward while full ^ s ranges downward
-    interior = [full ^ c for c in reversed(closure)]
-    boundary = [c & ~i for c, i in zip(closure, interior)]
-    return ClosureTable(tuple(closure), tuple(interior), tuple(boundary))
-
-
 # distinct distance rows whose point-to-set rows are kept: every row of the
 # spaces on at most five points (925 of them) fits
 _P2S_ROWS = 1024
@@ -172,33 +119,77 @@ def _p2s_row(distances: tuple[int, ...]) -> tuple[Further, ...]:
     return tuple(row)
 
 
-def subset_table(space: FinSpace) -> SubsetTable:
-    """One pass over all 2**n subsets of ``space``; see :class:`SubsetTable`.
+class SubsetTable(Frozen):
+    """Region data of every subset of one space, indexed by mask.
 
-    The topology half is :func:`closure_table`; each point's ``p2s`` row
-    comes from its row of the distance matrix alone, through the cache of
-    ``_p2s_row``, so spaces that share a distance row share its
-    point-to-set row.  Raises ``SizeTooLargeError`` above
-    ``SUBSET_TABLE_LIMIT`` points, before anything is allocated.  Kept on
-    the space object, as its distance matrix is, and the one table kept.
+    ``closure[s]``, ``interior[s]``, ``boundary[s]``, ``center[s]`` and
+    ``radius[s]`` equal the fields of ``region_report(space, s)`` (with the
+    closure added), and ``p2s[x][t]`` is ``point_to_set(space, x, t)``;
+    infinity is ``math.inf`` throughout.  The distance half, ``p2s``,
+    ``center`` and ``radius``, is filled the first time one of them is
+    read, so a reader of the other three builds no distances.
     """
+
+    _fields = ("closure", "interior", "boundary")
+
+    def __init__(self, space: FinSpace):
+        """One pass over all 2**n subsets of ``space``.
+
+        The subsets of the first x + 1 points are those of the first x
+        points, without and with point x, so a set s gains x with closure
+        ``closure[s] | closure({x})``.  Interiors are complements of
+        closures of complements.  Raises ``SizeTooLargeError`` above
+        ``SUBSET_TABLE_LIMIT`` points, before anything is allocated.
+        """
+        n = space.n
+        if n > SUBSET_TABLE_LIMIT:
+            raise SizeTooLargeError(n, SUBSET_TABLE_LIMIT, "subset table")
+        full = space.full
+        closure = [0]
+        for point in space.point_closures:
+            closure += [c | point for c in closure]
+        # s ranges upward while full ^ s ranges downward
+        interior = [full ^ c for c in reversed(closure)]
+        boundary = [c & ~i for c, i in zip(closure, interior)]
+        self.__dict__.update(
+            _space=space,
+            closure=tuple(closure),
+            interior=tuple(interior),
+            boundary=tuple(boundary),
+        )
+
+    @cached_property
+    def p2s(self) -> tuple[tuple[Further, ...], ...]:
+        """Each point's row, from the cache of ``_p2s_row``, shared by every
+        space with the same distance row.  The table then drops its space,
+        so a table kept on its space forms no reference cycle."""
+        space = self._space
+        n = space.n
+        flat = space.further_flat
+        rows = [_p2s_row(flat[y * n : (y + 1) * n]) for y in range(n)]
+        del self.__dict__["_space"]
+        return tuple(rows)
+
+    @cached_property
+    def center(self) -> tuple[int, ...]:
+        # one _centers pass fills the radii too
+        center, self.__dict__["radius"] = _centers(self.boundary, self.p2s)
+        return center
+
+    @cached_property
+    def radius(self) -> tuple[Further, ...]:
+        self.center  # fills the radii
+        return self.__dict__["radius"]
+
+
+def subset_table(space: FinSpace) -> SubsetTable:
+    """The :class:`SubsetTable` of ``space``, built on the first call and
+    kept on the space object, as its distance matrix is; the one table
+    kept.  Raises ``SizeTooLargeError`` above ``SUBSET_TABLE_LIMIT``
+    points, before anything is allocated."""
     table = space.__dict__.get("_subset_table")
-    if table is not None:
-        return table
-    closure, interior, boundary = closure_table(space)
-    n = space.n
-    flat = space.further_flat
-    p2s = [_p2s_row(flat[y * n : (y + 1) * n]) for y in range(n)]
-    center, radius = _centers(boundary, p2s)
-    table = SubsetTable(
-        closure=closure,
-        interior=interior,
-        boundary=boundary,
-        center=center,
-        radius=radius,
-        p2s=tuple(p2s),
-    )
-    space.__dict__["_subset_table"] = table
+    if table is None:
+        table = space.__dict__["_subset_table"] = SubsetTable(space)
     return table
 
 

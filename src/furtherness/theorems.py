@@ -113,12 +113,19 @@ def _open_membership(sp: FinSpace):
 
 @space_property("interior-closure-duality")
 def _duality(sp: FinSpace):
+    """Interior and closure are dual through complements, and the boundary
+    is the closure less the interior."""
     for s in _subsets(sp):
         rest = sp.full & ~s
-        if sp.interior(s) != sp.full & ~sp.closure(rest):
+        closure = sp.closure(s)
+        interior = sp.interior(s)
+        if interior != sp.full & ~sp.closure(rest):
             return _fail(sp, subset=_set(sp, s))
-        if sp.closure(s) != sp.full & ~sp.interior(rest):
+        if closure != sp.full & ~sp.interior(rest):
             return _fail(sp, subset=_set(sp, s))
+        boundary = sp.boundary(s)
+        if boundary != closure & ~interior:
+            return _fail(sp, subset=_set(sp, s), boundary=_set(sp, boundary))
     return None
 
 
@@ -392,9 +399,9 @@ def _minimal_rigidity(sp: FinSpace):
         return None
     n = sp.n
     flat = sp.further_flat
-    for image in itertools.product(range(n), repeat=n):
-        if any(flat[image[x] * n + x] != 0 for x in range(n)):
-            continue
+    # the candidates send each x to a y with d(y, x) = 0, in lexicographic order
+    zeros = [[y for y in range(n) if flat[y * n + x] == 0] for x in range(n)]
+    for image in itertools.product(*zeros):
         f = O.SpaceMap(sp, sp, image)
         if not O.is_continuous(f):
             continue
@@ -738,8 +745,9 @@ def _subspace_radius(sp: FinSpace):
 
     The boundary half holds by construction: the subspace boundary is read
     from the ambient closures, ``C ∩ cl(A) ∩ cl(C ∖ A)``, which lies inside
-    the ambient boundary of ``A``.  The sweep checks the distance half, the
-    subspace's own matrix against the ambient one, and the radius bound.
+    the ambient boundary of ``A``.  The sweep checks the subspace's labels
+    against the carrier's members, the distance half, the subspace's own
+    matrix against the ambient one, and the radius bound.
     That the ambient reading is the boundary in ``sp.subspace(C)`` is
     checked by the test suite alone.
     """
@@ -750,7 +758,10 @@ def _subspace_radius(sp: FinSpace):
     # rows[s] lists the p2s rows of the points of s
     rows = [[table.p2s[x] for x in mask_indices(s)] for s in _subsets(sp)]
     for carrier in range(1, sp.full + 1):
-        sub_flat = iter(sp.subspace(carrier).further_flat)
+        sub = sp.subspace(carrier)
+        if sub.labels != sp.members(carrier):
+            return _fail(sp, carrier=_set(sp, carrier), labels=list(sub.labels))
+        sub_flat = iter(sub.further_flat)
         kept = list(mask_indices(carrier))
         for u in kept:
             for v in kept:
@@ -769,7 +780,8 @@ def _subspace_radius(sp: FinSpace):
 
 def _qualifying_pairs(table):
     """Separated pairs ``a < b`` of nonempty sets, neither clopen, ascending,
-    from the ``closure`` and ``interior`` fields of a closure or subset table.
+    from the ``closure`` and ``interior`` fields of a subset table, so its
+    distance half stays unfilled.
 
     ``b`` misses the closure of ``a``, hence ``a`` too, so it runs over the
     subsets of the rest in ascending order.  A set is clopen when its
@@ -883,14 +895,14 @@ def _union_pairs(sp: FinSpace):
 def _union_random(opts: VerifyOptions):
     """Up to ten pairs per random space, through ``union_analysis`` itself.
 
-    The pairs come from the closure table, so a space with none builds no
-    distances.
+    The pairs come from the subset table's closures and interiors, so a
+    space with none builds no distances.
     """
     checked = 0
     for i in range(opts.samples):
         sp = random_space(opts.sample_n, opts.seed + i)
         taken = 0
-        for a, b in _qualifying_pairs(R.closure_table(sp)):
+        for a, b in _qualifying_pairs(R.subset_table(sp)):
             w = _check_union(sp, [a, b])
             checked += 1
             if w is not None:
@@ -908,7 +920,7 @@ def _union_triples(opts: VerifyOptions):
     # every 31st space on 5 points, in enumeration order; only these are built
     for basis in _bases(5, False)[::31]:
         sp = FinSpace(labels, basis)
-        pairs = set(_qualifying_pairs(R.closure_table(sp)))
+        pairs = set(_qualifying_pairs(R.subset_table(sp)))
         members = sorted({s for pair in pairs for s in pair})
         found = 0
         for trio in itertools.combinations(members, 3):

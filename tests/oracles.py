@@ -9,7 +9,9 @@ and ``scan_all_masks_bases`` the basis enumerator in its plainest form.
 ``fixpoint_generated_topology`` and ``scan_beat_points`` are the library's
 earlier generated topology and beat points, a closure under union and
 intersection run to a fixpoint and a triple loop over point pairs, kept
-as references for the minimal-open and mask forms.
+as references for the minimal-open and mask forms, and
+``zero_continuous_self_maps`` the walk over all n**n self-maps that
+``minimal-rigidity`` made before it walked only its candidates.
 """
 
 from functools import reduce
@@ -127,6 +129,24 @@ def brute_product(factors):
         )
         for combo in product(*points)
     ]
+
+
+def zero_continuous_self_maps(space):
+    """Every continuous self-map f of ``space`` with d(f(x), x) = 0 for each
+    point x, as a tuple of point indices, in lexicographic order: the walk
+    over all n**n maps, each tested on the whole open family."""
+    labels = space.labels
+    n = len(labels)
+    family = family_from_basis(labels, [frozenset(space.members(m)) for m in space.basis])
+    zero = [[brute_furtherness(family, y, x) == 0 for x in labels] for y in labels]
+    maps = []
+    for image in product(range(n), repeat=n):
+        if not all(zero[image[x]][x] for x in range(n)):
+            continue
+        preimages = (frozenset(labels[x] for x in range(n) if labels[image[x]] in o) for o in family)
+        if all(p in family for p in preimages):
+            maps.append(image)
+    return maps
 
 
 def own_sweep(check, max_n):

@@ -10,7 +10,7 @@ import pytest
 import furtherness
 from furtherness import _kernels as K
 from furtherness import family_generated_bases
-from furtherness.regions import closure_table
+from furtherness.regions import subset_table
 
 from oracles import scan_all_masks_bases
 
@@ -204,7 +204,7 @@ def test_the_point_closures_run_the_closure_kernel_at_most_once_per_point(monkey
         sp = furtherness.FinSpace(furtherness.default_labels(n), b)
         calls.clear()
         assert sp.opposite().basis == sp.point_closures
-        assert closure_table(sp).closure[sp.full] == sp.full
+        assert subset_table(sp).closure[sp.full] == sp.full
         furtherness.beat_points(sp)
         assert len(calls) <= n, (b, calls)
 

@@ -1,14 +1,14 @@
 """Kernel and ``FinSpace`` mutants against the verifier registry.
 
 Each mutant replaces one attribute of ``_kernels``, which every module
-calls by attribute, or one cached property of ``FinSpace``, which every
-space reads, so the patch reaches every caller.  The registry runs
-at ``max_n=3`` in a fresh interpreter per mutant, since the per-process
-caches (the enumerated bases, the point-to-set rows, the cover LRU) would
-carry a mutant into later tests.  A mutant is killed when some property
-fails or the sweep raises a ``SpaceError``; each kill is pinned, so a
-property that stops catching its mutant, or a witness that stops reading
-back, fails here.
+calls by attribute, or one method or cached property of ``FinSpace``,
+which every space reads, so the patch reaches every caller.  The
+registry runs at ``max_n=3`` in a fresh interpreter per mutant, since the
+per-process caches (the enumerated bases, the point-to-set rows, the
+cover LRU) would carry a mutant into later tests.  A mutant is killed
+when some property fails or the sweep raises a ``SpaceError``; each kill
+is pinned, so a property that stops catching its mutant, or a witness
+that stops reading back, fails here.
 """
 
 import json
@@ -24,10 +24,10 @@ from furtherness import document_to_space
 from furtherness.verify import PROPERTIES
 
 # runs the registry under the mutant ``mutant`` defined by the source in
-# argv[2], which sees the kernel or the property getter it replaces as
-# ``orig``; a name ``FinSpace.<attr>`` replaces that cached property with a
-# new one; prints the reports, or the name of the SpaceError that ended
-# the sweep
+# argv[2], which sees the kernel, method or property getter it replaces as
+# ``orig``; a name ``FinSpace.<attr>`` replaces that method, or that cached
+# property with a new one; prints the reports, or the name of the
+# SpaceError that ended the sweep
 CHILD = """
 import json, sys
 from functools import cached_property
@@ -38,11 +38,15 @@ from furtherness.verify import VerifyOptions, run_all
 name, source = sys.argv[1:]
 owner, _, attr = name.rpartition(".")
 if owner == "FinSpace":
-    scope = {"orig": vars(FinSpace)[attr].func}
+    orig = vars(FinSpace)[attr]
+    cached = isinstance(orig, cached_property)
+    scope = {"orig": orig.func if cached else orig}
     exec(source, scope)
-    prop = cached_property(scope["mutant"])
-    prop.__set_name__(FinSpace, attr)
-    setattr(FinSpace, attr, prop)
+    mutant = scope["mutant"]
+    if cached:
+        mutant = cached_property(mutant)
+        mutant.__set_name__(FinSpace, attr)
+    setattr(FinSpace, attr, mutant)
 else:
     scope = {"orig": getattr(K, name)}
     exec(source, scope)
@@ -54,9 +58,9 @@ except SpaceError as exc:
 print(json.dumps(out))
 """
 
-# name -> (kernel or ``FinSpace.<cached property>`` replaced, source of
-# ``mutant``, the failing properties in registry order, or the SpaceError
-# subclass the sweep raises)
+# name -> (kernel or ``FinSpace.<method or cached property>`` replaced,
+# source of ``mutant``, the failing properties in registry order, or the
+# SpaceError subclass the sweep raises)
 MUTANTS = {
     "matrix counts points, not classes": (
         "images",
@@ -200,6 +204,37 @@ MUTANTS = {
             "matrix-report-flags", "quotient-preserves", "minimal-rigidity",
             "symmetrized-discrete-t0", "symmetrized-disconnected",
         ),
+    ),
+    "minimal_open returns the set itself": (
+        "FinSpace.minimal_open",
+        "def mutant(self, points):\n"
+        "    return self.mask(points)\n",
+        ("open-membership", "separation-obstruction"),
+    ),
+    "min_open returns the point's closure": (
+        "FinSpace.min_open",
+        "def mutant(self, point):\n"
+        "    return self.point_closures[self.index(point)]\n",
+        ("oracle-equivalence", "chain-witness"),
+    ),
+    "boundary returns the closure": (
+        "FinSpace.boundary",
+        "def mutant(self, points):\n"
+        "    return self.closure(points)\n",
+        ("interior-closure-duality",),
+    ),
+    "subspace reverses its labels": (
+        "FinSpace.subspace",
+        "def mutant(self, points):\n"
+        "    sub = orig(self, points)\n"
+        "    return type(sub)(sub.labels[::-1], sub.basis)\n",
+        ("subspace-radius-monotone",),
+    ),
+    "members lists in reverse order": (
+        "FinSpace.members",
+        "def mutant(self, mask):\n"
+        "    return orig(self, mask)[::-1]\n",
+        ("subspace-radius-monotone",),
     ),
 }
 

@@ -18,7 +18,7 @@ from furtherness import (
     union_analysis,
 )
 from furtherness import regions as R
-from furtherness.regions import SUBSET_TABLE_LIMIT, closure_table, subset_table
+from furtherness.regions import SUBSET_TABLE_LIMIT, SubsetTable, subset_table
 
 
 def test_region_e1_no_interior(e1):
@@ -239,46 +239,60 @@ def test_subset_tables_share_point_to_set_rows():
     # it dropped come back equal
     for seed in range(200):
         for n in (6, 7):
-            subset_table(random_space(n, seed))
+            subset_table(random_space(n, seed)).p2s
             assert R._p2s_row.cache_info().currsize <= bound
     assert R._p2s_row.cache_info().currsize == bound
     for sp, table in zip(mixed, tables):
         assert subset_table(FinSpace(sp.labels, sp.basis)).p2s == table.p2s
 
 
-def _assert_closure_table_is_the_definition(sp):
-    table = closure_table(sp)
-    assert "further_flat" not in sp.__dict__  # it needs no distances
-    full = subset_table(sp)
-    assert tuple(table) == (full.closure, full.interior, full.boundary)
+def _assert_topology_half_is_the_definition(sp):
+    table = SubsetTable(sp)
     for s in range(sp.full + 1):
         assert table.closure[s] == sp.closure(s)
         assert table.interior[s] == sp.interior(s)
         assert table.boundary[s] == sp.boundary(s)
+    # reading the topology half fills no distance half
+    assert "p2s" not in vars(table) and "further_flat" not in vars(sp)
 
 
-def test_closure_table_matches_subset_table_and_space():
+def test_topology_half_needs_no_distances():
     for n in range(1, 5):
         for sp in enumerate_topologies(n):
-            _assert_closure_table_is_the_definition(sp)
+            _assert_topology_half_is_the_definition(sp)
     for seed in (1, 2, 3):
-        _assert_closure_table_is_the_definition(random_space(6, seed))
-        _assert_closure_table_is_the_definition(random_space(7, seed))
+        _assert_topology_half_is_the_definition(random_space(6, seed))
+        _assert_topology_half_is_the_definition(random_space(7, seed))
+
+
+def test_reading_radius_fills_the_distance_half_once(monkeypatch):
+    sp = random_space(6, 2)
+    table = SubsetTable(sp)
+    passes = []
+    real_centers = R._centers
+
+    def counted(targets, p2s):
+        passes.append(targets)
+        return real_centers(targets, p2s)
+
+    monkeypatch.setattr(R, "_centers", counted)
+    radius = table.radius
+    assert {"p2s", "center", "radius"} <= set(vars(table))
+    # and the table lets go of the space, so the two form no cycle
+    assert sp not in vars(table).values()
+    p2s, center = table.p2s, table.center
+    assert table.radius is radius
+    assert passes == [table.boundary]  # one pass serves center and radius
+    for s in range(sp.full + 1):
+        rep = region_report(sp, s)
+        assert (center[s], radius[s]) == (rep.center, rep.radius)
+        for x in range(sp.n):
+            assert p2s[x][s] == point_to_set(sp, x, s)
 
 
 def test_subset_table_is_the_one_table_kept(e2):
     table = subset_table(e2)
     assert subset_table(e2) is table
-    # the closure table is the subset table's first three fields
-    assert closure_table(e2) == table[:3]
-
-
-def test_closure_table_size_limit():
-    at_limit = random_space(SUBSET_TABLE_LIMIT, 1)
-    assert len(closure_table(at_limit).boundary) == 1 << SUBSET_TABLE_LIMIT
-    sp = FinSpace.discrete([f"p{i}" for i in range(40)])
-    with pytest.raises(SizeTooLargeError, match=f"at most {SUBSET_TABLE_LIMIT} points"):
-        closure_table(sp)
 
 
 def test_subset_table_shape(e2):
@@ -297,8 +311,9 @@ def test_subset_table_shape(e2):
 def test_subset_table_size_limit():
     at_limit = random_space(SUBSET_TABLE_LIMIT, 1)
     assert len(subset_table(at_limit).radius) == 1 << SUBSET_TABLE_LIMIT
-    # 2**40 subsets could never be allocated, so the refusal comes first
+    # 2**40 subsets could never be allocated, so the constructor refuses first
     sp = FinSpace.discrete([f"p{i}" for i in range(40)])
-    with pytest.raises(SizeTooLargeError, match=f"at most {SUBSET_TABLE_LIMIT} points"):
-        subset_table(sp)
-    assert "further_flat" not in sp.__dict__
+    for build in (SubsetTable, subset_table):
+        with pytest.raises(SizeTooLargeError, match=f"at most {SUBSET_TABLE_LIMIT} points"):
+            build(sp)
+    assert "further_flat" not in sp.__dict__ and "_subset_table" not in sp.__dict__

@@ -1,3 +1,4 @@
+import copy
 import json
 import multiprocessing
 import re
@@ -24,7 +25,7 @@ from furtherness import regions as R
 from furtherness import theorems as T
 from furtherness import verify as V
 from furtherness.spaces import mask_indices
-from oracles import own_sweep
+from oracles import own_sweep, zero_continuous_self_maps
 
 SMALL = VerifyOptions(max_n=3, samples=25, sample_n=5)
 
@@ -481,6 +482,15 @@ _TABLE_CHECKS = [
 ]
 
 
+def _replaced(table, **fields):
+    """A copy of ``table``, its distance half filled, with ``fields``
+    replaced."""
+    table.radius
+    out = copy.copy(table)
+    vars(out).update(fields)
+    return out
+
+
 @pytest.mark.parametrize(
     "prop, field, subset, value, key, tag",
     _TABLE_CHECKS,
@@ -504,10 +514,10 @@ def test_table_cross_check_catches_a_wrong_entry(
         if field == "p2s":
             rows = [list(row) for row in table.p2s]
             rows[0][sp.full & ~subset] = value  # from the point to the rest
-            return table._replace(p2s=tuple(map(tuple, rows)))
+            return _replaced(table, p2s=tuple(map(tuple, rows)))
         values = list(getattr(table, field))
         values[subset] = value  # no mask or radius is negative
-        return table._replace(**{field: tuple(values)})
+        return _replaced(table, **{field: tuple(values)})
 
     monkeypatch.setattr(R, "subset_table", one_wrong_entry)
     report = run_property(prop, VerifyOptions(max_n=3, jobs=1))
@@ -569,11 +579,11 @@ def test_union_pair_verdict_names_the_broken_theorem():
     assert verdict(table) is None
     radius = list(table.radius)
     radius[0b011] = 99  # larger than both parts
-    w = verdict(table._replace(radius=tuple(radius)))
+    w = verdict(_replaced(table, radius=tuple(radius)))
     assert w["bound"] == "exceeded" and w["parts"] == [["a"], ["b"]]
     center = list(table.center)
     center[0b011] = 0b100  # not the two centers the theorem predicts
-    w = verdict(table._replace(center=tuple(center)))
+    w = verdict(_replaced(table, center=tuple(center)))
     assert w["case"] == "tie-dominates"
     assert (w["predicted"], w["direct"]) == (["a", "b"], ["c"])
 
@@ -673,16 +683,17 @@ def test_open_membership_catches_a_larger_minimal_open(monkeypatch):
     assert real(sp, subset) != sp.full and not sp.is_open(subset)
 
 
-def test_union_samplers_build_no_subset_table(monkeypatch):
-    # they read only the closure half, built once per space; union_analysis
-    # needs no subset table
+def test_union_samplers_read_no_distance_half(monkeypatch):
+    # they find their pairs in the subset table's closures and interiors,
+    # one table per space, and leave its distance half unfilled;
+    # union_analysis reads no table
     spaces = []
     tables = []
     real_random = T.random_space
     real_space = T.FinSpace
-    real_table = R.closure_table
+    real_table = R.subset_table
 
-    def closure_table(sp):
+    def subset_table(sp):
         tables.append(sp)
         return real_table(sp)
 
@@ -696,7 +707,7 @@ def test_union_samplers_build_no_subset_table(monkeypatch):
 
     monkeypatch.setattr(T, "random_space", random_space)
     monkeypatch.setattr(T, "FinSpace", FinSpace)
-    monkeypatch.setattr(R, "closure_table", closure_table)
+    monkeypatch.setattr(R, "subset_table", subset_table)
     opts = VerifyOptions(samples=40, sample_n=6)
     reports = run_all(["union-random", "union-triples"], opts)
     assert all(r.passed for r in reports) and reports[1].checked == 63
@@ -704,8 +715,39 @@ def test_union_samplers_build_no_subset_table(monkeypatch):
     # only ones union-triples builds
     assert len(spaces) == 40 + 224
     assert [sp.basis for sp in spaces[40:]] == [sp.basis for sp in T.enumerate_topologies(5)][::31]
-    assert not any("_subset_table" in sp.__dict__ for sp in spaces)
     assert len(tables) == len(spaces) and all(a is b for a, b in zip(tables, spaces))
+    assert not any("p2s" in vars(sp.__dict__["_subset_table"]) for sp in spaces)
+
+
+def test_minimal_rigidity_witness_is_the_first_of_all_maps(monkeypatch):
+    # with every space taken as minimal, the property's witness is the
+    # first map other than the identity of the walk over all n**n maps
+    monkeypatch.setattr(T.O, "is_minimal", lambda sp: True)
+    witnesses = 0
+    for n in range(1, 5):
+        identity = tuple(range(n))
+        for sp in enumerate_topologies(n):
+            first = next((f for f in zero_continuous_self_maps(sp) if f != identity), None)
+            w = T._minimal_rigidity(sp)
+            if first is None:
+                assert w is None, sp
+            else:
+                assert w["map"] == [sp.labels[i] for i in first], sp
+                witnesses += 1
+    assert witnesses > 0
+
+
+def test_minimal_rigidity_holds_on_minimal_spaces():
+    minimal = [sp for sp in enumerate_topologies(5) if T.O.is_minimal(sp)]
+    assert len(minimal) == 51
+    assert all(T._minimal_rigidity(sp) is None for sp in minimal)
+    # S0*S0*S0*S0: four levels of two points, each point above every point
+    # of the lower levels; 7**2 * 5**2 * 3**2 candidate maps, not 8**8
+    sphere = FinSpace(
+        tuple("abcdefgh"), tuple((1 << x) | ((1 << (x & ~1)) - 1) for x in range(8))
+    )
+    assert T.O.is_minimal(sphere)
+    assert T._minimal_rigidity(sphere) is None
 
 
 @pytest.mark.parametrize("max_n, built", [(4, 631), (5, 11804)])
