@@ -311,9 +311,18 @@ def test_subset_table_shape(e2):
 def test_subset_table_size_limit():
     at_limit = random_space(SUBSET_TABLE_LIMIT, 1)
     assert len(subset_table(at_limit).radius) == 1 << SUBSET_TABLE_LIMIT
-    # 2**40 subsets could never be allocated, so the constructor refuses first
+    # 2**40 subsets could never be allocated, so the refusal comes first
     sp = FinSpace.discrete([f"p{i}" for i in range(40)])
-    for build in (SubsetTable, subset_table):
-        with pytest.raises(SizeTooLargeError, match=f"at most {SUBSET_TABLE_LIMIT} points"):
-            build(sp)
+    with pytest.raises(SizeTooLargeError, match=f"at most {SUBSET_TABLE_LIMIT} points"):
+        subset_table(sp)
+    assert "further_flat" not in sp.__dict__ and "_subset_table" not in sp.__dict__
+
+
+def test_subset_table_constructor_size_limit():
+    at_limit = random_space(SUBSET_TABLE_LIMIT, 1)
+    assert len(SubsetTable(at_limit).boundary) == 1 << SUBSET_TABLE_LIMIT
+    # the constructor itself refuses, before any subset row is allocated
+    sp = FinSpace.discrete([f"p{i}" for i in range(40)])
+    with pytest.raises(SizeTooLargeError, match=f"at most {SUBSET_TABLE_LIMIT} points"):
+        SubsetTable(sp)
     assert "further_flat" not in sp.__dict__ and "_subset_table" not in sp.__dict__
