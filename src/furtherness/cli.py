@@ -38,16 +38,12 @@ def _parse_subset(space: FinSpace, text: str) -> int:
     return space.mask(part.strip() for part in text.split(",") if part.strip())
 
 
-def _members(space: FinSpace, mask: int) -> list:
-    return list(space.members(mask))
-
-
 def _region_json(space: FinSpace, rep) -> dict:
     return {
-        "subset": _members(space, rep.subset),
-        "interior": _members(space, rep.interior),
-        "boundary": _members(space, rep.boundary),
-        "center": _members(space, rep.center),
+        "subset": space.members(rep.subset),
+        "interior": space.members(rep.interior),
+        "boundary": space.members(rep.boundary),
+        "center": space.members(rep.center),
         "radius": further_to_json(rep.radius),
     }
 
@@ -63,7 +59,7 @@ def matrix(args):
     space = _load(args.file)
     m = furtherness_matrix(space)
     if args.as_json:
-        print(json.dumps({"points": list(space.labels), "matrix": [list(r) for r in m.rows]}))
+        print(json.dumps({"points": space.labels, "matrix": m.rows}))
         return
     print(m)
 
@@ -82,8 +78,8 @@ def quasi(args):
     print(
         json.dumps(
             {
-                "subset": _members(space, rep.subset),
-                "quasi_center": _members(space, rep.quasi_center),
+                "subset": space.members(rep.subset),
+                "quasi_center": space.members(rep.quasi_center),
                 "quasi_radius": further_to_json(rep.quasi_radius),
             },
             indent=2,
@@ -99,14 +95,14 @@ def union(args):
     print(
         json.dumps(
             {
-                "inputs": [_members(space, p) for p in ana.inputs],
+                "inputs": [space.members(p) for p in ana.inputs],
                 "reports": [_region_json(space, rep) for rep in ana.reports],
-                "tilde_sets": [_members(space, t) for t in ana.tilde_sets],
-                "dominant": list(ana.dominant),
+                "tilde_sets": [space.members(t) for t in ana.tilde_sets],
+                "dominant": ana.dominant,
                 "case": ana.case,
                 "predicted_center": None
                 if ana.predicted_center is None
-                else _members(space, ana.predicted_center),
+                else space.members(ana.predicted_center),
                 "predicted_radius": further_to_json(ana.predicted_radius),
                 "direct": _region_json(space, ana.direct),
             },
@@ -125,7 +121,7 @@ def balls(args):
                 "center": args.center,
                 "radius": args.radius,
                 "backward": args.backward,
-                "ball": _members(space, mask),
+                "ball": space.members(mask),
             }
         )
     )

@@ -19,7 +19,7 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import SizeTooLargeError, SpaceError
-from .spaces import FinSpace, PointLike, canonical_sets
+from .spaces import OPEN_FAMILY_LIMIT, FinSpace, PointLike, canonical_sets
 
 # full-length cover paths that ``witness_chains`` walks before it refuses:
 # the discrete space on n - 1 points plus a top point has (n - 2)! of them
@@ -35,7 +35,9 @@ def _nothing_between(family, o: int, v: int) -> bool:
     return True
 
 
-@lru_cache(maxsize=1 << 15, typed=True)
+# bounded by the most opens one space can have: the largest family fits,
+# and the spaces seen before it are let go with all their tables
+@lru_cache(maxsize=OPEN_FAMILY_LIMIT, typed=True)
 def cover_successors(space: FinSpace, o: int) -> tuple[int, ...]:
     """Opens covering the open ``o``: strict supersets with nothing strictly
     between.  A mask that is not an open of the space raises ``SpaceError``;

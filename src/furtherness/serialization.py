@@ -16,25 +16,18 @@ import json
 import math
 from typing import Any
 
-from .errors import DocumentSyntaxError, SchemaError, SpaceError
+from .errors import DocumentSyntaxError, SchemaError
 from .spaces import FinSpace, from_minimal_basis, from_open_sets
 
 
-def space_to_document(space: FinSpace, form: str = "min_basis") -> dict:
-    if form == "min_basis":
-        return {
-            "points": list(space.labels),
-            "min_basis": {
-                lab: list(space.members(space.basis[i]))
-                for i, lab in enumerate(space.labels)
-            },
-        }
-    if form == "opens":
-        return {
-            "points": list(space.labels),
-            "opens": [list(space.members(o)) for o in space.open_family],
-        }
-    raise SpaceError(f"unknown document form {form!r}")
+def space_to_document(space: FinSpace) -> dict:
+    return {
+        "points": list(space.labels),
+        "min_basis": {
+            lab: list(space.members(space.basis[i]))
+            for i, lab in enumerate(space.labels)
+        },
+    }
 
 
 def serialize_space(space: FinSpace) -> str:
@@ -79,10 +72,14 @@ def document_to_space(doc: Any) -> FinSpace:
 
 
 def parse_space(text: str) -> FinSpace:
+    if not isinstance(text, (str, bytes, bytearray)):
+        raise DocumentSyntaxError(f"a document is text, not {type(text).__name__}")
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"not valid JSON: {e}") from None
+    except UnicodeDecodeError as e:
+        raise DocumentSyntaxError(f"not decodable text: {e}") from None
     except RecursionError:
         raise DocumentSyntaxError("document nests too deeply to parse") from None
     return document_to_space(doc)

@@ -45,10 +45,6 @@ def _fail(space: FinSpace, **witness) -> dict:
     return {"space": space_to_document(space), **witness}
 
 
-def _subsets(space: FinSpace):
-    return range(space.full + 1)
-
-
 # ---------------------------------------------------------------------------
 # space core
 
@@ -98,7 +94,7 @@ def _open_membership(sp: FinSpace):
     the minimal open is the intersection of the opens containing the set."""
     fam = set(sp.open_family)
     hulls = _open_hulls(fam, sp.full)
-    for s in _subsets(sp):
+    for s in range(sp.full + 1):
         in_fam = s in fam
         if sp.is_open(s) != in_fam:
             return _fail(sp, subset=_set(sp, s))
@@ -115,7 +111,7 @@ def _open_membership(sp: FinSpace):
 def _duality(sp: FinSpace):
     """Interior and closure are dual through complements, and the boundary
     is the closure less the interior."""
-    for s in _subsets(sp):
+    for s in range(sp.full + 1):
         rest = sp.full & ~s
         closure = sp.closure(s)
         interior = sp.interior(s)
@@ -688,7 +684,7 @@ def _radius_clopen(sp: FinSpace):
     the report is a counterexample too, named by its field.
     """
     table = R.subset_table(sp)
-    for s in _subsets(sp):
+    for s in range(sp.full + 1):
         rep = R.region_report(sp, s)
         clopen = sp.is_open(s) and sp.is_open(sp.full & ~s)
         if (rep.radius == math.inf) != clopen:
@@ -756,7 +752,7 @@ def _subspace_radius(sp: FinSpace):
     n = sp.n
     flat = sp.further_flat
     # rows[s] lists the p2s rows of the points of s
-    rows = [[table.p2s[x] for x in mask_indices(s)] for s in _subsets(sp)]
+    rows = [[table.p2s[x] for x in mask_indices(s)] for s in range(sp.full + 1)]
     for carrier in range(1, sp.full + 1):
         sub = sp.subspace(carrier)
         if sub.labels != sp.members(carrier):
@@ -902,7 +898,7 @@ def _union_random(opts: VerifyOptions):
     for i in range(opts.samples):
         sp = random_space(opts.sample_n, opts.seed + i)
         taken = 0
-        for a, b in _qualifying_pairs(R.subset_table(sp)):
+        for a, b in _qualifying_pairs(R.SubsetTable(sp)):
             w = _check_union(sp, [a, b])
             checked += 1
             if w is not None:
@@ -920,7 +916,7 @@ def _union_triples(opts: VerifyOptions):
     # every 31st space on 5 points, in enumeration order; only these are built
     for basis in _bases(5, False)[::31]:
         sp = FinSpace(labels, basis)
-        pairs = set(_qualifying_pairs(R.subset_table(sp)))
+        pairs = set(_qualifying_pairs(R.SubsetTable(sp)))
         members = sorted({s for pair in pairs for s in pair})
         found = 0
         for trio in itertools.combinations(members, 3):

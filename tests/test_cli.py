@@ -12,6 +12,8 @@ import sys
 import time
 from pathlib import Path
 
+import pytest
+
 from furtherness import cli as C
 from furtherness import FinSpace, document_to_space, furtherness, furtherness_matrix
 from furtherness import theorems as T
@@ -155,6 +157,146 @@ def test_balls_forward_backward(space_file, e2, capsys):
     )
     assert code == 0
     assert json.loads(out)["ball"] == ["a", "b", "c"]
+
+
+# The exact stdout of each JSON-writing query on e2.  The tests above parse
+# what they check, so they would not see a change of indentation, key order
+# or separators; these bytes do.
+GOLDEN_E2 = {
+    ("matrix", ()): """\
+   a b c d
+a  0 1 3 1
+b  0 0 2 1
+c  0 0 0 0
+d  1 2 3 0
+""",
+    ("matrix", ("--json",)): (
+        '{"points": ["a", "b", "c", "d"], '
+        '"matrix": [[0, 1, 3, 1], [0, 0, 2, 1], [0, 0, 0, 0], [1, 2, 3, 0]]}\n'
+    ),
+    ("region", ("--subset", "a,c")): """\
+{
+  "subset": [
+    "a",
+    "c"
+  ],
+  "interior": [
+    "a"
+  ],
+  "boundary": [
+    "b",
+    "c"
+  ],
+  "center": [
+    "a"
+  ],
+  "radius": 1
+}
+""",
+    ("quasi", ("--subset", "a,c")): """\
+{
+  "subset": [
+    "a",
+    "c"
+  ],
+  "quasi_center": [
+    "a"
+  ],
+  "quasi_radius": 1
+}
+""",
+    ("union", ("--subsets", "a,b|d")): """\
+{
+  "inputs": [
+    [
+      "a",
+      "b"
+    ],
+    [
+      "d"
+    ]
+  ],
+  "reports": [
+    {
+      "subset": [
+        "a",
+        "b"
+      ],
+      "interior": [
+        "a",
+        "b"
+      ],
+      "boundary": [
+        "c"
+      ],
+      "center": [
+        "a"
+      ],
+      "radius": 3
+    },
+    {
+      "subset": [
+        "d"
+      ],
+      "interior": [
+        "d"
+      ],
+      "boundary": [
+        "c"
+      ],
+      "center": [
+        "d"
+      ],
+      "radius": 3
+    }
+  ],
+  "tilde_sets": [
+    [],
+    []
+  ],
+  "dominant": [
+    0,
+    1
+  ],
+  "case": "tie-dominates",
+  "predicted_center": [
+    "a",
+    "d"
+  ],
+  "predicted_radius": 3,
+  "direct": {
+    "subset": [
+      "a",
+      "b",
+      "d"
+    ],
+    "interior": [
+      "a",
+      "b",
+      "d"
+    ],
+    "boundary": [
+      "c"
+    ],
+    "center": [
+      "a",
+      "d"
+    ],
+    "radius": 3
+  }
+}
+""",
+    ("balls", ("--center", "a", "--radius", "2")): (
+        '{"center": "a", "radius": 2, "backward": false, "ball": ["a", "b", "d"]}\n'
+    ),
+}
+
+
+@pytest.mark.parametrize("command, options", list(GOLDEN_E2))
+def test_golden_stdout(space_file, e2, capsys, command, options):
+    code, out, err = run_cli([command, space_file(e2), *options], capsys)
+    assert (code, err) == (0, "")
+    assert out == GOLDEN_E2[command, options]
 
 
 def test_quotient_document(space_file, e1, capsys):

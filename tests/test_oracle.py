@@ -1,4 +1,6 @@
+import gc
 import time
+import weakref
 
 import pytest
 
@@ -14,6 +16,7 @@ from furtherness import (
     union_witness,
     witness_chains,
 )
+from furtherness.spaces import OPEN_FAMILY_LIMIT
 from oracles import covers_of
 
 
@@ -140,3 +143,30 @@ def test_cover_successors_refuse_a_float_equal_to_a_cached_open():
     assert cover_successors(sp, 1) == (3,)
     with pytest.raises(SpaceError, match="is not an open set"):
         cover_successors(sp, 1.0)
+
+
+def test_cover_cache_holds_at_most_one_family():
+    # one entry per (space, open): a bound of the most opens one space can
+    # have keeps the spaces seen before that family out of memory
+    before = cover_successors.cache_info()
+    first = None
+    opens = 0
+    for sp in enumerate_topologies(5):
+        if first is None:
+            first = weakref.ref(sp)
+        for o in sp.open_family:
+            cover_successors(sp, o)
+        opens += len(sp.open_family)
+        if opens > OPEN_FAMILY_LIMIT + 100:
+            break
+    info = cover_successors.cache_info()
+    assert info.misses - before.misses == opens
+    assert info.currsize == OPEN_FAMILY_LIMIT
+    gc.collect()
+    assert first() is None
+    # repeated oracle calls on one space still hit
+    furtherness_oracle(sp, "a", "e")
+    before = cover_successors.cache_info()
+    furtherness_oracle(sp, "a", "e")
+    after = cover_successors.cache_info()
+    assert after.misses == before.misses and after.hits > before.hits

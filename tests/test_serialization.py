@@ -10,7 +10,6 @@ from furtherness import (
     NotClosedUnderUnionError,
     SchemaError,
     SizeTooLargeError,
-    SpaceError,
     document_to_space,
     enumerate_topologies,
     parse_space,
@@ -128,23 +127,33 @@ def test_schema_rejects_unknown_member():
         document_to_space({"points": ["a"], "min_basis": {"a": ["a", "z"]}})
 
 
-def test_unknown_document_form_is_space_error(e2):
-    with pytest.raises(SpaceError, match="unknown document form 'basis'"):
-        space_to_document(e2, form="basis")
-
-
 def test_opens_form_refuses_a_huge_family():
     # the discrete space on twelve points has exactly the limit of opens
     assert OPEN_FAMILY_LIMIT == 1 << 12
     twelve = FinSpace.discrete([f"p{i}" for i in range(12)])
-    assert len(space_to_document(twelve, form="opens")["opens"]) == 1 << 12
+    assert len(twelve.open_family) == 1 << 12
     # 2**18 opens: the refusal comes from a count that stops one past it
     big = FinSpace.discrete([f"p{i}" for i in range(18)])
     start = time.perf_counter()
     with pytest.raises(SizeTooLargeError, match="at most 4096 opens, got at least 4097"):
-        space_to_document(big, form="opens")
+        big.open_family
     assert time.perf_counter() - start < 1
     assert "open_family" not in big.__dict__
     # every other reader of the family refuses the same way
     with pytest.raises(SizeTooLargeError, match="open family"):
         is_continuous_by_preimages(identity_map(big))
+
+
+@pytest.mark.parametrize(
+    "value, why",
+    [
+        (None, "a document is text"),
+        (123, "a document is text"),
+        (["x"], "a document is text"),
+        (b"\x80", "not decodable text"),
+        (bytearray(b'{"points": ["\xc3"]}'), "not decodable text"),
+    ],
+)
+def test_parse_space_refuses_what_is_not_text(value, why):
+    with pytest.raises(DocumentSyntaxError, match=why):
+        parse_space(value)

@@ -684,18 +684,18 @@ def test_open_membership_catches_a_larger_minimal_open(monkeypatch):
 
 
 def test_union_samplers_read_no_distance_half(monkeypatch):
-    # they find their pairs in the subset table's closures and interiors,
-    # one table per space, and leave its distance half unfilled;
-    # union_analysis reads no table
+    # they find their pairs in the closures and interiors of a subset table
+    # they build, one per space, leave its distance half unfilled and keep
+    # it on no space; union_analysis reads no table
     spaces = []
     tables = []
     real_random = T.random_space
     real_space = T.FinSpace
-    real_table = R.subset_table
+    real_table = R.SubsetTable
 
-    def subset_table(sp):
-        tables.append(sp)
-        return real_table(sp)
+    def SubsetTable(sp):
+        tables.append((sp, real_table(sp)))
+        return tables[-1][1]
 
     def random_space(n, seed):
         spaces.append(real_random(n, seed))
@@ -707,7 +707,7 @@ def test_union_samplers_read_no_distance_half(monkeypatch):
 
     monkeypatch.setattr(T, "random_space", random_space)
     monkeypatch.setattr(T, "FinSpace", FinSpace)
-    monkeypatch.setattr(R, "subset_table", subset_table)
+    monkeypatch.setattr(R, "SubsetTable", SubsetTable)
     opts = VerifyOptions(samples=40, sample_n=6)
     reports = run_all(["union-random", "union-triples"], opts)
     assert all(r.passed for r in reports) and reports[1].checked == 63
@@ -715,8 +715,9 @@ def test_union_samplers_read_no_distance_half(monkeypatch):
     # only ones union-triples builds
     assert len(spaces) == 40 + 224
     assert [sp.basis for sp in spaces[40:]] == [sp.basis for sp in T.enumerate_topologies(5)][::31]
-    assert len(tables) == len(spaces) and all(a is b for a, b in zip(tables, spaces))
-    assert not any("p2s" in vars(sp.__dict__["_subset_table"]) for sp in spaces)
+    assert len(tables) == len(spaces) and all(a is b for (a, _), b in zip(tables, spaces))
+    assert not any("p2s" in vars(table) for _, table in tables)
+    assert not any("_subset_table" in vars(sp) for sp in spaces)
 
 
 def test_minimal_rigidity_witness_is_the_first_of_all_maps(monkeypatch):
