@@ -33,6 +33,7 @@ _FAMILY_LIMIT = 4
 
 
 def default_labels(n: int) -> tuple[str, ...]:
+    _check_points(n)
     if n <= 26:
         return tuple("abcdefghijklmnopqrstuvwxyz"[:n])
     return tuple(f"p{i}" for i in range(n))

@@ -11,22 +11,22 @@ prediction is a claim under test here, not a shortcut.
 ``region_report`` and ``quasi_report`` answer one subset per call and are
 the definition.  ``subset_table`` answers the region questions for every
 subset of a space at once, for the verifier's sweeps, which check it
-against the per-query functions; its distance half is filled on first
-read, so a sweep that reads only closures and interiors builds no
-distances.
+against the per-query functions; it is built whole in one call.  A
+sampler that needs only closures and interiors calls ``_closure_pass``,
+which builds no distances.
 """
 
 from __future__ import annotations
 
 import math
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from . import _kernels as K
 from .balls import ball
 from .distance import Further
 from .errors import EmptyOrFullSubsetError, PreconditionViolatedError, SizeTooLargeError
-from .spaces import FinSpace, Frozen, SetLike, _iterable, mask_indices
+from .spaces import FinSpace, SetLike, _iterable, mask_indices
 
 # a subset table holds about n * 2**n entries
 SUBSET_TABLE_LIMIT = 12
@@ -119,77 +119,61 @@ def _p2s_row(distances: tuple[int, ...]) -> tuple[Further, ...]:
     return tuple(row)
 
 
-class SubsetTable(Frozen):
+class SubsetTable(NamedTuple):
     """Region data of every subset of one space, indexed by mask.
 
     ``closure[s]``, ``interior[s]``, ``boundary[s]``, ``center[s]`` and
     ``radius[s]`` equal the fields of ``region_report(space, s)`` (with the
     closure added), and ``p2s[x][t]`` is ``point_to_set(space, x, t)``;
-    infinity is ``math.inf`` throughout.  The distance half, ``p2s``,
-    ``center`` and ``radius``, is filled the first time one of them is
-    read, so a reader of the other three builds no distances.
+    infinity is ``math.inf`` throughout.
     """
 
-    _fields = ("closure", "interior", "boundary")
+    closure: tuple[int, ...]
+    interior: tuple[int, ...]
+    boundary: tuple[int, ...]
+    p2s: tuple[tuple[Further, ...], ...]
+    center: tuple[int, ...]
+    radius: tuple[Further, ...]
 
-    def __init__(self, space: FinSpace):
-        """One pass over all 2**n subsets of ``space``.
 
-        The subsets of the first x + 1 points are those of the first x
-        points, without and with point x, so a set s gains x with closure
-        ``closure[s] | closure({x})``.  Interiors are complements of
-        closures of complements.  Raises ``SizeTooLargeError`` above
-        ``SUBSET_TABLE_LIMIT`` points, before anything is allocated.
-        """
-        n = space.n
-        if n > SUBSET_TABLE_LIMIT:
-            raise SizeTooLargeError(n, SUBSET_TABLE_LIMIT, "subset table")
-        full = space.full
-        closure = [0]
-        for point in space.point_closures:
-            closure += [c | point for c in closure]
-        # s ranges upward while full ^ s ranges downward
-        interior = [full ^ c for c in reversed(closure)]
-        boundary = [c & ~i for c, i in zip(closure, interior)]
-        self.__dict__.update(
-            _space=space,
-            closure=tuple(closure),
-            interior=tuple(interior),
-            boundary=tuple(boundary),
-        )
+def _closure_pass(space: FinSpace) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The closure and the interior of every subset of ``space``, indexed
+    by mask, in one pass over all 2**n subsets, with no distances.
 
-    @cached_property
-    def p2s(self) -> tuple[tuple[Further, ...], ...]:
-        """Each point's row, from the cache of ``_p2s_row``, shared by every
-        space with the same distance row.  The table then drops its space,
-        so a table kept on its space forms no reference cycle."""
-        space = self._space
-        n = space.n
-        flat = space.further_flat
-        rows = [_p2s_row(flat[y * n : (y + 1) * n]) for y in range(n)]
-        del self.__dict__["_space"]
-        return tuple(rows)
-
-    @cached_property
-    def center(self) -> tuple[int, ...]:
-        # one _centers pass fills the radii too
-        center, self.__dict__["radius"] = _centers(self.boundary, self.p2s)
-        return center
-
-    @cached_property
-    def radius(self) -> tuple[Further, ...]:
-        self.center  # fills the radii
-        return self.__dict__["radius"]
+    The subsets of the first x + 1 points are those of the first x points,
+    without and with point x, so a set s gains x with closure
+    ``closure[s] | closure({x})``.  Interiors are complements of closures
+    of complements.  Raises ``SizeTooLargeError`` above
+    ``SUBSET_TABLE_LIMIT`` points, before anything is allocated.
+    """
+    n = space.n
+    if n > SUBSET_TABLE_LIMIT:
+        raise SizeTooLargeError(n, SUBSET_TABLE_LIMIT, "subset table")
+    full = space.full
+    closure = [0]
+    for point in space.point_closures:
+        closure += [c | point for c in closure]
+    # s ranges upward while full ^ s ranges downward
+    return tuple(closure), tuple(full ^ c for c in reversed(closure))
 
 
 def subset_table(space: FinSpace) -> SubsetTable:
-    """The :class:`SubsetTable` of ``space``, built on the first call and
-    kept on the space object, as its distance matrix is; the one table
-    kept.  Raises ``SizeTooLargeError`` above ``SUBSET_TABLE_LIMIT``
-    points, before anything is allocated."""
+    """The :class:`SubsetTable` of ``space``, built whole on the first call
+    and kept on the space object, as its distance matrix is; the one table
+    kept.  Each point's ``p2s`` row comes from the cache of ``_p2s_row``,
+    shared by every space with the same distance row.  Raises
+    ``SizeTooLargeError`` above ``SUBSET_TABLE_LIMIT`` points, before
+    anything is allocated."""
     table = space.__dict__.get("_subset_table")
     if table is None:
-        table = space.__dict__["_subset_table"] = SubsetTable(space)
+        closure, interior = _closure_pass(space)
+        boundary = tuple(c & ~i for c, i in zip(closure, interior))
+        n = space.n
+        flat = space.further_flat
+        p2s = tuple(_p2s_row(flat[y * n : (y + 1) * n]) for y in range(n))
+        # one _centers pass gives the centers and the radii
+        table = SubsetTable(closure, interior, boundary, p2s, *_centers(boundary, p2s))
+        space.__dict__["_subset_table"] = table
     return table
 
 

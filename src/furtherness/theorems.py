@@ -191,17 +191,12 @@ def _zero_char(sp: FinSpace):
     n = sp.n
     flat = sp.further_flat
     for x in range(n):
-        row_zero = 0
         for y in range(n):
             zero = flat[x * n + y] == 0
             member = bool((sp.basis[x] >> y) & 1)
             nested = not (sp.basis[y] & ~sp.basis[x])
             if zero != member or zero != nested:
                 return _fail(sp, pair=[sp.labels[x], sp.labels[y]])
-            if zero:
-                row_zero |= 1 << y
-        if row_zero != sp.basis[x]:
-            return _fail(sp, point=sp.labels[x])
         col_zero = 0
         for y in range(n):
             if flat[y * n + x] == 0:
@@ -774,17 +769,14 @@ def _subspace_radius(sp: FinSpace):
     return None
 
 
-def _qualifying_pairs(table):
+def _qualifying_pairs(closure, interior):
     """Separated pairs ``a < b`` of nonempty sets, neither clopen, ascending,
-    from the ``closure`` and ``interior`` fields of a subset table, so its
-    distance half stays unfilled.
+    from the closure and the interior of every subset, indexed by mask.
 
     ``b`` misses the closure of ``a``, hence ``a`` too, so it runs over the
     subsets of the rest in ascending order.  A set is clopen when its
     interior and its closure are the set itself.
     """
-    closure = table.closure
-    interior = table.interior
     full = len(closure) - 1
     for a in range(1, full):
         if interior[a] == a == closure[a]:
@@ -877,7 +869,7 @@ def _union_pairs(sp: FinSpace):
     reading that differs is a counterexample, named by ``table="union"``.
     """
     table = R.subset_table(sp)
-    for k, (a, b) in enumerate(_qualifying_pairs(table)):
+    for k, (a, b) in enumerate(_qualifying_pairs(table.closure, table.interior)):
         reading = _pair_union(table, a, b)
         if not k and reading != _reading(R.union_analysis(sp, [a, b])):
             return _fail(sp, parts=[_set(sp, a), _set(sp, b)], table="union")
@@ -891,14 +883,14 @@ def _union_pairs(sp: FinSpace):
 def _union_random(opts: VerifyOptions):
     """Up to ten pairs per random space, through ``union_analysis`` itself.
 
-    The pairs come from the subset table's closures and interiors, so a
-    space with none builds no distances.
+    The pairs come from the closures and interiors of ``_closure_pass``,
+    so a space with none builds no distances.
     """
     checked = 0
     for i in range(opts.samples):
         sp = random_space(opts.sample_n, opts.seed + i)
         taken = 0
-        for a, b in _qualifying_pairs(R.SubsetTable(sp)):
+        for a, b in _qualifying_pairs(*R._closure_pass(sp)):
             w = _check_union(sp, [a, b])
             checked += 1
             if w is not None:
@@ -916,7 +908,7 @@ def _union_triples(opts: VerifyOptions):
     # every 31st space on 5 points, in enumeration order; only these are built
     for basis in _bases(5, False)[::31]:
         sp = FinSpace(labels, basis)
-        pairs = set(_qualifying_pairs(R.SubsetTable(sp)))
+        pairs = set(_qualifying_pairs(*R._closure_pass(sp)))
         members = sorted({s for pair in pairs for s in pair})
         found = 0
         for trio in itertools.combinations(members, 3):

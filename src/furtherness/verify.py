@@ -103,15 +103,21 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
 
     The space properties among ``names`` share one sweep of the corpus
     (see ``_sweep``); each custom property runs its own runner.  A repeated
-    name is run once and its report repeated.  Raises ``SpaceError`` before
-    anything runs when an option is not an int (a bool reads as its int),
-    when ``max_n`` is below 1 or ``samples`` below 0, where every sweep
-    would check nothing and pass, when ``jobs`` is below 1, when ``names``
-    is a string, which would read as its characters, or not iterable, or a
-    name is not registered (``UnknownPropertyError``),
-    or when a selected sampler cannot build spaces of ``sample_n`` points.
+    name is run once and its report repeated.  ``opts`` None runs with the
+    defaults.  Raises ``SpaceError`` before anything runs when ``opts`` is
+    not a ``VerifyOptions``, when an option is not an int (a bool reads as
+    its int), when ``max_n`` is below 1 or ``samples`` below 0, where
+    every sweep would check nothing and pass, when ``jobs`` is below 1,
+    when ``names`` is a string, which would read as its characters, or not
+    iterable, or a name is not registered or cannot be a registry key
+    (``UnknownPropertyError``), or when a selected sampler cannot build
+    spaces of ``sample_n`` points.
     """
-    fields = zip(VerifyOptions._fields, opts or VerifyOptions())
+    if opts is None:
+        opts = VerifyOptions()
+    elif not isinstance(opts, VerifyOptions):
+        raise SpaceError(f"the options must be a VerifyOptions, got {opts!r}")
+    fields = zip(VerifyOptions._fields, opts)
     opts = VerifyOptions._make(_as_int(value, field) for field, value in fields)
     if opts.max_n < 1:
         raise SpaceError(f"max_n must be at least 1, got {opts.max_n}")
@@ -129,7 +135,11 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
         )
     names = list(_iterable(names, "the property names must be an iterable, got {!r}"))
     for name in names:
-        if name not in registry:
+        try:
+            known = name in registry
+        except TypeError:  # unhashable, so no registry key
+            known = False
+        if not known:
             raise UnknownPropertyError(name, registry)
     samplers = {"union-random", "random-valid"}.intersection(names)
     if samplers and opts.sample_n < 1:
@@ -305,8 +315,13 @@ def space_property(name: str, cap: Optional[int] = None):
     """Register a per-space check swept over the enumerated corpus.
 
     ``cap``, when given, is the largest space size it runs on, even when
-    ``max_n`` is larger.
+    ``max_n`` is larger.  A cap that is not an int of at least 1 raises
+    ``SpaceError`` and registers nothing.
     """
+    if cap is not None:
+        cap = _as_int(cap, "cap")
+        if cap < 1:
+            raise SpaceError(f"cap must be at least 1, got {cap}")
     return _register(name, True, cap)
 
 

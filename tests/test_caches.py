@@ -1,8 +1,10 @@
 """Every ``functools.lru_cache`` of the package, with the bound that keeps
-it small.  A new cache fails here until its bound is stated."""
+it small, and every lazily filled field, with its owner.  A new cache or
+lazily filled field fails here until it is listed."""
 
 import importlib
 import pkgutil
+from functools import cached_property
 
 import furtherness
 from furtherness import regions as R
@@ -22,19 +24,39 @@ BOUNDS = {
 }
 
 
+# owner -> its ``functools.cached_property`` fields; every other record is
+# built whole
+LAZY_FIELDS = {
+    "furtherness.spaces.FinSpace": {
+        "_label_index",
+        "open_family",
+        "is_t0",
+        "further_flat",
+        "class_ids",
+        "class_opens",
+        "point_closures",
+    },
+    "furtherness.spaces.OpenFamily": {"_lookup"},
+}
+
+
+def _modules():
+    for info in pkgutil.iter_modules(furtherness.__path__, "furtherness."):
+        yield info.name, importlib.import_module(info.name)
+
+
 def _lru_caches():
     """(qualified name, cache) of each cache defined in a module of the
     package, at module level or in a class."""
-    for info in pkgutil.iter_modules(furtherness.__path__, "furtherness."):
-        module = importlib.import_module(info.name)
+    for name, module in _modules():
         scopes = [vars(module)] + [
             vars(c) for c in vars(module).values() if isinstance(c, type)
         ]
         for scope in scopes:
             for value in scope.values():
                 # a cache imported from another module is listed under that one
-                if hasattr(value, "cache_parameters") and value.__module__ == info.name:
-                    yield f"{info.name}.{value.__qualname__}", value
+                if hasattr(value, "cache_parameters") and value.__module__ == name:
+                    yield f"{name}.{value.__qualname__}", value
 
 
 def test_every_lru_cache_states_its_bound():
@@ -43,3 +65,19 @@ def test_every_lru_cache_states_its_bound():
     for name, cache in caches.items():
         assert cache.cache_parameters()["maxsize"] == BOUNDS[name], name
 
+
+
+def test_every_lazily_filled_field_is_listed():
+    found = {}
+    for name, module in _modules():
+        for owner in vars(module).values():
+            # a class imported from another module is listed under that one
+            if isinstance(owner, type) and owner.__module__ == name:
+                fields = {
+                    attr
+                    for attr, value in vars(owner).items()
+                    if isinstance(value, cached_property)
+                }
+                if fields:
+                    found[f"{name}.{owner.__qualname__}"] = fields
+    assert found == LAZY_FIELDS

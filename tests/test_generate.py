@@ -98,6 +98,13 @@ def test_default_labels_unchanged():
         assert default_labels(n) == tuple(f"p{i}" for i in range(n))
 
 
+@pytest.mark.parametrize("bad", [-1, 0, None, 1.5, True])
+def test_default_labels_refuses_what_is_no_number_of_points(bad):
+    # -1 gave the 25 labels a..y and 0 gave none, as random_space refuses
+    with pytest.raises(SpaceError):
+        default_labels(bad)
+
+
 def test_splitmix_reference_stream():
     # first outputs of the well-known generator for seed 0
     gen = splitmix64(0)

@@ -18,7 +18,7 @@ from furtherness import (
     union_analysis,
 )
 from furtherness import regions as R
-from furtherness.regions import SUBSET_TABLE_LIMIT, SubsetTable, subset_table
+from furtherness.regions import SUBSET_TABLE_LIMIT, SubsetTable, _closure_pass, subset_table
 
 
 def test_region_e1_no_interior(e1):
@@ -246,28 +246,27 @@ def test_subset_tables_share_point_to_set_rows():
         assert subset_table(FinSpace(sp.labels, sp.basis)).p2s == table.p2s
 
 
-def _assert_topology_half_is_the_definition(sp):
-    table = SubsetTable(sp)
+def _assert_closure_pass_is_the_definition(sp):
+    closure, interior = _closure_pass(sp)
+    assert len(closure) == len(interior) == sp.full + 1
     for s in range(sp.full + 1):
-        assert table.closure[s] == sp.closure(s)
-        assert table.interior[s] == sp.interior(s)
-        assert table.boundary[s] == sp.boundary(s)
-    # reading the topology half fills no distance half
-    assert "p2s" not in vars(table) and "further_flat" not in vars(sp)
+        assert closure[s] == sp.closure(s)
+        assert interior[s] == sp.interior(s)
+    # the closure pass builds no distances and keeps no table
+    assert "further_flat" not in vars(sp) and "_subset_table" not in vars(sp)
 
 
 def test_topology_half_needs_no_distances():
     for n in range(1, 5):
         for sp in enumerate_topologies(n):
-            _assert_topology_half_is_the_definition(sp)
+            _assert_closure_pass_is_the_definition(sp)
     for seed in (1, 2, 3):
-        _assert_topology_half_is_the_definition(random_space(6, seed))
-        _assert_topology_half_is_the_definition(random_space(7, seed))
+        _assert_closure_pass_is_the_definition(random_space(6, seed))
+        _assert_closure_pass_is_the_definition(random_space(7, seed))
 
 
-def test_reading_radius_fills_the_distance_half_once(monkeypatch):
+def test_subset_table_is_built_in_one_pass(monkeypatch):
     sp = random_space(6, 2)
-    table = SubsetTable(sp)
     passes = []
     real_centers = R._centers
 
@@ -276,18 +275,19 @@ def test_reading_radius_fills_the_distance_half_once(monkeypatch):
         return real_centers(targets, p2s)
 
     monkeypatch.setattr(R, "_centers", counted)
-    radius = table.radius
-    assert {"p2s", "center", "radius"} <= set(vars(table))
-    # and the table lets go of the space, so the two form no cycle
-    assert sp not in vars(table).values()
-    p2s, center = table.p2s, table.center
-    assert table.radius is radius
+    table = subset_table(sp)
+    assert isinstance(table, SubsetTable)
     assert passes == [table.boundary]  # one pass serves center and radius
+    # the table holds no space, so a table kept on its space forms no cycle
+    assert not any(field is sp for field in table)
     for s in range(sp.full + 1):
         rep = region_report(sp, s)
-        assert (center[s], radius[s]) == (rep.center, rep.radius)
+        assert (table.closure[s], table.interior[s]) == (sp.closure(s), rep.interior)
+        assert table.boundary[s] == sp.boundary(s) == rep.boundary
+        assert (table.center[s], table.radius[s]) == (rep.center, rep.radius)
         for x in range(sp.n):
-            assert p2s[x][s] == point_to_set(sp, x, s)
+            assert table.p2s[x][s] == point_to_set(sp, x, s)
+    assert subset_table(sp) is table and len(passes) == 1
 
 
 def test_subset_table_is_the_one_table_kept(e2):
@@ -320,9 +320,9 @@ def test_subset_table_size_limit():
 
 def test_subset_table_constructor_size_limit():
     at_limit = random_space(SUBSET_TABLE_LIMIT, 1)
-    assert len(SubsetTable(at_limit).boundary) == 1 << SUBSET_TABLE_LIMIT
-    # the constructor itself refuses, before any subset row is allocated
+    assert len(_closure_pass(at_limit)[0]) == 1 << SUBSET_TABLE_LIMIT
+    # the closure pass itself refuses, before any subset row is allocated
     sp = FinSpace.discrete([f"p{i}" for i in range(40)])
     with pytest.raises(SizeTooLargeError, match=f"at most {SUBSET_TABLE_LIMIT} points"):
-        SubsetTable(sp)
+        _closure_pass(sp)
     assert "further_flat" not in sp.__dict__ and "_subset_table" not in sp.__dict__

@@ -1,4 +1,3 @@
-import copy
 import json
 import multiprocessing
 import re
@@ -13,6 +12,7 @@ from furtherness import (
     FinSpace,
     SizeTooLargeError,
     SpaceError,
+    UnknownPropertyError,
     VerifyOptions,
     document_to_space,
     enumerate_topologies,
@@ -200,6 +200,36 @@ def test_an_option_that_is_not_an_int_is_refused(field, bad):
     with pytest.raises(SpaceError, match=f"^{field} must be an int, got {bad!r}$"):
         run_all(["zero-diagonal"], VerifyOptions(**{field: bad}))
     assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize("bad", [0, [], "", (), 1.5, (4,), {"max_n": 3}], ids=repr)
+def test_options_that_are_not_verify_options_are_refused(bad):
+    # a falsy value would run the defaults, a dict would read its keys
+    start = time.perf_counter()
+    message = f"the options must be a VerifyOptions, got {bad!r}"
+    with pytest.raises(SpaceError, match=re.escape(message)):
+        run_all(["zero-diagonal"], bad)
+    assert time.perf_counter() - start < 1.0
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: run_all([["x"]], SMALL), lambda: run_property({"a"})],
+    ids=["run_all", "run_property"],
+)
+def test_an_unhashable_name_is_an_unknown_property(call):
+    with pytest.raises(UnknownPropertyError, match="unknown property"):
+        call()
+
+
+@pytest.mark.parametrize("cap", [-1, 0, 2.5, "3"])
+def test_a_cap_that_is_not_a_positive_int_is_refused(cap):
+    # a cap below 1 would check nothing and pass, 0 would run uncapped and
+    # 2.5 would run up to 2 points
+    before = dict(PROPERTIES)
+    with pytest.raises(SpaceError, match="^cap must be"):
+        V.space_property("badly-capped", cap=cap)(lambda sp: None)
+    assert PROPERTIES == before
 
 
 def test_a_bool_option_reads_as_its_int():
@@ -482,15 +512,6 @@ _TABLE_CHECKS = [
 ]
 
 
-def _replaced(table, **fields):
-    """A copy of ``table``, its distance half filled, with ``fields``
-    replaced."""
-    table.radius
-    out = copy.copy(table)
-    vars(out).update(fields)
-    return out
-
-
 @pytest.mark.parametrize(
     "prop, field, subset, value, key, tag",
     _TABLE_CHECKS,
@@ -514,10 +535,10 @@ def test_table_cross_check_catches_a_wrong_entry(
         if field == "p2s":
             rows = [list(row) for row in table.p2s]
             rows[0][sp.full & ~subset] = value  # from the point to the rest
-            return _replaced(table, p2s=tuple(map(tuple, rows)))
+            return table._replace(p2s=tuple(map(tuple, rows)))
         values = list(getattr(table, field))
         values[subset] = value  # no mask or radius is negative
-        return _replaced(table, **{field: tuple(values)})
+        return table._replace(**{field: tuple(values)})
 
     monkeypatch.setattr(R, "subset_table", one_wrong_entry)
     report = run_property(prop, VerifyOptions(max_n=3, jobs=1))
@@ -565,7 +586,7 @@ def test_union_pair_verdict_names_the_broken_theorem():
     # radii 2 and the union {a, b} has center {a, b} and radius 2
     sp = FinSpace(("a", "b", "c"), (0b001, 0b010, 0b111))
     table = R.subset_table(sp)
-    assert list(T._qualifying_pairs(table)) == [(0b001, 0b010)]
+    assert list(T._qualifying_pairs(table.closure, table.interior)) == [(0b001, 0b010)]
     ana = R.union_analysis(sp, [0b001, 0b010])
     assert (ana.case, ana.predicted_center, ana.direct.center, ana.direct.radius) == (
         "tie-dominates", 0b011, 0b011, 2
@@ -579,11 +600,11 @@ def test_union_pair_verdict_names_the_broken_theorem():
     assert verdict(table) is None
     radius = list(table.radius)
     radius[0b011] = 99  # larger than both parts
-    w = verdict(_replaced(table, radius=tuple(radius)))
+    w = verdict(table._replace(radius=tuple(radius)))
     assert w["bound"] == "exceeded" and w["parts"] == [["a"], ["b"]]
     center = list(table.center)
     center[0b011] = 0b100  # not the two centers the theorem predicts
-    w = verdict(_replaced(table, center=tuple(center)))
+    w = verdict(table._replace(center=tuple(center)))
     assert w["case"] == "tie-dominates"
     assert (w["predicted"], w["direct"]) == (["a", "b"], ["c"])
 
@@ -606,7 +627,7 @@ def test_union_pair_core_matches_union_analysis():
     pairs = 0
     for sp in _fast_path_corpus():
         table = R.subset_table(sp)
-        found = list(T._qualifying_pairs(table))
+        found = list(T._qualifying_pairs(table.closure, table.interior))
         assert found == [
             (a, b)
             for a in range(1, sp.full + 1)
@@ -684,18 +705,18 @@ def test_open_membership_catches_a_larger_minimal_open(monkeypatch):
 
 
 def test_union_samplers_read_no_distance_half(monkeypatch):
-    # they find their pairs in the closures and interiors of a subset table
-    # they build, one per space, leave its distance half unfilled and keep
-    # it on no space; union_analysis reads no table
+    # they find their pairs in the closures and interiors of one closure
+    # pass per space, which builds no distances, and keep no subset table
+    # on any space; union_analysis reads no table
     spaces = []
-    tables = []
+    passes = []
     real_random = T.random_space
     real_space = T.FinSpace
-    real_table = R.SubsetTable
+    real_pass = R._closure_pass
 
-    def SubsetTable(sp):
-        tables.append((sp, real_table(sp)))
-        return tables[-1][1]
+    def _closure_pass(sp):
+        passes.append(sp)
+        return real_pass(sp)
 
     def random_space(n, seed):
         spaces.append(real_random(n, seed))
@@ -707,7 +728,7 @@ def test_union_samplers_read_no_distance_half(monkeypatch):
 
     monkeypatch.setattr(T, "random_space", random_space)
     monkeypatch.setattr(T, "FinSpace", FinSpace)
-    monkeypatch.setattr(R, "SubsetTable", SubsetTable)
+    monkeypatch.setattr(R, "_closure_pass", _closure_pass)
     opts = VerifyOptions(samples=40, sample_n=6)
     reports = run_all(["union-random", "union-triples"], opts)
     assert all(r.passed for r in reports) and reports[1].checked == 63
@@ -715,8 +736,7 @@ def test_union_samplers_read_no_distance_half(monkeypatch):
     # only ones union-triples builds
     assert len(spaces) == 40 + 224
     assert [sp.basis for sp in spaces[40:]] == [sp.basis for sp in T.enumerate_topologies(5)][::31]
-    assert len(tables) == len(spaces) and all(a is b for (a, _), b in zip(tables, spaces))
-    assert not any("p2s" in vars(table) for _, table in tables)
+    assert len(passes) == len(spaces) and all(a is b for a, b in zip(passes, spaces))
     assert not any("_subset_table" in vars(sp) for sp in spaces)
 
 
