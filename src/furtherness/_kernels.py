@@ -2,10 +2,12 @@
 
 Point sets are bitmasks over point indices 0..n-1, and a space is handed to
 the kernels as its minimal basis: a sequence ``basis`` where ``basis[i]`` is
-the mask of the smallest open set containing point ``i``.  Python integers
-are unbounded, so the kernels take spaces of any size.  This module is the
-only implementation; the rest of the package calls it as
-``from . import _kernels as K``.
+the mask of the smallest open set containing point ``i``.  A basis kernel
+takes the basis alone, since its length is the number of points; a
+distance kernel takes the flat n x n matrix and its side ``n``, the row
+stride.  Python integers are unbounded, so the kernels take spaces of any
+size.  This module is the only implementation; the rest of the package
+calls it as ``from . import _kernels as K``.
 
 Distance values reported by ``point_to_set`` / ``set_to_set`` /
 ``center_radius`` are ``math.inf`` for an empty side, as at the API, and
@@ -29,7 +31,7 @@ from __future__ import annotations
 from math import inf
 
 
-def class_ids(n, basis):
+def class_ids(basis):
     """Indistinguishability class of each point, numbered by first occurrence.
 
     Two points share a class exactly when they have the same minimal open
@@ -46,7 +48,7 @@ def class_ids(n, basis):
     return tuple(out)
 
 
-def images(n, masks, ids):
+def images(masks, ids):
     """Each mask as the mask of the ids its points carry: point y of a mask
     becomes bit ``ids[y]``."""
     out = []
@@ -60,7 +62,7 @@ def images(n, masks, ids):
     return tuple(out)
 
 
-def further_matrix(n, cls_open):
+def further_matrix(cls_open):
     """Flat row-major matrix of pairwise distances from the class recoding.
 
     Entry (x, y) counts the indistinguishability classes that meet
@@ -71,24 +73,24 @@ def further_matrix(n, cls_open):
     return tuple([(cj & out).bit_count() for out in outside for cj in cls_open])
 
 
-def closure_mask(n, basis, a):
+def closure_mask(basis, a):
     out = 0
-    for y in range(n):
-        if basis[y] & a:
+    for y, m in enumerate(basis):
+        if m & a:
             out |= 1 << y
     return out
 
 
-def interior_mask(n, basis, a):
+def interior_mask(basis, a):
     out = 0
     rest = ~a
-    for x in range(n):
-        if (a >> x) & 1 and not (basis[x] & rest):
+    for x, m in enumerate(basis):
+        if (a >> x) & 1 and not (m & rest):
             out |= 1 << x
     return out
 
 
-def minimal_open_mask(n, basis, a):
+def minimal_open_mask(basis, a):
     out = 0
     while a:
         low = a & -a
@@ -154,20 +156,20 @@ def center_radius(n, flat, a, target):
     return center, best
 
 
-def transitive_closure(n, rows):
+def transitive_closure(rows):
     """Reflexive-transitive saturation of down-set rows.
 
     ``rows[i]`` holds the points currently known to lie at or below point i;
     the result is the smallest family of rows containing it that is
     reflexive and closed under chaining, i.e. a valid minimal basis.
     """
-    out = [rows[i] | (1 << i) for i in range(n)]
+    out = [r | (1 << i) for i, r in enumerate(rows)]
     changed = True
     while changed:
         changed = False
-        for x in range(n):
-            acc = minimal_open_mask(n, out, out[x])
-            if acc != out[x]:
+        for x, row in enumerate(out):
+            acc = minimal_open_mask(out, row)
+            if acc != row:
                 out[x] = acc
                 changed = True
     return tuple(out)

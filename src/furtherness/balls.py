@@ -81,7 +81,7 @@ def generated_topology(n: int, generators) -> OpenFamily:
     for g in gens:
         if g & ~full:
             raise SpaceError(f"generator {g:#x} out of range for {n} points")
-    return _open_family(n, _point_meets(n, gens))
+    return _open_family(_point_meets(n, gens))
 
 
 def ball_topology(space: FinSpace, backward: bool = False) -> OpenFamily:

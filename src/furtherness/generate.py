@@ -149,4 +149,4 @@ def random_space(n: int, seed: int) -> FinSpace:
                 continue
             if next(stream) >> 62 == 0:
                 rows[i] |= 1 << j
-    return FinSpace(default_labels(n), K.transitive_closure(n, rows))
+    return FinSpace(default_labels(n), K.transitive_closure(rows))

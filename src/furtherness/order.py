@@ -162,7 +162,7 @@ def is_continuous(f: SpaceMap) -> bool:
     """Zero-distance preservation: y in U_x forces f(y) in U_{f(x)}, so the
     image of each minimal open U_x (from ``images``) lies in U_{f(x)}."""
     dom, cod, img = f.domain, f.codomain, f.image
-    for u, y in zip(K.images(dom.n, dom.basis, img), img):
+    for u, y in zip(K.images(dom.basis, img), img):
         if u & ~cod.basis[y]:
             return False
     return True

@@ -44,7 +44,10 @@ OPEN_FAMILY_LIMIT = 1 << 12
 
 
 def mask_indices(mask: int) -> Iterator[int]:
-    """Indices of the set bits, ascending; a negative mask raises ``SpaceError``."""
+    """Indices of the set bits, ascending; a negative mask, or one that is
+    not an ``int``, raises ``SpaceError``."""
+    if type(mask) is not int:
+        mask = _as_int(mask, "a mask")
     if mask < 0:
         raise SpaceError(f"a mask cannot be negative, got {mask}")
     while mask:
@@ -196,7 +199,7 @@ class OpenFamily(Frozen):
         return len(self.opens)
 
 
-def _open_family(n: int, basis: tuple[int, ...]) -> OpenFamily:
+def _open_family(basis: tuple[int, ...]) -> OpenFamily:
     """The topology whose minimal opens are ``basis``, in canonical order.
 
     Raises ``SizeTooLargeError`` past ``OPEN_FAMILY_LIMIT`` opens; the
@@ -208,7 +211,7 @@ def _open_family(n: int, basis: tuple[int, ...]) -> OpenFamily:
         raise SizeTooLargeError(
             len(opens), OPEN_FAMILY_LIMIT, "open family", "opens", at_least=True
         )
-    return OpenFamily(n, canonical_sets(opens))
+    return OpenFamily(len(basis), canonical_sets(opens))
 
 
 class FinSpace(Frozen):
@@ -249,7 +252,7 @@ class FinSpace(Frozen):
                 raise PointNotInOwnBasisError(labels[x])
         # a basic set nests those of its points exactly when it is their union
         for x, m in enumerate(basis):
-            if K.minimal_open_mask(n, basis, m) != m:
+            if K.minimal_open_mask(basis, m) != m:
                 y = next(y for y in mask_indices(m) if basis[y] & ~m)
                 raise BasisNotNestedError(labels[x], labels[y])
         self.__dict__.update(labels=labels, basis=basis, n=n, full=full)
@@ -313,29 +316,27 @@ class FinSpace(Frozen):
         a = self.mask(points)
         if not a:
             raise EmptyInputError()
-        return K.minimal_open_mask(self.n, self.basis, a)
+        return K.minimal_open_mask(self.basis, a)
 
     def is_open(self, points: SetLike) -> bool:
         a = self.mask(points)
-        return K.minimal_open_mask(self.n, self.basis, a) == a
+        return K.minimal_open_mask(self.basis, a) == a
 
     @cached_property
     def open_family(self) -> OpenFamily:
         """Every open set, i.e. every union of basic sets; refused past
         ``OPEN_FAMILY_LIMIT`` opens."""
-        return _open_family(self.n, self.basis)
+        return _open_family(self.basis)
 
     def closure(self, points: SetLike) -> int:
-        return K.closure_mask(self.n, self.basis, self.mask(points))
+        return K.closure_mask(self.basis, self.mask(points))
 
     def interior(self, points: SetLike) -> int:
-        return K.interior_mask(self.n, self.basis, self.mask(points))
+        return K.interior_mask(self.basis, self.mask(points))
 
     def boundary(self, points: SetLike) -> int:
         a = self.mask(points)
-        return K.closure_mask(self.n, self.basis, a) & ~K.interior_mask(
-            self.n, self.basis, a
-        )
+        return K.closure_mask(self.basis, a) & ~K.interior_mask(self.basis, a)
 
     @cached_property
     def is_t0(self) -> bool:
@@ -361,33 +362,33 @@ class FinSpace(Frozen):
         for k, x in enumerate(kept):
             pos[x] = k
         labels = tuple(self.labels[x] for x in kept)
-        return FinSpace(labels, K.images(self.n, [self.basis[x] & a for x in kept], pos))
+        return FinSpace(labels, K.images([self.basis[x] & a for x in kept], pos))
 
     # -- kernel products shared by the other modules ------------------------
 
     @cached_property
     def further_flat(self) -> tuple[int, ...]:
         """Row-major distance matrix as a flat tuple (see ``distance``)."""
-        return K.further_matrix(self.n, self.class_opens)
+        return K.further_matrix(self.class_opens)
 
     @cached_property
     def class_ids(self) -> tuple[int, ...]:
         """Indistinguishability class of each point, by first occurrence;
         0..n-1 on a T0 space."""
-        return tuple(range(self.n)) if self.is_t0 else K.class_ids(self.n, self.basis)
+        return tuple(range(self.n)) if self.is_t0 else K.class_ids(self.basis)
 
     @cached_property
     def class_opens(self) -> tuple[int, ...]:
         """Each basic set as the mask of the ``class_ids`` it meets; the
         basis itself on a T0 space."""
-        return self.basis if self.is_t0 else K.images(self.n, self.basis, self.class_ids)
+        return self.basis if self.is_t0 else K.images(self.basis, self.class_ids)
 
     @cached_property
     def point_closures(self) -> tuple[int, ...]:
         """The closure of each point: the points whose minimal open holds
         it.  These are the zero columns of the distance matrix, and the
         basis of the opposite space."""
-        return tuple(K.closure_mask(self.n, self.basis, 1 << x) for x in range(self.n))
+        return tuple(K.closure_mask(self.basis, 1 << x) for x in range(self.n))
 
     def __repr__(self):
         sets = ",".join("{" + ",".join(self.members(m)) + "}" for m in self.basis)

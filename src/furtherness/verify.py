@@ -331,6 +331,10 @@ def custom_property(name: str):
 
 
 def _register(name: str, space: bool, cap: Optional[int] = None):
+    # the registry's names are sorted together in UnknownPropertyError
+    if not isinstance(name, str) or not name:
+        raise SpaceError(f"a property name must be a nonempty string, got {name!r}")
+
     def deco(run: Callable):
         # a property registered at run time comes after the catalog; a name
         # registered again keeps its place and gets the new record whole

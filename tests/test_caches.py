@@ -81,3 +81,19 @@ def test_every_lazily_filled_field_is_listed():
                 if fields:
                     found[f"{name}.{owner.__qualname__}"] = fields
     assert found == LAZY_FIELDS
+
+
+def test_every_field_a_space_keeps_is_listed():
+    # a per-space slot written straight into __dict__, as the subset table
+    # is, escapes the census of cached properties above
+    allowed = {"labels", "basis", "n", "full", "_subset_table"}
+    allowed |= LAZY_FIELDS["furtherness.spaces.FinSpace"]
+    checks = [prop.run for prop in furtherness.PROPERTIES.values() if prop.space]
+    seen = set()
+    for n in range(1, 4):
+        for sp in furtherness.enumerate_topologies(n):
+            for check in checks:
+                check(sp)
+            assert set(vars(sp)) <= allowed, sorted(set(vars(sp)) - allowed)
+            seen |= set(vars(sp))
+    assert "_subset_table" in seen

@@ -31,10 +31,10 @@ def test_kernels_handle_more_than_64_points():
     # 70-point chain: U_i = {0..i}; wider than a machine word
     n = 70
     basis = tuple((1 << (i + 1)) - 1 for i in range(n))
-    flat = K.further_matrix(n, basis)
+    flat = K.further_matrix(basis)
     assert flat[0 * n + 69] == 69
     assert flat[69 * n + 0] == 0
-    assert K.closure_mask(n, basis, 1) == (1 << n) - 1
+    assert K.closure_mask(basis, 1) == (1 << n) - 1
 
 
 def test_backend_name_is_reported():
@@ -62,8 +62,8 @@ def test_class_opens_against_brute_force():
     bases = list(all_bases(5))
     bases += [(sp.n, sp.basis) for sp in (furtherness.random_space(6 + s % 5, s) for s in range(60))]
     for n, b in bases:
-        cls = K.class_ids(n, b)
-        got = K.images(n, b, cls)
+        cls = K.class_ids(b)
+        got = K.images(b, cls)
         assert got == tuple(sum(1 << c for c in {cls[z] for z in _members(m)}) for m in b)
         if len(set(b)) == n:
             assert furtherness.FinSpace(furtherness.default_labels(n), b).class_opens is b
@@ -75,8 +75,8 @@ def test_pure_leaf_kernels_against_brute_force():
     # point_to_set: hold the three to the class counts and to minima and
     # maxima of those point-to-set values
     for n, b in all_bases(3):
-        cls = K.class_ids(n, b)
-        flat = K.further_matrix(n, K.images(n, b, cls))
+        cls = K.class_ids(b)
+        flat = K.further_matrix(K.images(b, cls))
         for x in range(n):
             for y in range(n):
                 grown = {cls[z] for z in _members(b[y])} - {cls[z] for z in _members(b[x])}
@@ -115,7 +115,7 @@ def test_transitive_closure_against_a_brute_fixpoint(monkeypatch):
     for n in range(1, 10):
         for _ in range(40):
             rows = [rng.getrandbits(n) & rng.getrandbits(n) for _ in range(n)]
-            assert K.transitive_closure(n, rows) == _fixpoint_closure(n, rows), (n, rows)
+            assert K.transitive_closure(rows) == _fixpoint_closure(n, rows), (n, rows)
     # each row grows through the union kernel, by module attribute, so a
     # wrapper around the kernels sees those calls
     calls = []
@@ -126,7 +126,7 @@ def test_transitive_closure_against_a_brute_fixpoint(monkeypatch):
         return kernel(*args)
 
     monkeypatch.setattr(K, "minimal_open_mask", counted)
-    assert K.transitive_closure(3, [0b010, 0b100, 0]) == (0b111, 0b110, 0b100)
+    assert K.transitive_closure([0b010, 0b100, 0]) == (0b111, 0b110, 0b100)
     assert len(calls) >= 3
 
 
@@ -150,20 +150,20 @@ def _class_count_matrix(n, basis):
     return tuple(out)
 
 
-def _recoded(n, basis):
-    return K.images(n, basis, K.class_ids(n, basis))
+def _recoded(basis):
+    return K.images(basis, K.class_ids(basis))
 
 
 def test_further_matrix_is_the_class_count():
     for n, b in all_bases(4):
-        assert K.further_matrix(n, _recoded(n, b)) == _class_count_matrix(n, b), b
+        assert K.further_matrix(_recoded(b)) == _class_count_matrix(n, b), b
     # a wide T0 chain, where the basic sets are their own class recoding,
     # and the same chain with every point doubled, where they are not
     n = 40
     chain = tuple((1 << (i + 1)) - 1 for i in range(n))
-    assert K.further_matrix(n, chain) == _class_count_matrix(n, chain)
+    assert K.further_matrix(chain) == _class_count_matrix(n, chain)
     doubled = tuple((1 << (2 * (i // 2) + 2)) - 1 for i in range(n))
-    assert K.further_matrix(n, _recoded(n, doubled)) == _class_count_matrix(n, doubled)
+    assert K.further_matrix(_recoded(doubled)) == _class_count_matrix(n, doubled)
 
 
 def test_each_class_kernel_runs_at_most_once_per_space(monkeypatch):

@@ -1,0 +1,57 @@
+"""Source checks over every module of the package."""
+
+import ast
+import pathlib
+
+import furtherness
+
+# (module, function, parameter) that a protocol passes and the body need not
+# read: the value an immutable record refuses, and the options of the two
+# custom runners whose corpus takes no option
+UNREAD = {
+    ("spaces", "__setattr__", "value"),
+    ("theorems", "_product_nfold", "opts"),
+    ("theorems", "_union_triples", "opts"),
+}
+
+
+def _functions(tree):
+    """(function node, whether it is a method) of every def and lambda."""
+    methods = {
+        id(node)
+        for cls in ast.walk(tree)
+        if isinstance(cls, ast.ClassDef)
+        for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+    }
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            yield node, id(node) in methods
+
+
+def _unread(path):
+    for node, method in _functions(ast.parse(path.read_text())):
+        args = node.args
+        params = [p.arg for p in args.posonlyargs + args.args + args.kwonlyargs]
+        params += [p.arg for p in (args.vararg, args.kwarg) if p]
+        if method:
+            # the receiver, which a zero-argument super() reads unseen
+            params = params[1:]
+        body = node.body if isinstance(node.body, list) else [node.body]
+        read = {
+            name.id
+            for stmt in body
+            for name in ast.walk(stmt)
+            if isinstance(name, ast.Name) and isinstance(name.ctx, ast.Load)
+        }
+        name = getattr(node, "name", "<lambda>")
+        for param in params:
+            if param not in read:
+                yield path.stem, name, param
+
+
+def test_every_parameter_is_read():
+    found = set()
+    for path in sorted(pathlib.Path(furtherness.__file__).parent.glob("*.py")):
+        found.update(_unread(path))
+    assert found == UNREAD

@@ -64,7 +64,7 @@ print(json.dumps(out))
 MUTANTS = {
     "matrix counts points, not classes": (
         "images",
-        "def mutant(n, masks, ids):\n"
+        "def mutant(masks, ids):\n"
         "    return masks\n",
         # a subspace takes its basic sets from the images, which then keep
         # the point bits of the whole space, past the kept points (so does
@@ -73,16 +73,17 @@ MUTANTS = {
     ),
     "images add id 0": (
         "images",
-        "def mutant(n, masks, ids):\n"
-        "    return tuple(m | 1 for m in orig(n, masks, ids))\n",
+        "def mutant(masks, ids):\n"
+        "    return tuple(m | 1 for m in orig(masks, ids))\n",
         # a subspace's first point joins every basic set, which then fails
         # to nest that point's own
         "BasisNotNestedError",
     ),
     "matrix transposed": (
         "further_matrix",
-        "def mutant(n, cls_open):\n"
-        "    flat = orig(n, cls_open)\n"
+        "def mutant(cls_open):\n"
+        "    n = len(cls_open)\n"
+        "    flat = orig(cls_open)\n"
         "    return tuple(flat[y * n + x] for x in range(n) for y in range(n))\n",
         (
             "zero-characterization", "oracle-equivalence", "chain-witness",
@@ -130,23 +131,23 @@ MUTANTS = {
     ),
     "interior drops the last point": (
         "interior_mask",
-        "def mutant(n, basis, a):\n"
-        "    return orig(n, basis, a) & ~(1 << (n - 1))\n",
+        "def mutant(basis, a):\n"
+        "    return orig(basis, a) & ~(1 << (len(basis) - 1))\n",
         ("interior-closure-duality", "radius-clopen", "union-pairs"),
     ),
     "closure loses bit 3": (
         "closure_mask",
-        "def mutant(n, basis, a):\n"
-        "    return orig(n, basis, a) & ~8\n",
+        "def mutant(basis, a):\n"
+        "    return orig(basis, a) & ~8\n",
         # union-random, on its 6-point samples, finds a part clopen
         "PreconditionViolatedError",
     ),
     "closure tests subset, not meet": (
         "closure_mask",
-        "def mutant(n, basis, a):\n"
+        "def mutant(basis, a):\n"
         "    out = 0\n"
-        "    for y in range(n):\n"
-        "        if not basis[y] & ~a:\n"
+        "    for y, m in enumerate(basis):\n"
+        "        if not m & ~a:\n"
         "            out |= 1 << y\n"
         "    return out\n",
         # the opposite space's basis misses its own points
@@ -165,8 +166,8 @@ MUTANTS = {
     ),
     "class_ids merges every class": (
         "class_ids",
-        "def mutant(n, basis):\n"
-        "    return (0,) * n\n",
+        "def mutant(basis):\n"
+        "    return (0,) * len(basis)\n",
         # every space that is not T0 then has one class, so its matrix
         # is all zeros
         (

@@ -422,7 +422,11 @@ def test_a_negative_mask_has_no_indices():
     for bad in (-1, -8):
         with pytest.raises(SpaceError, match="cannot be negative"):
             list(mask_indices(bad))
+    for bad in ("a", 1.5, None):
+        with pytest.raises(SpaceError, match="must be an int"):
+            list(mask_indices(bad))
     assert list(mask_indices(0)) == []
+    assert list(mask_indices(True)) == [0]
 
 
 def test_members_coerces_like_every_mask_argument():

@@ -232,6 +232,19 @@ def test_a_cap_that_is_not_a_positive_int_is_refused(cap):
     assert PROPERTIES == before
 
 
+@pytest.mark.parametrize("name", [5, None, ["x"], ""], ids=["int", "None", "list", "empty"])
+@pytest.mark.parametrize("register", [V.space_property, V.custom_property])
+def test_a_name_that_is_not_a_nonempty_string_is_refused(register, name):
+    # a name that is not a string broke the sorted name list of every later
+    # unknown-name error, and an unhashable one raised a bare TypeError
+    before = dict(PROPERTIES)
+    with pytest.raises(SpaceError, match="^a property name must be"):
+        register(name)(lambda sp: None)
+    assert PROPERTIES == before
+    with pytest.raises(UnknownPropertyError):
+        run_property("typo")
+
+
 def test_a_bool_option_reads_as_its_int():
     report = run_all(["zero-diagonal"], VerifyOptions(max_n=True))[0]
     assert report.passed and report.checked == 1
