@@ -12,17 +12,11 @@ import argparse
 import json
 import sys
 
-from .balls import ball
-from .distance import furtherness_matrix
-from .dot import export_dot
+# the package registers its submodules lazily, so binding one here runs
+# none of its code: each command executes only the modules it reads
+from . import balls, distance, dot, generate, order, regions, serialization, verify
 from .errors import DocumentSyntaxError, SpaceError, UnknownPropertyError
-from .generate import count_topologies, enumerate_topologies
-from .order import core as core_of
-from .order import kolmogorov_quotient, product
-from .regions import quasi_report, region_report, union_analysis
-from .serialization import further_to_json, parse_space, serialize_space
 from .spaces import FinSpace
-from .verify import VerifyOptions, run_all
 
 
 def _load(path: str) -> FinSpace:
@@ -31,7 +25,7 @@ def _load(path: str) -> FinSpace:
             text = f.read()
     except UnicodeDecodeError as e:
         raise DocumentSyntaxError(f"not valid UTF-8: {e}") from None
-    return parse_space(text)
+    return serialization.parse_space(text)
 
 
 def _parse_subset(space: FinSpace, text: str) -> int:
@@ -44,7 +38,7 @@ def _region_json(space: FinSpace, rep) -> dict:
         "interior": space.members(rep.interior),
         "boundary": space.members(rep.boundary),
         "center": space.members(rep.center),
-        "radius": further_to_json(rep.radius),
+        "radius": serialization.further_to_json(rep.radius),
     }
 
 
@@ -57,7 +51,7 @@ def validate(args):
 def matrix(args):
     """Furtherness matrix with row and column labels."""
     space = _load(args.file)
-    m = furtherness_matrix(space)
+    m = distance.furtherness_matrix(space)
     if args.as_json:
         print(json.dumps({"points": space.labels, "matrix": m.rows}))
         return
@@ -67,20 +61,20 @@ def matrix(args):
 def region(args):
     """Interior, boundary, center, and radius of a subset."""
     space = _load(args.file)
-    rep = region_report(space, _parse_subset(space, args.subset))
+    rep = regions.region_report(space, _parse_subset(space, args.subset))
     print(json.dumps(_region_json(space, rep), indent=2))
 
 
 def quasi(args):
     """Quasi-center and quasi-radius of a subset against its complement."""
     space = _load(args.file)
-    rep = quasi_report(space, _parse_subset(space, args.subset))
+    rep = regions.quasi_report(space, _parse_subset(space, args.subset))
     print(
         json.dumps(
             {
                 "subset": space.members(rep.subset),
                 "quasi_center": space.members(rep.quasi_center),
-                "quasi_radius": further_to_json(rep.quasi_radius),
+                "quasi_radius": serialization.further_to_json(rep.quasi_radius),
             },
             indent=2,
         )
@@ -91,7 +85,7 @@ def union(args):
     """Predicted versus direct center/radius of a separated union."""
     space = _load(args.file)
     parts = [_parse_subset(space, chunk) for chunk in args.subsets.split("|")]
-    ana = union_analysis(space, parts)
+    ana = regions.union_analysis(space, parts)
     print(
         json.dumps(
             {
@@ -103,7 +97,7 @@ def union(args):
                 "predicted_center": None
                 if ana.predicted_center is None
                 else space.members(ana.predicted_center),
-                "predicted_radius": further_to_json(ana.predicted_radius),
+                "predicted_radius": serialization.further_to_json(ana.predicted_radius),
                 "direct": _region_json(space, ana.direct),
             },
             indent=2,
@@ -111,10 +105,10 @@ def union(args):
     )
 
 
-def balls(args):
+def balls_cmd(args):
     """Members of one forward or backward ball."""
     space = _load(args.file)
-    mask = ball(space, args.center, args.radius, backward=args.backward)
+    mask = balls.ball(space, args.center, args.radius, backward=args.backward)
     print(
         json.dumps(
             {
@@ -129,42 +123,44 @@ def balls(args):
 
 def quotient(args):
     """Kolmogorov quotient as a space document."""
-    print(serialize_space(kolmogorov_quotient(_load(args.file)).space))
+    print(serialization.serialize_space(order.kolmogorov_quotient(_load(args.file)).space))
 
 
 def opposite(args):
     """Opposite topology (opens become closeds) as a space document."""
-    print(serialize_space(_load(args.file).opposite()))
+    print(serialization.serialize_space(_load(args.file).opposite()))
 
 
 def core_cmd(args):
     """Core after quotienting and beat-point removal, as a space document."""
-    print(serialize_space(core_of(_load(args.file))))
+    print(serialization.serialize_space(order.core(_load(args.file))))
 
 
 def product_cmd(args):
     """Product space of two documents, row-major point order."""
-    print(serialize_space(product([_load(args.file1), _load(args.file2)])))
+    space = order.product([_load(args.file1), _load(args.file2)])
+    print(serialization.serialize_space(space))
 
 
-def dot(args):
+def dot_cmd(args):
     """DOT diagram: Hasse order of the quotient, or the open-set lattice."""
-    print(export_dot(_load(args.file), "lattice" if args.lattice else "hasse"), end="")
+    print(dot.export_dot(_load(args.file), "lattice" if args.lattice else "hasse"), end="")
 
 
 def enumerate_cmd(args):
     """Every labeled topology on n points, one JSON document per line."""
     if args.count_only:
-        print(count_topologies(args.n, t0_only=args.t0))
+        print(generate.count_topologies(args.n, t0_only=args.t0))
         return
-    for space in enumerate_topologies(args.n, t0_only=args.t0):
-        print(serialize_space(space))
+    for space in generate.enumerate_topologies(args.n, t0_only=args.t0):
+        print(serialization.serialize_space(space))
 
 
-def verify(args):
+def verify_cmd(args):
     """Run the theorem checkers; exit 2 if any property fails."""
-    opts = VerifyOptions._make(getattr(args, field) for field in VerifyOptions._fields)
-    reports = run_all(args.props, opts)  # None: the whole registry
+    fields = verify.VerifyOptions._fields
+    opts = verify.VerifyOptions._make(getattr(args, field) for field in fields)
+    reports = verify.run_all(args.props, opts)  # None: the whole registry
     for report in reports:
         print(json.dumps(report.to_json()))
     if not all(report.passed for report in reports):
@@ -174,10 +170,8 @@ def verify(args):
 def _property(name: str) -> str:
     """A ``--prop`` value: the name of a registered property."""
     # read here, not at import, so that no other command loads the catalog
-    from .verify import PROPERTIES
-
-    if name not in PROPERTIES:
-        raise argparse.ArgumentTypeError(str(UnknownPropertyError(name, PROPERTIES)))
+    if name not in verify.PROPERTIES:
+        raise argparse.ArgumentTypeError(str(UnknownPropertyError(name, verify.PROPERTIES)))
     return name
 
 
@@ -191,8 +185,6 @@ _SUBSET = dict(
     required=True,
     help="comma-separated point labels; a label that holds ',' cannot be named",
 )
-
-_VERIFY = VerifyOptions()  # each verify flag's default is its field's
 
 # name -> (handler, positional file arguments, options as (flag, add_argument keywords))
 COMMANDS = {
@@ -208,7 +200,7 @@ COMMANDS = {
             " '|' or ',' cannot be named"
         ))),
     )),
-    "balls": (balls, ("file",), (
+    "balls": (balls_cmd, ("file",), (
         ("--center", dict(required=True, help="point label")),
         ("--radius", dict(required=True, type=int)),
         ("--backward", dict(action="store_true", help="use the reversed distance")),
@@ -217,7 +209,7 @@ COMMANDS = {
     "opposite": (opposite, ("file",), ()),
     "core": (core_cmd, ("file",), ()),
     "product": (product_cmd, ("file1", "file2"), ()),
-    "dot": (dot, ("file",), (
+    "dot": (dot_cmd, ("file",), (
         ("--lattice", dict(action="store_true", help="cover graph of the open-set family")),
     )),
     "enumerate": (enumerate_cmd, (), (
@@ -225,13 +217,14 @@ COMMANDS = {
         ("--t0", dict(action="store_true", help="only Kolmogorov spaces")),
         ("--count-only", dict(action="store_true")),
     )),
-    "verify": (verify, (), (
-        ("--max-n", dict(type=int, default=_VERIFY.max_n, help="default: %(default)s")),
-        ("--samples", dict(type=int, default=_VERIFY.samples, help="default: %(default)s")),
-        ("--sample-n", dict(type=int, default=_VERIFY.sample_n, help="default: %(default)s")),
-        ("--seed", dict(type=int, default=_VERIFY.seed, help="default: %(default)s")),
+    # each default is its VerifyOptions field's, set when the parser is built
+    "verify": (verify_cmd, (), (
+        ("--max-n", dict(type=int, help="default: %(default)s")),
+        ("--samples", dict(type=int, help="default: %(default)s")),
+        ("--sample-n", dict(type=int, help="default: %(default)s")),
+        ("--seed", dict(type=int, help="default: %(default)s")),
         ("--jobs", dict(
-            type=int, default=_VERIFY.jobs,
+            type=int,
             help="worker processes for sweeps, at most one per CPU (default: %(default)s)",
         )),
         ("--prop", dict(
@@ -259,6 +252,8 @@ def _parser(names=COMMANDS) -> argparse.ArgumentParser:
             sub.add_argument(file, metavar=file.upper())
         for flag, keywords in options:
             sub.add_argument(flag, **keywords)
+        if run is verify_cmd:  # reading the defaults runs the verifier's module
+            sub.set_defaults(**verify.VerifyOptions()._asdict())
         sub.set_defaults(run=run)
     return parser
 

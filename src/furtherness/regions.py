@@ -20,13 +20,15 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import NamedTuple, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 from . import _kernels as K
-from .balls import ball
-from .distance import Further
+from . import balls
 from .errors import EmptyOrFullSubsetError, PreconditionViolatedError, SizeTooLargeError
 from .spaces import FinSpace, SetLike, _iterable, mask_indices
+
+if TYPE_CHECKING:  # read in annotations only, so the region queries never run distance
+    from .distance import Further
 
 # a subset table holds about n * 2**n entries
 SUBSET_TABLE_LIMIT = 12
@@ -311,9 +313,9 @@ def largest_forward_balls(space: FinSpace, subset: SetLike) -> tuple[BallEntry, 
     if not a or a == space.full:
         raise EmptyOrFullSubsetError()
     _, center, radius = quasi_report(space, a)
-    balls = [(x, ball(space, x, radius) if radius else 0) for x in mask_indices(center)]
+    found = [(x, balls.ball(space, x, radius) if radius else 0) for x in mask_indices(center)]
     out = []
-    for x, m in balls:
-        nested = any(m != other and not (m & ~other) for _, other in balls)
+    for x, m in found:
+        nested = any(m != other and not (m & ~other) for _, other in found)
         out.append(BallEntry(center=x, radius=radius, ball=m, contained=nested))
     return tuple(out)

@@ -45,11 +45,15 @@ OPEN_FAMILY_LIMIT = 1 << 12
 
 def mask_indices(mask: int) -> Iterator[int]:
     """Indices of the set bits, ascending; a negative mask, or one that is
-    not an ``int``, raises ``SpaceError``."""
+    not an ``int``, raises ``SpaceError`` at the call."""
     if type(mask) is not int:
         mask = _as_int(mask, "a mask")
     if mask < 0:
         raise SpaceError(f"a mask cannot be negative, got {mask}")
+    return _set_bits(mask)
+
+
+def _set_bits(mask: int) -> Iterator[int]:
     while mask:
         low = mask & -mask
         yield low.bit_length() - 1

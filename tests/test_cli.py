@@ -425,33 +425,138 @@ def test_verify_reports_every_mention_in_order(capsys):
     assert all(r["passed"] for r in reports)
 
 
+def _run_fresh(args, **kwargs):
+    """``python ARGS`` in a fresh interpreter that imports this package."""
+    src = str(Path(C.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, *args], env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60, **kwargs,
+    )
+
+
 def _fresh(probe: str):
     """The JSON that ``probe`` prints, run in a fresh interpreter."""
-    src = str(Path(C.__file__).resolve().parents[1])
-    done = subprocess.run(
-        [sys.executable, "-c", probe], env={**os.environ, "PYTHONPATH": src},
-        capture_output=True, text=True, timeout=60, check=True,
-    )
-    return json.loads(done.stdout)
+    return json.loads(_run_fresh(["-c", probe], check=True).stdout)
+
+
+# the modules perfbench/tracer.py reads from sys.modules right after
+# ``import furtherness.cli``
+TRACED = (
+    "verify", "dot", "order", "generate", "oracle", "regions", "balls",
+    "serialization", "distance", "spaces", "_kernels",
+)
+
+# appended to a probe: prints, for each loaded module of the package and of
+# the libraries the command line must not load, whether its code has run (a
+# lazily registered module is no plain module until then)
+_LOADED = (
+    "\nimport json, sys, types\n"
+    "print(json.dumps({m: type(v) is types.ModuleType for m, v in sys.modules.items() "
+    "if m.split('.')[0] in ('multiprocessing', 'click', 'dataclasses', 'furtherness')}))"
+)
 
 
 def test_cli_import_loads_no_multiprocessing():
     # the verifier imports multiprocessing only when it starts a pool, and
     # the theorem catalog only when something reads the registry; the
     # command line runs on the standard library without click or
-    # dataclasses, and its import still loads every traced module
-    loaded = set(_fresh(
-        "import json, sys, furtherness.cli; "
-        "print(json.dumps(sorted(m for m in sys.modules "
-        "if m.split('.')[0] in ('multiprocessing', 'click', 'dataclasses', 'furtherness'))))"
-    ))
+    # dataclasses.  Its import registers every traced module but runs only
+    # its own code, the errors and the spaces
+    loaded = _fresh("import furtherness.cli" + _LOADED)
     assert not {m for m in loaded if not m.startswith("furtherness")}
-    for name in (
-        "verify", "dot", "order", "generate", "oracle", "regions", "balls",
-        "serialization", "distance", "spaces", "_kernels",
-    ):
-        assert f"furtherness.{name}" in loaded
+    assert {f"furtherness.{name}" for name in TRACED} <= set(loaded)
+    ran = {m for m, done in loaded.items() if done}
+    assert ran == {"furtherness", "furtherness.cli", "furtherness.errors", "furtherness.spaces"}
     assert "furtherness.theorems" not in loaded
+
+
+# one run of every command; a file argument is the running example
+FRESH = {
+    "validate": (),
+    "matrix": (),
+    "region": ("--subset", "a,b"),
+    "quasi": ("--subset", "a"),
+    "union": ("--subsets", "d|b"),
+    "balls": ("--center", "a", "--radius", "2"),
+    "quotient": (),
+    "opposite": (),
+    "core": (),
+    "product": (),
+    "dot": (),
+    "enumerate": ("--n", "2"),
+    "verify": ("--max-n", "2", "--prop", "zero-diagonal"),
+}
+
+# the modules of the package that each command runs, past the ones that
+# parse a document
+BASE = {"cli", "errors", "spaces", "_kernels", "serialization"}
+RUNS = {
+    "validate": set(),
+    "matrix": {"distance"},
+    "region": {"regions"},
+    "quasi": {"regions"},
+    "union": {"regions"},
+    "balls": {"balls"},
+    "quotient": {"order"},
+    "opposite": set(),
+    "core": {"order"},
+    "product": {"order"},
+    "dot": {"dot", "oracle", "order"},
+    "enumerate": {"generate"},
+}
+
+
+def _argv(command, doc):
+    _, files, _ = C.COMMANDS[command]
+    return [command, *(doc for _ in files), *FRESH[command]]
+
+
+def _drop_seconds(out):
+    # a verify report's one timed field
+    reports = [json.loads(line) for line in out.splitlines()]
+    return [{k: v for k, v in r.items() if k != "seconds"} for r in reports]
+
+
+@pytest.mark.parametrize("command", list(C.COMMANDS))
+def test_every_command_alone_in_a_fresh_interpreter(space_file, e2, capsys, command):
+    # the suite has imported every module by now, so only a fresh
+    # interpreter sees a command read a module that it never loads
+    argv = _argv(command, space_file(e2))
+    done = _run_fresh(["-W", "error", "-m", "furtherness.cli", *argv])
+    code, out, _ = run_cli(argv, capsys)
+    assert done.returncode == code == 0, done.stderr
+    if command == "verify":
+        assert _drop_seconds(done.stdout) == _drop_seconds(out)
+    else:
+        assert done.stdout == out
+
+
+@pytest.mark.parametrize("command", list(RUNS))
+def test_each_command_runs_only_its_modules(space_file, e2, command):
+    argv = _argv(command, space_file(e2))
+    loaded = _fresh(
+        "import contextlib, io, furtherness.cli as C\n"
+        f"with contextlib.redirect_stdout(io.StringIO()): C.main({argv!r})" + _LOADED
+    )
+    ran = {m.partition(".")[2] for m, done in loaded.items() if done} - {""}
+    assert ran == BASE | RUNS[command]
+
+
+def test_star_import_reads_every_public_name():
+    # the public names are read lazily (PEP 562), and dir() still lists
+    # them; of them only PROPERTIES, the registry, loads the theorem catalog
+    got = _fresh(
+        "import json, sys, furtherness as pkg\n"
+        "others = [getattr(pkg, n) for n in pkg.__all__ if n != 'PROPERTIES']\n"
+        "catalog_before = 'furtherness.theorems' in sys.modules\n"
+        "from furtherness import *\n"
+        "print(json.dumps([\n"
+        "    sorted(set(pkg.__all__) - set(dir(pkg))),\n"
+        "    [n for n in pkg.__all__ if globals()[n] is not getattr(pkg, n)],\n"
+        "    catalog_before, 'furtherness.theorems' in sys.modules, len(PROPERTIES),\n"
+        "]))"
+    )
+    assert got == [[], [], False, True, len(V.PROPERTIES)]
 
 
 def test_registry_read_in_a_fresh_interpreter_is_whole():
