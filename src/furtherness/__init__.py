@@ -7,17 +7,21 @@ balls, regions, quotients, products) derives from that basis.  The
 enumerated small spaces; the ``furtherness`` console script exposes the
 same machinery on space documents.
 
-Every submodule but two is registered lazily: ``import furtherness.regions``
-and ``sys.modules`` see it at once, but its code is compiled and run only
-when one of its names is first read, so a command runs only the modules it
-uses, and the public names below are read from their modules on demand
-(PEP 562).  ``cli`` is the entry point, which ``python -m`` must find
-unloaded, and ``verify`` imports the theorem catalog ``theorems`` the first
-time the registry is read, taking "in ``sys.modules``" as "loaded".
+Every library module is registered at ``import furtherness``: ``import
+furtherness.regions`` and ``sys.modules`` see it at once, but its code is
+compiled and run only when one of its attributes is first read, so a command
+runs only the modules it uses, and the public names below are read from
+their modules on demand (PEP 562).  That first read runs the module under one
+lock, so another thread reading it meanwhile waits for the whole module.
+Two modules are not registered: ``cli``, the entry point, which ``python -m``
+must find unloaded, and ``theorems``, the catalog that ``verify`` imports the
+first time the registry is read.
 """
 
 import importlib.util
 import sys
+import threading
+import types
 
 __version__ = "0.1.0"
 
@@ -25,24 +29,40 @@ __version__ = "0.1.0"
 # the name stays for tools that record which kernels ran.
 kernel_backend = "pure"
 
+_RUN = threading.RLock()  # held while a registered module's code runs
+_running = set()  # names of the registered modules whose code is running
 
-def _lazy(name):
-    """Register the submodule ``name``; its code runs on first attribute read."""
-    fullname = f"{__name__}.{name}"
-    spec = importlib.util.find_spec(fullname)
-    spec.loader = importlib.util.LazyLoader(spec.loader)
+
+class _Unrun(types.ModuleType):
+    """A registered module whose code has not run yet.
+
+    The first attribute read runs the code while holding ``_RUN`` and then
+    makes the module a plain one.  A read from another thread meanwhile
+    waits for the whole run; the running thread's own reads, the import
+    machinery's among them, see the module as it stands.
+    """
+
+    def __getattribute__(self, attr):
+        get = types.ModuleType.__getattribute__
+        with _RUN:
+            name = get(self, "__name__")
+            if type(self) is _Unrun and name not in _running:
+                _running.add(name)
+                try:
+                    get(self, "__spec__").loader.exec_module(self)
+                finally:
+                    _running.discard(name)
+                self.__class__ = types.ModuleType
+        return get(self, attr)
+
+
+def _register(name):
+    """Register the submodule ``name`` and bind it here; its code runs later."""
+    spec = importlib.util.find_spec(f"{__name__}.{name}")
     module = importlib.util.module_from_spec(spec)
-    sys.modules[fullname] = module
-    spec.loader.exec_module(module)
+    module.__class__ = _Unrun
+    sys.modules[spec.name] = module
     globals()[name] = module
-
-
-for _name in (
-    "_kernels", "balls", "distance", "dot", "errors", "generate", "oracle",
-    "order", "regions", "serialization", "spaces", "verify",
-):
-    _lazy(_name)
-del _name
 
 
 # module -> the public names read from it
@@ -91,6 +111,10 @@ _PUBLIC = {
     "verify": ("PROPERTIES", "VerifyOptions", "VerifyReport", "run_all", "run_property"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
+
+for _name in ("_kernels", *_PUBLIC):
+    _register(_name)
+del _name
 
 __all__ = sorted([*_HOME, "kernel_backend"])
 

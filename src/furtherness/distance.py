@@ -16,13 +16,11 @@ for an empty side.
 
 from __future__ import annotations
 
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from . import _kernels as K
 from .errors import SpaceError
-from .spaces import FinSpace, Frozen, PointLike, SetLike, _as_ints, _iterable
-
-Further = Union[int, float]  # non-negative int, or math.inf
+from .spaces import FinSpace, Frozen, Further, PointLike, SetLike, _as_ints, _iterable
 
 
 def furtherness(space: FinSpace, x: PointLike, y: PointLike) -> int:

@@ -20,15 +20,12 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from . import _kernels as K
 from . import balls
 from .errors import EmptyOrFullSubsetError, PreconditionViolatedError, SizeTooLargeError
-from .spaces import FinSpace, SetLike, _iterable, mask_indices
-
-if TYPE_CHECKING:  # read in annotations only, so the region queries never run distance
-    from .distance import Further
+from .spaces import FinSpace, Further, SetLike, _iterable, mask_indices
 
 # a subset table holds about n * 2**n entries
 SUBSET_TABLE_LIMIT = 12

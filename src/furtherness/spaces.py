@@ -35,6 +35,7 @@ from .errors import (
 
 PointLike = Union[int, str]
 SetLike = Union[int, Iterable[PointLike]]
+Further = Union[int, float]  # non-negative int, or math.inf
 
 _LABELS = "the labels must be an iterable of strings, got {!r}"
 

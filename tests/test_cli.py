@@ -559,6 +559,34 @@ def test_star_import_reads_every_public_name():
     assert got == [[], [], False, True, len(V.PROPERTIES)]
 
 
+def test_a_module_read_by_two_threads_runs_whole_once():
+    # the first read of a registered module runs its code; a second thread
+    # reading the module meanwhile must wait for the whole run, not see a
+    # half-run module.  The run is slowed so that the second read lands in it
+    got = _fresh(
+        "import json, sys, threading, time, furtherness\n"
+        "mod = sys.modules['furtherness.regions']\n"
+        "loader = object.__getattribute__(mod, '__spec__').loader\n"
+        "runs, run = [], loader.exec_module\n"
+        "def slow(module):\n"
+        "    runs.append(1)\n"
+        "    time.sleep(0.3)\n"
+        "    run(module)\n"
+        "loader.exec_module = slow\n"
+        "seen = []\n"
+        "def read(get):\n"
+        "    try:\n"
+        "        seen.append(get().__name__)\n"
+        "    except Exception as e:\n"
+        "        seen.append(type(e).__name__)\n"
+        "first = threading.Thread(target=read, args=(lambda: mod.region_report,))\n"
+        "second = threading.Thread(target=read, args=(lambda: furtherness.quasi_report,))\n"
+        "first.start(); time.sleep(0.1); second.start(); first.join(); second.join()\n"
+        "print(json.dumps([sorted(seen), len(runs)]))"
+    )
+    assert got == [["quasi_report", "region_report"], 1]
+
+
 def test_registry_read_in_a_fresh_interpreter_is_whole():
     # every way of reading the registry loads the catalog first
     got = _fresh(

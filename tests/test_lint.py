@@ -1,7 +1,10 @@
 """Source checks over every module of the package."""
 
 import ast
+import importlib
+import inspect
 import pathlib
+import typing
 
 import furtherness
 
@@ -55,3 +58,24 @@ def test_every_parameter_is_read():
     for path in sorted(pathlib.Path(furtherness.__file__).parent.glob("*.py")):
         found.update(_unread(path))
     assert found == UNREAD
+
+
+def _annotated(module):
+    """Every function and class that ``module`` defines, and their methods."""
+    for value in vars(module).values():
+        if getattr(value, "__module__", None) != module.__name__:
+            continue
+        if inspect.isfunction(value):
+            yield value
+        elif inspect.isclass(value):
+            yield value
+            yield from (m for m in vars(value).values() if inspect.isfunction(m))
+
+
+def test_every_annotation_resolves():
+    # the modules postpone annotations, so a name that is imported only for
+    # a type checker shows up here and not at import
+    for path in sorted(pathlib.Path(furtherness.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"furtherness.{path.stem}".removesuffix(".__init__"))
+        for obj in _annotated(module):
+            typing.get_type_hints(obj)
