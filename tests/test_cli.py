@@ -14,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+import furtherness as pkg
 from furtherness import cli as C
 from furtherness import FinSpace, document_to_space, furtherness, furtherness_matrix
 from furtherness import theorems as T
@@ -559,32 +560,43 @@ def test_star_import_reads_every_public_name():
     assert got == [[], [], False, True, len(V.PROPERTIES)]
 
 
-def test_a_module_read_by_two_threads_runs_whole_once():
-    # the first read of a registered module runs its code; a second thread
-    # reading the module meanwhile must wait for the whole run, not see a
-    # half-run module.  The run is slowed so that the second read lands in it
+def test_threads_reading_the_package_see_every_module_whole():
+    # the first read of a registered module runs its code; a thread reading
+    # the module meanwhile must wait for the whole run, not see a half-run
+    # module.  Eight threads read every public name, each from its own
+    # start, with thread switches as often as the interpreter allows, and
+    # the run of regions is slowed so that some reads land in it
     got = _fresh(
-        "import json, sys, threading, time, furtherness\n"
-        "mod = sys.modules['furtherness.regions']\n"
-        "loader = object.__getattribute__(mod, '__spec__').loader\n"
-        "runs, run = [], loader.exec_module\n"
-        "def slow(module):\n"
-        "    runs.append(1)\n"
-        "    time.sleep(0.3)\n"
-        "    run(module)\n"
-        "loader.exec_module = slow\n"
-        "seen = []\n"
-        "def read(get):\n"
-        "    try:\n"
-        "        seen.append(get().__name__)\n"
-        "    except Exception as e:\n"
-        "        seen.append(type(e).__name__)\n"
-        "first = threading.Thread(target=read, args=(lambda: mod.region_report,))\n"
-        "second = threading.Thread(target=read, args=(lambda: furtherness.quasi_report,))\n"
-        "first.start(); time.sleep(0.1); second.start(); first.join(); second.join()\n"
-        "print(json.dumps([sorted(seen), len(runs)]))"
+        "import json, sys, threading, time, furtherness as pkg\n"
+        "runs = {}\n"
+        "def counted(name, run):\n"
+        "    def exec_module(module):\n"
+        "        runs[name] = runs.get(name, 0) + 1\n"
+        "        time.sleep(0.3 if name == 'regions' else 0)\n"
+        "        run(module)\n"
+        "    return exec_module\n"
+        "for name in pkg._PUBLIC:\n"
+        "    spec = object.__getattribute__(sys.modules[f'furtherness.{name}'], '__spec__')\n"
+        "    spec.loader.exec_module = counted(name, spec.loader.exec_module)\n"
+        "names = [n for n in pkg.__all__ if n != 'kernel_backend']\n"
+        "failed = []\n"
+        "def read(first):\n"
+        "    for n in names[first:] + names[:first]:\n"
+        "        try:\n"
+        "            getattr(pkg, n)\n"
+        "        except Exception as e:\n"
+        "            failed.append(f'{n}: {e!r}')\n"
+        "threads = [threading.Thread(target=read, args=(i * 10,)) for i in range(8)]\n"
+        "interval = sys.getswitchinterval()\n"
+        "sys.setswitchinterval(1e-6)\n"
+        "try:\n"
+        "    for t in threads: t.start()\n"
+        "    for t in threads: t.join(60)\n"
+        "finally:\n"
+        "    sys.setswitchinterval(interval)\n"
+        "print(json.dumps([failed, any(t.is_alive() for t in threads), runs]))"
     )
-    assert got == [["quasi_report", "region_report"], 1]
+    assert got == [[], False, dict.fromkeys(pkg._PUBLIC, 1)]
 
 
 def test_registry_read_in_a_fresh_interpreter_is_whole():
