@@ -46,7 +46,7 @@ class _Unrun(types.ModuleType):
         get = types.ModuleType.__getattribute__
         with _RUN:
             name = get(self, "__name__")
-            if type(self) is _Unrun and name not in _running:
+            if type(self) is not types.ModuleType and name not in _running:
                 _running.add(name)
                 try:
                     get(self, "__spec__").loader.exec_module(self)
@@ -57,11 +57,17 @@ class _Unrun(types.ModuleType):
 
 
 def _register(name):
-    """Register the submodule ``name`` and bind it here; its code runs later."""
-    spec = importlib.util.find_spec(f"{__name__}.{name}")
-    module = importlib.util.module_from_spec(spec)
-    module.__class__ = _Unrun
-    sys.modules[spec.name] = module
+    """Register the submodule ``name`` and bind it here; its code runs later.
+
+    A module already registered is kept, so reloading the package leaves
+    every class, and so every object made from one, as it was.
+    """
+    fullname = f"{__name__}.{name}"
+    module = sys.modules.get(fullname)
+    if module is None:
+        module = importlib.util.module_from_spec(importlib.util.find_spec(fullname))
+        module.__class__ = _Unrun
+        sys.modules[fullname] = module
     globals()[name] = module
 
 

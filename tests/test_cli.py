@@ -560,6 +560,20 @@ def test_star_import_reads_every_public_name():
     assert got == [[], [], False, True, len(V.PROPERTIES)]
 
 
+def test_reloading_the_package_keeps_its_modules():
+    # a space made before the reload is still a FinSpace after it, run or
+    # unrun module alike
+    got = _fresh(
+        "import importlib, json, sys, furtherness as pkg\n"
+        "space = pkg.FinSpace.discrete(['a', 'b'])\n"
+        "before = {m: v for m, v in sys.modules.items() if m.startswith('furtherness.')}\n"
+        "importlib.reload(pkg)\n"
+        "print(json.dumps([sorted(m for m, v in before.items() if sys.modules[m] is not v),\n"
+        "    isinstance(space, pkg.FinSpace), pkg.region_report(space, 1).center]))"
+    )
+    assert got == [[], True, 1]
+
+
 def test_threads_reading_the_package_see_every_module_whole():
     # the first read of a registered module runs its code; a thread reading
     # the module meanwhile must wait for the whole run, not see a half-run
