@@ -207,7 +207,8 @@ def _slice_task(plan, task) -> list[_Summary]:
     and shared by the checks; a basis that fails validation fails the
     task.  A check stops at its first counterexample or exception; the
     exception is returned, not raised, so that ``_sweep`` raises it only
-    when the check has not failed in an earlier slice.
+    when the check has not failed in an earlier slice.  A name that this
+    process has not registered is such an exception, a ``SpaceError``.
     """
     n, bases = task
     _registry()  # a worker that was not forked starts without the catalog
@@ -217,10 +218,15 @@ def _slice_task(plan, task) -> list[_Summary]:
     for name, limit in plan:
         if n > limit:
             continue
-        check = _PROPERTIES[name].run
         checked, witness, error, trace = 0, None, None, ""
         t0 = time.perf_counter()
         try:
+            if name not in _PROPERTIES:  # registered where this worker cannot see it
+                raise SpaceError(
+                    f"property {name!r} is not registered in a worker that was not"
+                    " forked; register it at module level, or run one job"
+                )
+            check = _PROPERTIES[name].run
             for sp in spaces:
                 witness = check(sp)
                 checked += 1
@@ -248,8 +254,11 @@ def _sweep(names: list[str], opts: VerifyOptions) -> dict[str, VerifyReport]:
     first raised in enumeration order, then plan order, wins.  With more
     than one job, one pool runs the slices, every check on each, and the
     parent drops the summaries of checks that failed in an earlier slice.
-    Raises ``SizeTooLargeError`` before it enumerates anything when a
-    property would sweep past ``ENUMERATION_LIMIT`` points.
+    When the sweep stops early, the slices not started are dropped and the
+    running ones finish; a worker that dies fails the sweep with
+    ``BrokenProcessPool``.  Raises ``SizeTooLargeError`` before it
+    enumerates anything when a property would sweep past
+    ``ENUMERATION_LIMIT`` points.
     """
     if not names:
         return {}
@@ -286,25 +295,30 @@ def _sweep(names: list[str], opts: VerifyOptions) -> dict[str, VerifyReport]:
 
     slices = _slices(top)
     jobs = _workers(opts.jobs)
+    pool = None
     if jobs <= 1:
-        for task in slices:
-            merge(_slice_task(list(live.items()), task))
-            if not live:
-                break
+        # in this process, each slice runs only the checks still live
+        results = (_slice_task(list(live.items()), task) for task in slices)
     else:
         # imported here, since no other command needs it.  Any start method
         # finds the catalog, which each worker loads in ``_slice_task``; the
         # default one, because checks registered at run time exist only in
         # forked workers
-        from multiprocessing import Pool
+        from concurrent.futures import ProcessPoolExecutor
 
-        with Pool(jobs) as pool:
-            # imap keeps enumeration order, so each first hit is deterministic;
-            # leaving the block terminates the pool
-            for summaries in pool.imap(partial(_slice_task, plan), slices):
-                merge(summaries)
-                if not live:
-                    break
+        pool = ProcessPoolExecutor(jobs)
+        # map keeps enumeration order, so each first hit is deterministic
+        results = pool.map(partial(_slice_task, plan), slices)
+    try:
+        for summaries in results:
+            merge(summaries)
+            if not live:
+                break
+    finally:
+        # drops the slices not started and waits for the running ones, so no
+        # worker is signalled, not even one writing its result
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return {
         name: VerifyReport(name, checked[name], name not in found, found.get(name), seconds[name])
         for name, _ in plan

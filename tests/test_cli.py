@@ -453,12 +453,14 @@ TRACED = (
 _LOADED = (
     "\nimport json, sys, types\n"
     "print(json.dumps({m: type(v) is types.ModuleType for m, v in sys.modules.items() "
-    "if m.split('.')[0] in ('multiprocessing', 'click', 'dataclasses', 'furtherness')}))"
+    "if m.split('.')[0] in "
+    "('concurrent', 'multiprocessing', 'click', 'dataclasses', 'furtherness')}))"
 )
 
 
 def test_cli_import_loads_no_multiprocessing():
-    # the verifier imports multiprocessing only when it starts a pool, and
+    # the verifier imports its pool machinery (concurrent.futures, which
+    # loads multiprocessing) only when it starts a pool, and
     # the theorem catalog only when something reads the registry; the
     # command line runs on the standard library without click or
     # dataclasses.  Its import registers every traced module but runs only

@@ -1,9 +1,15 @@
+import concurrent.futures
 import json
 import multiprocessing
+import os
 import re
+import signal
+import subprocess
+import sys
 import time
 import traceback
 from functools import partial
+from pathlib import Path
 
 import pytest
 
@@ -285,24 +291,18 @@ def test_sweep_starts_clamped_pool(monkeypatch):
     sizes = []
 
     class RecordingPool:
-        def __init__(self, processes):
-            sizes.append(processes)
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def imap(self, fn, tasks, chunksize=1):
+        def map(self, fn, tasks):
             return map(fn, tasks)
 
-        def terminate(self):
+        def shutdown(self, wait=True, *, cancel_futures=False):
             pass
 
     monkeypatch.setattr(V.os, "cpu_count", lambda: 2)
-    # the sweep imports Pool from multiprocessing when it starts one
-    monkeypatch.setattr(multiprocessing, "Pool", RecordingPool)
+    # the sweep imports the executor from concurrent.futures when it starts one
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
     report = run_property("triangle-inequality", VerifyOptions(max_n=3, jobs=10**6))
     assert report.passed and report.checked == 34
     assert sizes == [2]
@@ -506,6 +506,140 @@ def test_the_first_exception_in_corpus_then_plan_order_is_raised(jobs, names, ra
     finally:
         for name in names:
             del PROPERTIES[name]
+
+
+def _default_start_method():
+    # without fixing it, as get_start_method() would; the first method
+    # listed is the platform default
+    return (
+        multiprocessing.get_start_method(allow_none=True)
+        or multiprocessing.get_all_start_methods()[0]
+    )
+
+
+@pytest.mark.skipif(
+    _default_start_method() != "fork",
+    reason="the property is registered at run time, which only forked workers see",
+)
+@pytest.mark.parametrize("fails_by", ["counterexample", "SpaceError"])
+def test_a_sweep_that_stops_early_signals_no_worker(tmp_path, fails_by):
+    # the check fails on the first 4-point space, so the sweep stops with
+    # slices still queued and running; a worker that is signalled records
+    # its pid, and still dies
+    name = "stops-the-sweep"
+    parent = os.getpid()
+
+    def record_and_exit(signum, frame):
+        (tmp_path / str(os.getpid())).touch()
+        os._exit(1)
+
+    @V.space_property(name)
+    def stops_the_sweep(sp):
+        if os.getpid() != parent and signal.getsignal(signal.SIGTERM) is not record_and_exit:
+            signal.signal(signal.SIGTERM, record_and_exit)
+        if sp.n < 4:
+            return None
+        if fails_by == "SpaceError":
+            raise SpaceError("four points")
+        return T._fail(sp, reason="four points")
+
+    def outcome(jobs):
+        try:
+            report = run_property(name, VerifyOptions(max_n=5, jobs=jobs))
+        except SpaceError as exc:
+            return repr(exc)
+        return {k: v for k, v in report.to_json().items() if k != "seconds"}
+
+    try:
+        serial = outcome(1)
+        assert outcome(2) == serial
+    finally:
+        del PROPERTIES[name]
+    assert serial == (
+        "SpaceError('four points')"
+        if fails_by == "SpaceError"
+        else {
+            "prop": name,
+            "checked": 35,
+            "passed": False,
+            "counterexample": T._fail(next(iter(enumerate_topologies(4))), reason="four points"),
+        }
+    )
+    assert not list(tmp_path.iterdir())  # no worker was signalled
+    assert not multiprocessing.active_children()
+
+
+def _run_script(tmp_path, source):
+    """Run ``source`` as a script in a fresh interpreter that imports this
+    package, with warnings as errors; a script, not ``-c``, so that a spawned
+    worker can import it as its main module."""
+    script = tmp_path / "script.py"
+    script.write_text(source)
+    src = str(Path(V.__file__).resolve().parents[1])
+    return subprocess.run(
+        [sys.executable, "-W", "error", str(script)],
+        env={**os.environ, "PYTHONPATH": src},
+        capture_output=True, text=True, timeout=60,
+    )
+
+
+def test_a_worker_that_dies_fails_the_sweep(tmp_path):
+    # a worker killed from outside, as by the OOM killer, breaks the pool:
+    # the sweep raises at once instead of waiting for the dead worker's slice
+    done = _run_script(tmp_path, """
+import multiprocessing, os
+from concurrent.futures.process import BrokenProcessPool
+from furtherness import verify as V
+
+@V.space_property("dies-in-a-worker")
+def dies_in_a_worker(sp):
+    if multiprocessing.parent_process() is not None:
+        os._exit(1)
+
+if __name__ == "__main__":
+    try:
+        V.run_all(["dies-in-a-worker"], V.VerifyOptions(max_n=4, jobs=2))
+    except BrokenProcessPool:
+        print("BrokenProcessPool")
+""")
+    assert (done.returncode, done.stdout, done.stderr) == (0, "BrokenProcessPool\n", "")
+
+
+def test_a_property_a_spawned_worker_does_not_know_is_a_space_error(tmp_path):
+    # registered under the main guard, so a spawned worker, which imports the
+    # script as its main module, never registers it; a property registered at
+    # module level reaches it.  The errors are raised in corpus then plan order
+    done = _run_script(tmp_path, """
+import json, multiprocessing
+from furtherness import verify as V
+
+@V.space_property("raises-everywhere")
+def raises_everywhere(sp):
+    raise RuntimeError("raises-everywhere")
+
+def outcome(names, jobs):
+    try:
+        return [r.passed for r in V.run_all(names, V.VerifyOptions(max_n=3, jobs=jobs))]
+    except Exception as exc:
+        return [type(exc).__name__, str(exc)]
+
+if __name__ == "__main__":
+    multiprocessing.set_start_method("spawn")
+    V.space_property("registered-in-main")(lambda sp: None)
+    print(json.dumps([
+        outcome(["registered-in-main"], 1),
+        outcome(["registered-in-main", "raises-everywhere"], 2),
+        outcome(["raises-everywhere", "registered-in-main"], 2),
+    ]))
+""")
+    assert done.returncode == 0, done.stderr
+    serial, unknown_first, raiser_first = json.loads(done.stdout)
+    assert serial == [True]
+    assert unknown_first[0] == "SpaceError"
+    assert unknown_first[1].startswith(
+        "property 'registered-in-main' is not registered in a worker that was not forked"
+    )
+    assert raiser_first == ["RuntimeError", "raises-everywhere"]
 
 
 # (property, table field, subset whose entry is wrong, wrong value,
