@@ -14,8 +14,8 @@ runs only the modules it uses, and the public names below are read from
 their modules on demand (PEP 562).  That first read runs the module under one
 lock, so another thread reading it meanwhile waits for the whole module.
 Two modules are not registered: ``cli``, the entry point, which ``python -m``
-must find unloaded, and ``theorems``, the catalog that ``verify`` imports the
-first time the registry is read.
+must find unloaded, and ``theorems``, the catalog that ``verify`` imports as
+its last line, so the two always run together.
 """
 
 import importlib.util
@@ -113,7 +113,8 @@ _PUBLIC = {
         "document_to_space", "parse_space", "serialize_space", "space_to_document",
     ),
     "spaces": ("FinSpace", "OpenFamily", "from_minimal_basis", "from_open_sets", "mask_indices"),
-    # reading the registry loads the theorem catalog, which no other name needs
+    # reading any of these runs verify, which imports the theorem catalog;
+    # no other name loads it
     "verify": ("PROPERTIES", "VerifyOptions", "VerifyReport", "run_all", "run_property"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}

@@ -7,10 +7,14 @@ size cap; each ``@custom_property`` is a runner with a corpus of its own
 registers the property in ``verify``'s registry, in the order of this
 file, which is the registry's order.
 
-Within the package only ``verify._registry`` imports this module, the
-first time anything reads the registry, so a command that runs no
-property never compiles it.  Importing it only defines and registers
-functions: it calls nothing else at module level.
+``verify`` imports this module as its last line, so the catalog loads
+with the registry, and a command that never runs ``verify`` never
+compiles it.  Importing it only defines and registers functions: it calls
+nothing else at module level, and it runs none of ``dot``, ``generate`` or
+``serialization``.  The functions of other modules are read through their
+modules when called, not bound here at import, so a wrapper installed on a
+module after this one loaded, as a profiler's, still sees every call;
+only ``FinSpace`` and ``mask_indices`` are bound by name.
 """
 
 from __future__ import annotations
@@ -21,19 +25,14 @@ from typing import Optional
 
 from . import balls as B
 from . import distance as D
+from . import dot as DOT
+from . import generate as G
 from . import order as O
 from . import oracle as ORC
 from . import regions as R
-from .dot import export_dot
-from .generate import (
-    _bases,
-    default_labels,
-    enumerate_topologies,
-    family_generated_bases,
-    random_space,
-)
-from .serialization import parse_space, serialize_space, space_to_document
-from .spaces import FinSpace, from_open_sets, mask_indices
+from . import serialization as SER
+from . import spaces as S
+from .spaces import FinSpace, mask_indices
 from .verify import VerifyOptions, custom_property, space_property
 
 
@@ -42,7 +41,7 @@ def _set(space: FinSpace, mask: int) -> list[str]:
 
 
 def _fail(space: FinSpace, **witness) -> dict:
-    return {"space": space_to_document(space), **witness}
+    return {"space": SER.space_to_document(space), **witness}
 
 
 # ---------------------------------------------------------------------------
@@ -138,7 +137,7 @@ def _opposite_involution(sp: FinSpace):
 
 @space_property("reconstruction")
 def _reconstruction(sp: FinSpace):
-    rebuilt = from_open_sets(sp.labels, list(sp.open_family))
+    rebuilt = S.from_open_sets(sp.labels, list(sp.open_family))
     if rebuilt != sp:
         return _fail(sp)
     return None
@@ -405,13 +404,13 @@ def _minimal_rigidity(sp: FinSpace):
 def _core_properties(sp: FinSpace):
     c = O.core(sp)
     if not O.is_minimal(c):
-        return _fail(sp, core=serialize_space(c))
+        return _fail(sp, core=SER.serialize_space(c))
     return None
 
 
 def _space_pairs(max_n: int):
     corpus = [
-        sp for n in range(1, max_n + 1) for sp in enumerate_topologies(n)
+        sp for n in range(1, max_n + 1) for sp in G.enumerate_topologies(n)
     ]
     return corpus
 
@@ -427,8 +426,8 @@ def _map_pairs(opts: VerifyOptions, fails):
                 checked += 1
                 if fails(O.SpaceMap(dom, cod, image)):
                     return checked, {
-                        "domain": space_to_document(dom),
-                        "codomain": space_to_document(cod),
+                        "domain": SER.space_to_document(dom),
+                        "codomain": SER.space_to_document(cod),
                         "map": list(image),
                     }
     return checked, None
@@ -463,8 +462,8 @@ def _product_formula(opts: VerifyOptions):
                             direct = next(flat)
                             if got != direct:
                                 return checked, {
-                                    "left": space_to_document(left),
-                                    "right": space_to_document(right),
+                                    "left": SER.space_to_document(left),
+                                    "right": SER.space_to_document(right),
                                     "pair": [[ax, ay], [cx, cy]],
                                     "formula": got,
                                     "direct": direct,
@@ -474,7 +473,7 @@ def _product_formula(opts: VerifyOptions):
 
 @custom_property("product-nfold")
 def _product_nfold(opts: VerifyOptions):
-    twos = list(enumerate_topologies(2))
+    twos = list(G.enumerate_topologies(2))
     checked = 0
     for fx, fy, fz in itertools.product(twos, repeat=3):
         factors = [fx, fy, fz]
@@ -488,7 +487,7 @@ def _product_nfold(opts: VerifyOptions):
                 formula = O.product_furtherness_nfold(factors, ps, qs)
                 if direct != formula:
                     return checked, {
-                        "factors": [space_to_document(f) for f in factors],
+                        "factors": [SER.space_to_document(f) for f in factors],
                         "pair": [list(ps), list(qs)],
                     }
     return checked, None
@@ -573,7 +572,7 @@ def _symmetrized_join(sp: FinSpace):
     both = set(sp.open_family) | set(sp.opposite().open_family)
     if not both <= sym:
         return _fail(sp)
-    for other in enumerate_topologies(sp.n):
+    for other in G.enumerate_topologies(sp.n):
         fam = set(other.open_family)
         if both <= fam and not sym <= fam:
             return _fail(sp, topology=[_set(sp, o) for o in sorted(fam)])
@@ -888,7 +887,7 @@ def _union_random(opts: VerifyOptions):
     """
     checked = 0
     for i in range(opts.samples):
-        sp = random_space(opts.sample_n, opts.seed + i)
+        sp = G.random_space(opts.sample_n, opts.seed + i)
         taken = 0
         for a, b in _qualifying_pairs(*R._closure_pass(sp)):
             w = _check_union(sp, [a, b])
@@ -904,9 +903,9 @@ def _union_random(opts: VerifyOptions):
 @custom_property("union-triples")
 def _union_triples(opts: VerifyOptions):
     checked = 0
-    labels = default_labels(5)
+    labels = G.default_labels(5)
     # every 31st space on 5 points, in enumeration order; only these are built
-    for basis in _bases(5, False)[::31]:
+    for basis in G._bases(5, False)[::31]:
         sp = FinSpace(labels, basis)
         pairs = set(_qualifying_pairs(*R._closure_pass(sp)))
         members = sorted({s for pair in pairs for s in pair})
@@ -975,8 +974,8 @@ def _enumerator_counts(opts: VerifyOptions):
     want_t0 = {1: 1, 2: 3, 3: 19, 4: 219, 5: 4231}
     checked = 0
     for n in range(1, min(opts.max_n, 5) + 1):
-        bases = [sp.basis for sp in enumerate_topologies(n)]
-        t0_bases = [sp.basis for sp in enumerate_topologies(n, t0_only=True)]
+        bases = [sp.basis for sp in G.enumerate_topologies(n)]
+        t0_bases = [sp.basis for sp in G.enumerate_topologies(n, t0_only=True)]
         count = len(bases)
         checked += count
         if count != want_all[n] or len(set(bases)) != count:
@@ -984,16 +983,16 @@ def _enumerator_counts(opts: VerifyOptions):
         if len(t0_bases) != want_t0[n]:
             return checked, {"n": n, "t0_count": len(t0_bases)}
         if n <= 4:
-            if family_generated_bases(n) != frozenset(bases):
+            if G.family_generated_bases(n) != frozenset(bases):
                 return checked, {"n": n, "generator": "family"}
-            if family_generated_bases(n, t0_only=True) != frozenset(t0_bases):
+            if G.family_generated_bases(n, t0_only=True) != frozenset(t0_bases):
                 return checked, {"n": n, "generator": "family-t0"}
     return checked, None
 
 
 @space_property("roundtrip-identity", cap=3)
 def _roundtrip(sp: FinSpace):
-    if parse_space(serialize_space(sp)) != sp:
+    if SER.parse_space(SER.serialize_space(sp)) != sp:
         return _fail(sp)
     return None
 
@@ -1001,8 +1000,8 @@ def _roundtrip(sp: FinSpace):
 @space_property("dot-stable", cap=3)
 def _dot_stable(sp: FinSpace):
     for mode in ("hasse", "lattice"):
-        first = export_dot(sp, mode)
-        if export_dot(sp, mode) != first:
+        first = DOT.export_dot(sp, mode)
+        if DOT.export_dot(sp, mode) != first:
             return _fail(sp, mode=mode)
         if not first.startswith("digraph"):
             return _fail(sp, mode=mode)
@@ -1013,8 +1012,8 @@ def _dot_stable(sp: FinSpace):
 def _random_valid(opts: VerifyOptions):
     checked = 0
     for i in range(opts.samples):
-        sp = random_space(opts.sample_n, opts.seed + i)
-        again = random_space(opts.sample_n, opts.seed + i)
+        sp = G.random_space(opts.sample_n, opts.seed + i)
+        again = G.random_space(opts.sample_n, opts.seed + i)
         checked += 1
         if sp != again:
             return checked, {"seed": opts.seed + i, "reason": "not deterministic"}

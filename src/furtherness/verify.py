@@ -9,10 +9,12 @@ suite drives the same runners.
 
 This module is the sweep runner.  The properties themselves live in the
 theorem catalog, ``theorems``, which registers them through
-``space_property`` and ``custom_property``.  ``_registry`` imports the
-catalog the first time anything reads the registry (``PROPERTIES``,
-``run_all``, ``run_property``, a sweep worker, a new registration), so
-importing this module, as every CLI command does, compiles no theorem.
+``space_property`` and ``custom_property``.  The last line of this module
+imports the catalog, below the decorators, so importing either module
+loads both, in either order, and the registry starts with the catalog's
+properties.  The package runs this module only when one of its
+attributes is first read, so a CLI command other than ``verify`` compiles
+no theorem.
 
 Runners are deterministic: corpora are enumerated in a fixed order, random
 sampling is seeded, and parallel sweeps merge results in enumeration order.
@@ -21,7 +23,6 @@ sampling is seeded, and parallel sweeps merge results in enumeration order.
 from __future__ import annotations
 
 import os
-import sys
 import time
 from functools import partial
 from typing import Callable, NamedTuple, Optional
@@ -69,29 +70,10 @@ class Property(NamedTuple):
     cap: Optional[int] = None
 
 
-# The registry, in its order: name -> ``Property``.  Public as ``PROPERTIES``,
-# which ``__getattr__`` gives out only with the catalog loaded.
-_PROPERTIES: dict[str, Property] = {}
-_CATALOG = __package__ + ".theorems"
-
-
-def _registry() -> dict:
-    """The registry with the theorem catalog loaded, which is imported here
-    the first time, and only here.
-
-    While the catalog is being imported it is already in ``sys.modules``,
-    so its own registrations do not import it again.
-    """
-    if _CATALOG not in sys.modules:
-        from . import theorems  # noqa: F401  (registers every property)
-    return _PROPERTIES
-
-
-def __getattr__(name):
-    # PEP 562: ``PROPERTIES`` is no module global, so each read lands here
-    if name == "PROPERTIES":
-        return _registry()
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+# The registry, in its order: name -> ``Property``.  The catalog's
+# properties come first, in the order of ``theorems``; a property registered
+# at run time comes after them.
+PROPERTIES: dict[str, Property] = {}
 
 
 def run_property(name: str, opts: Optional[VerifyOptions] = None) -> VerifyReport:
@@ -125,9 +107,8 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
         raise SpaceError(f"samples must be at least 0, got {opts.samples}")
     if opts.jobs < 1:
         raise SpaceError(f"jobs must be at least 1, got {opts.jobs}")
-    registry = _registry()
     if names is None:
-        names = registry
+        names = PROPERTIES
     if isinstance(names, str):
         raise SpaceError(
             f"the property names must be a list of names, got the string {names!r};"
@@ -136,11 +117,11 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
     names = list(_iterable(names, "the property names must be an iterable, got {!r}"))
     for name in names:
         try:
-            known = name in registry
+            known = name in PROPERTIES
         except TypeError:  # unhashable, so no registry key
             known = False
         if not known:
-            raise UnknownPropertyError(name, registry)
+            raise UnknownPropertyError(name, PROPERTIES)
     samplers = {"union-random", "random-valid"}.intersection(names)
     if samplers and opts.sample_n < 1:
         raise SpaceError(f"sample_n must be at least 1, got {opts.sample_n}")
@@ -150,11 +131,11 @@ def run_all(names=None, opts: Optional[VerifyOptions] = None) -> list[VerifyRepo
             f" got {opts.sample_n}"
         )
     distinct = list(dict.fromkeys(names))
-    reports = _sweep([name for name in distinct if registry[name].space], opts)
+    reports = _sweep([name for name in distinct if PROPERTIES[name].space], opts)
     for name in distinct:
         if name not in reports:
             t0 = time.perf_counter()
-            checked, counter = registry[name].run(opts)
+            checked, counter = PROPERTIES[name].run(opts)
             elapsed = time.perf_counter() - t0
             reports[name] = VerifyReport(name, checked, counter is None, counter, elapsed)
     return [reports[name] for name in names]
@@ -211,7 +192,6 @@ def _slice_task(plan, task) -> list[_Summary]:
     process has not registered is such an exception, a ``SpaceError``.
     """
     n, bases = task
-    _registry()  # a worker that was not forked starts without the catalog
     labels = default_labels(n)
     spaces = [FinSpace(labels, basis) for basis in bases]
     out = []
@@ -221,12 +201,12 @@ def _slice_task(plan, task) -> list[_Summary]:
         checked, witness, error, trace = 0, None, None, ""
         t0 = time.perf_counter()
         try:
-            if name not in _PROPERTIES:  # registered where this worker cannot see it
+            if name not in PROPERTIES:  # registered where this worker cannot see it
                 raise SpaceError(
                     f"property {name!r} is not registered in a worker that was not"
                     " forked; register it at module level, or run one job"
                 )
-            check = _PROPERTIES[name].run
+            check = PROPERTIES[name].run
             for sp in spaces:
                 witness = check(sp)
                 checked += 1
@@ -264,7 +244,7 @@ def _sweep(names: list[str], opts: VerifyOptions) -> dict[str, VerifyReport]:
         return {}
     plan = []  # (name, size limit)
     for name in names:
-        cap = _PROPERTIES[name].cap
+        cap = PROPERTIES[name].cap
         plan.append((name, min(opts.max_n, cap) if cap else opts.max_n))
     live = dict(plan)  # the same, for the properties that have not failed
     top = max(live.values())
@@ -301,9 +281,9 @@ def _sweep(names: list[str], opts: VerifyOptions) -> dict[str, VerifyReport]:
         results = (_slice_task(list(live.items()), task) for task in slices)
     else:
         # imported here, since no other command needs it.  Any start method
-        # finds the catalog, which each worker loads in ``_slice_task``; the
-        # default one, because checks registered at run time exist only in
-        # forked workers
+        # finds the catalog, which a worker loads when it unpickles
+        # ``_slice_task``, as that imports this module; the default one,
+        # because checks registered at run time exist only in forked workers
         from concurrent.futures import ProcessPoolExecutor
 
         pool = ProcessPoolExecutor(jobs)
@@ -350,9 +330,11 @@ def _register(name: str, space: bool, cap: Optional[int] = None):
         raise SpaceError(f"a property name must be a nonempty string, got {name!r}")
 
     def deco(run: Callable):
-        # a property registered at run time comes after the catalog; a name
-        # registered again keeps its place and gets the new record whole
-        _registry()[name] = Property(run, space, cap)
+        # a name registered again keeps its place and gets the new record whole
+        PROPERTIES[name] = Property(run, space, cap)
         return run
 
     return deco
+
+
+from . import theorems  # noqa: E402,F401  (registers every property)

@@ -4,6 +4,7 @@ Everything goes through main() so the exit-code remap is under test:
 0 success, 1 input error, 2 verifier failure.
 """
 
+import ast
 import json
 import os
 import re
@@ -460,9 +461,9 @@ _LOADED = (
 
 def test_cli_import_loads_no_multiprocessing():
     # the verifier imports its pool machinery (concurrent.futures, which
-    # loads multiprocessing) only when it starts a pool, and
-    # the theorem catalog only when something reads the registry; the
-    # command line runs on the standard library without click or
+    # loads multiprocessing) only when it starts a pool, and the theorem
+    # catalog loads only with the verifier, which this import does not run;
+    # the command line runs on the standard library without click or
     # dataclasses.  Its import registers every traced module but runs only
     # its own code, the errors and the spaces
     loaded = _fresh("import furtherness.cli" + _LOADED)
@@ -547,10 +548,11 @@ def test_each_command_runs_only_its_modules(space_file, e2, command):
 
 def test_star_import_reads_every_public_name():
     # the public names are read lazily (PEP 562), and dir() still lists
-    # them; of them only PROPERTIES, the registry, loads the theorem catalog
+    # them; only the names of verify, which imports the theorem catalog as
+    # its last line, load the catalog
     got = _fresh(
         "import json, sys, furtherness as pkg\n"
-        "others = [getattr(pkg, n) for n in pkg.__all__ if n != 'PROPERTIES']\n"
+        "others = [getattr(pkg, n) for n in pkg.__all__ if pkg._HOME.get(n) != 'verify']\n"
         "catalog_before = 'furtherness.theorems' in sys.modules\n"
         "from furtherness import *\n"
         "print(json.dumps([\n"
@@ -625,6 +627,33 @@ def test_registry_read_in_a_fresh_interpreter_is_whole():
     )
     assert len(got[0]) == 49
     assert got == [list(V.PROPERTIES)] * 3
+
+
+def _catalog_names():
+    """The names that the theorem catalog registers, in its source order."""
+    tree = ast.parse(Path(T.__file__).read_text())
+    return [
+        deco.args[0].value
+        for node in tree.body
+        if isinstance(node, ast.FunctionDef)
+        for deco in node.decorator_list
+        if isinstance(deco, ast.Call)
+        and getattr(deco.func, "id", None) in ("space_property", "custom_property")
+    ]
+
+
+def test_catalog_imported_first_fills_the_registry_in_its_order():
+    # the catalog imports verify, whose last line imports the catalog back,
+    # half run; the registry still holds the catalog's names in its order,
+    # and a property registered later comes after them
+    got = _fresh(
+        "import json, furtherness.theorems, furtherness as pkg; "
+        "names = list(pkg.PROPERTIES); "
+        "pkg.verify.custom_property('later-claim')(lambda opts: (0, None)); "
+        "print(json.dumps([names, list(pkg.PROPERTIES)]))"
+    )
+    assert len(got[0]) == 49
+    assert got == [_catalog_names(), [*_catalog_names(), "later-claim"]]
 
 
 def test_property_registered_first_comes_after_the_catalog():

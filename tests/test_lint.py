@@ -2,6 +2,7 @@
 
 import ast
 import importlib
+import importlib.util
 import inspect
 import pathlib
 import typing
@@ -62,7 +63,9 @@ def test_every_parameter_is_read():
 
 def _annotated(module):
     """Every function and class that ``module`` defines, and their methods."""
-    for value in vars(module).values():
+    # a copy: reading the package's unrun verify module runs it, which
+    # imports the catalog and so binds it in the package
+    for value in list(vars(module).values()):
         if getattr(value, "__module__", None) != module.__name__:
             continue
         if inspect.isfunction(value):
@@ -79,3 +82,32 @@ def test_every_annotation_resolves():
         module = importlib.import_module(f"furtherness.{path.stem}".removesuffix(".__init__"))
         for obj in _annotated(module):
             typing.get_type_hints(obj)
+
+
+def _tracer_targets():
+    """``TARGETS`` of the benchmark's tracer, whose module is only loaded:
+    nothing in it is called."""
+    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    return tracer.TARGETS
+
+
+def test_catalog_binds_no_traced_function():
+    # verify imports the catalog as its last line, so the catalog loads
+    # while the tracer installs its wrappers, before the later ones are in
+    # place: a traced function bound in the catalog would skip the tracer
+    catalog = vars(importlib.import_module("furtherness.theorems")).values()
+
+    def bound(module, attr):
+        target = getattr(importlib.import_module(f"furtherness.{module}"), attr)
+        return any(value is target for value in catalog)
+
+    # a method is wrapped on its class, which the catalog shares
+    traced = [
+        f"{module}.{attr}"
+        for module, attr, _ in _tracer_targets()
+        if "." not in attr and bound(module, attr)
+    ]
+    assert traced == []

@@ -27,6 +27,7 @@ from furtherness import (
     run_all,
     run_property,
 )
+from furtherness import generate
 from furtherness import regions as R
 from furtherness import theorems as T
 from furtherness import verify as V
@@ -34,6 +35,25 @@ from furtherness.spaces import mask_indices
 from oracles import own_sweep, zero_continuous_self_maps
 
 SMALL = VerifyOptions(max_n=3, samples=25, sample_n=5)
+
+
+def _default_start_method():
+    # without fixing it, as get_start_method() would; the first method
+    # listed is the platform default
+    return (
+        multiprocessing.get_start_method(allow_none=True)
+        or multiprocessing.get_all_start_methods()[0]
+    )
+
+
+# for a pooled sweep of a check registered inside the test: a worker that was
+# not forked, as under forkserver, the Linux default from Python 3.14, does
+# not know the check and fails the sweep with SpaceError
+forked_only = pytest.mark.skipif(
+    _default_start_method() != "fork",
+    reason="the property is registered at run time, which only forked workers see",
+)
+POOLED = pytest.param(2, marks=forked_only)
 
 
 def test_every_registered_property_passes_small():
@@ -91,6 +111,7 @@ def test_parallel_sweep_matches_serial():
     assert serial.checked == parallel.checked
 
 
+@forked_only
 def test_parallel_sweep_finds_same_counterexample():
     name = "no-space-has-three-points"
 
@@ -313,9 +334,9 @@ SPACE_PROPS = [name for name, prop in PROPERTIES.items() if prop.space]
 
 def test_worker_that_does_not_fork_loads_the_catalog():
     # a spawned worker starts from a fresh interpreter: it has only what
-    # unpickling the task imports, so _slice_task loads the catalog itself;
-    # each task carries its bases, so the worker enumerates nothing unless a
-    # check does, as symmetrized-smallest-join does
+    # unpickling the task imports, and _slice_task's module, verify, loads
+    # the catalog; each task carries its bases, so the worker enumerates
+    # nothing unless a check does, as symmetrized-smallest-join does
     has_catalog = "'furtherness.theorems' in __import__('sys').modules"
     cached = "__import__('furtherness.generate').generate._bases.cache_info().currsize"
     plan = [(name, PROPERTIES[name].cap or 3) for name in SPACE_PROPS]
@@ -366,7 +387,7 @@ def test_one_sweep_matches_per_property_sweeps(own_sweeps_n4, jobs):
     assert _verdicts(reports) == own_sweeps_n4
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, POOLED])
 def test_one_sweep_keeps_each_first_failure(jobs):
     # two false claims that fail at different spaces, beside a capped and an
     # uncapped property that must still run to the end; a repeated name
@@ -395,7 +416,7 @@ def test_one_sweep_keeps_each_first_failure(jobs):
             del PROPERTIES[name]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, POOLED])
 def test_failures_at_slice_boundaries_match_own_sweeps(jobs):
     # one check fails on the last space of a slice, one on the first of the
     # next, and one only at n = 5, after the other two have failed
@@ -443,7 +464,7 @@ def test_failures_at_slice_boundaries_match_own_sweeps(jobs):
             del PROPERTIES[name]
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, POOLED])
 def test_a_check_is_not_raised_after_its_counterexample(jobs):
     # it fails on the indiscrete two-point space, the last of its slice, and
     # raises on every larger space: pooled or serial, it stops at the former
@@ -472,7 +493,7 @@ _RAISERS = {
 }
 
 
-@pytest.mark.parametrize("jobs", [1, 2])
+@pytest.mark.parametrize("jobs", [1, POOLED])
 @pytest.mark.parametrize(
     "names, raised",
     [
@@ -508,19 +529,7 @@ def test_the_first_exception_in_corpus_then_plan_order_is_raised(jobs, names, ra
             del PROPERTIES[name]
 
 
-def _default_start_method():
-    # without fixing it, as get_start_method() would; the first method
-    # listed is the platform default
-    return (
-        multiprocessing.get_start_method(allow_none=True)
-        or multiprocessing.get_all_start_methods()[0]
-    )
-
-
-@pytest.mark.skipif(
-    _default_start_method() != "fork",
-    reason="the property is registered at run time, which only forked workers see",
-)
+@forked_only
 @pytest.mark.parametrize("fails_by", ["counterexample", "SpaceError"])
 def test_a_sweep_that_stops_early_signals_no_worker(tmp_path, fails_by):
     # the check fails on the first 4-point space, so the sweep stops with
@@ -857,7 +866,7 @@ def test_union_samplers_read_no_distance_half(monkeypatch):
     # on any space; union_analysis reads no table
     spaces = []
     passes = []
-    real_random = T.random_space
+    real_random = generate.random_space
     real_space = T.FinSpace
     real_pass = R._closure_pass
 
@@ -873,7 +882,7 @@ def test_union_samplers_read_no_distance_half(monkeypatch):
         spaces.append(real_space(labels, basis))
         return spaces[-1]
 
-    monkeypatch.setattr(T, "random_space", random_space)
+    monkeypatch.setattr(generate, "random_space", random_space)
     monkeypatch.setattr(T, "FinSpace", FinSpace)
     monkeypatch.setattr(R, "_closure_pass", _closure_pass)
     opts = VerifyOptions(samples=40, sample_n=6)
@@ -882,7 +891,8 @@ def test_union_samplers_read_no_distance_half(monkeypatch):
     # the random spaces come first, then every 31st space on 5 points, the
     # only ones union-triples builds
     assert len(spaces) == 40 + 224
-    assert [sp.basis for sp in spaces[40:]] == [sp.basis for sp in T.enumerate_topologies(5)][::31]
+    on5 = [sp.basis for sp in generate.enumerate_topologies(5)]
+    assert [sp.basis for sp in spaces[40:]] == on5[::31]
     assert len(passes) == len(spaces) and all(a is b for a, b in zip(passes, spaces))
     assert not any("_subset_table" in vars(sp) for sp in spaces)
 
