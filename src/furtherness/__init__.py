@@ -13,9 +13,10 @@ compiled and run only when one of its attributes is first read, so a command
 runs only the modules it uses, and the public names below are read from
 their modules on demand (PEP 562).  That first read runs the module under one
 lock, so another thread reading it meanwhile waits for the whole module.
-Two modules are not registered: ``cli``, the entry point, which ``python -m``
-must find unloaded, and ``theorems``, the catalog that ``verify`` imports as
-its last line, so the two always run together.
+The theorem catalog, ``theorems``, is registered like the others, and
+``verify``'s last line runs it, so the two always run together, in either
+order, and always under that lock.  One module is not registered: ``cli``,
+the entry point, which ``python -m`` must find unloaded.
 """
 
 import importlib.util
@@ -113,13 +114,13 @@ _PUBLIC = {
         "document_to_space", "parse_space", "serialize_space", "space_to_document",
     ),
     "spaces": ("FinSpace", "OpenFamily", "from_minimal_basis", "from_open_sets", "mask_indices"),
-    # reading any of these runs verify, which imports the theorem catalog;
-    # no other name loads it
+    # reading any of these runs verify, which runs the theorem catalog; no
+    # other name runs it
     "verify": ("PROPERTIES", "VerifyOptions", "VerifyReport", "run_all", "run_property"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 
-for _name in ("_kernels", *_PUBLIC):
+for _name in ("_kernels", "theorems", *_PUBLIC):
     _register(_name)
 del _name
 

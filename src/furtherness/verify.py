@@ -9,12 +9,11 @@ suite drives the same runners.
 
 This module is the sweep runner.  The properties themselves live in the
 theorem catalog, ``theorems``, which registers them through
-``space_property`` and ``custom_property``.  The last line of this module
-imports the catalog, below the decorators, so importing either module
-loads both, in either order, and the registry starts with the catalog's
-properties.  The package runs this module only when one of its
-attributes is first read, so a CLI command other than ``verify`` compiles
-no theorem.
+``space_property`` and ``custom_property``.  The last lines of this module
+run the catalog, below the decorators, so running either module runs both,
+in either order, and the registry starts with the catalog's properties.
+The package runs this module only when one of its attributes is first
+read, so a CLI command other than ``verify`` compiles no theorem.
 
 Runners are deterministic: corpora are enumerated in a fixed order, random
 sampling is seeded, and parallel sweeps merge results in enumeration order.
@@ -337,4 +336,10 @@ def _register(name: str, space: bool, cap: Optional[int] = None):
     return deco
 
 
-from . import theorems  # noqa: E402,F401  (registers every property)
+from . import theorems  # noqa: E402
+
+# The package registers the catalog unrun, like each of its modules, so the
+# import above only binds it; this first read runs it, which registers every
+# property.  It runs under the package's run lock, as every module does, and
+# never under an import lock that a thread holding the run lock could wait on.
+vars(theorems)

@@ -464,14 +464,13 @@ def test_cli_import_loads_no_multiprocessing():
     # loads multiprocessing) only when it starts a pool, and the theorem
     # catalog loads only with the verifier, which this import does not run;
     # the command line runs on the standard library without click or
-    # dataclasses.  Its import registers every traced module but runs only
-    # its own code, the errors and the spaces
+    # dataclasses.  Its import registers every traced module and the
+    # catalog but runs only its own code, the errors and the spaces
     loaded = _fresh("import furtherness.cli" + _LOADED)
     assert not {m for m in loaded if not m.startswith("furtherness")}
-    assert {f"furtherness.{name}" for name in TRACED} <= set(loaded)
+    assert {f"furtherness.{name}" for name in (*TRACED, "theorems")} <= set(loaded)
     ran = {m for m, done in loaded.items() if done}
     assert ran == {"furtherness", "furtherness.cli", "furtherness.errors", "furtherness.spaces"}
-    assert "furtherness.theorems" not in loaded
 
 
 # one run of every command; a file argument is the running example
@@ -548,17 +547,19 @@ def test_each_command_runs_only_its_modules(space_file, e2, command):
 
 def test_star_import_reads_every_public_name():
     # the public names are read lazily (PEP 562), and dir() still lists
-    # them; only the names of verify, which imports the theorem catalog as
-    # its last line, load the catalog
+    # them; only the names of verify, which runs the theorem catalog as its
+    # last line, run the catalog
     got = _fresh(
-        "import json, sys, furtherness as pkg\n"
+        "import json, sys, types, furtherness as pkg\n"
+        "def catalog_ran():\n"
+        "    return type(sys.modules['furtherness.theorems']) is types.ModuleType\n"
         "others = [getattr(pkg, n) for n in pkg.__all__ if pkg._HOME.get(n) != 'verify']\n"
-        "catalog_before = 'furtherness.theorems' in sys.modules\n"
+        "catalog_before = catalog_ran()\n"
         "from furtherness import *\n"
         "print(json.dumps([\n"
         "    sorted(set(pkg.__all__) - set(dir(pkg))),\n"
         "    [n for n in pkg.__all__ if globals()[n] is not getattr(pkg, n)],\n"
-        "    catalog_before, 'furtherness.theorems' in sys.modules, len(PROPERTIES),\n"
+        "    catalog_before, catalog_ran(), len(PROPERTIES),\n"
         "]))"
     )
     assert got == [[], [], False, True, len(V.PROPERTIES)]
@@ -617,6 +618,39 @@ def test_threads_reading_the_package_see_every_module_whole():
     assert got == [[], False, dict.fromkeys(pkg._PUBLIC, 1)]
 
 
+@pytest.mark.parametrize("first", ["verify", "theorems"])
+def test_threads_running_verify_and_the_catalog_do_not_deadlock(first):
+    # one thread reads the registry, which runs verify and then the catalog;
+    # another imports the catalog and reads a name of it.  The run of
+    # ``first`` is slowed, and the other thread starts 0.1 s into it.  Both
+    # runs take the package's run lock, so each thread waits for the whole
+    # of the other's run and then sees the whole registry
+    got = _fresh(
+        "import json, os, sys, threading, time, furtherness as pkg\n"
+        f"spec = object.__getattribute__(sys.modules['furtherness.{first}'], '__spec__')\n"
+        "run = spec.loader.exec_module\n"
+        "def slowed(module):\n"
+        "    time.sleep(0.5)\n"
+        "    run(module)\n"
+        "spec.loader.exec_module = slowed\n"
+        "seen = {}\n"
+        "def registry():\n"
+        "    seen['registry'] = len(pkg.PROPERTIES)\n"
+        "def catalog():\n"
+        "    import furtherness.theorems as T\n"
+        "    seen['catalog'] = [T.FinSpace is pkg.FinSpace, len(pkg.PROPERTIES)]\n"
+        "reads = [registry, catalog] if spec.name.endswith('verify') else [catalog, registry]\n"
+        "threads = [threading.Thread(target=read, daemon=True) for read in reads]\n"
+        "threads[0].start()\n"
+        "time.sleep(0.1)\n"
+        "threads[1].start()\n"
+        "for t in threads: t.join(20)\n"
+        "print(json.dumps([[t.is_alive() for t in threads], seen]), flush=True)\n"
+        "os._exit(0)  # a thread still waiting would block the interpreter's exit"
+    )
+    assert got == [[False, False], {"registry": 49, "catalog": [True, 49]}]
+
+
 def test_registry_read_in_a_fresh_interpreter_is_whole():
     # every way of reading the registry loads the catalog first
     got = _fresh(
@@ -643,11 +677,13 @@ def _catalog_names():
 
 
 def test_catalog_imported_first_fills_the_registry_in_its_order():
-    # the catalog imports verify, whose last line imports the catalog back,
-    # half run; the registry still holds the catalog's names in its order,
-    # and a property registered later comes after them
+    # the first read of a name of the catalog runs it; it runs verify, whose
+    # last line reads the catalog back, half run; the registry still holds
+    # the catalog's names in its order, and a property registered later
+    # comes after them
     got = _fresh(
-        "import json, furtherness.theorems, furtherness as pkg; "
+        "import json, furtherness.theorems as T, furtherness as pkg; "
+        "T.FinSpace; "
         "names = list(pkg.PROPERTIES); "
         "pkg.verify.custom_property('later-claim')(lambda opts: (0, None)); "
         "print(json.dumps([names, list(pkg.PROPERTIES)]))"
