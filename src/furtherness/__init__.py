@@ -14,7 +14,7 @@ runs only the modules it uses, and the public names below are read from
 their modules on demand (PEP 562).  That first read runs the module under one
 lock, so another thread reading it meanwhile waits for the whole module.
 The theorem catalog, ``theorems``, is registered like the others, and
-``verify``'s last line runs it, so the two always run together, in either
+``verify``'s last lines run it, so the two always run together, in either
 order, and always under that lock.  One module is not registered: ``cli``,
 the entry point, which ``python -m`` must find unloaded.
 """

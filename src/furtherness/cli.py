@@ -169,8 +169,8 @@ def verify_cmd(args):
 
 def _property(name: str) -> str:
     """A ``--prop`` value: the name of a registered property."""
-    # read here, not at import: the first read runs verify, which imports
-    # the catalog, so no other command runs either
+    # read here, not at import: the first read runs verify, which runs the
+    # catalog, so no other command runs either
     if name not in verify.PROPERTIES:
         raise argparse.ArgumentTypeError(str(UnknownPropertyError(name, verify.PROPERTIES)))
     return name
@@ -253,7 +253,10 @@ def _parser(names=COMMANDS) -> argparse.ArgumentParser:
             sub.add_argument(file, metavar=file.upper())
         for flag, keywords in options:
             sub.add_argument(flag, **keywords)
-        if run is verify_cmd:  # reading the defaults runs verify and its catalog
+        # reading the defaults runs verify and its catalog.  main builds the
+        # parser of every command only when the first argument names none,
+        # and that parser never parses a verify command line, so it skips them
+        if run is verify_cmd and len(names) == 1:
             sub.set_defaults(**verify.VerifyOptions()._asdict())
         sub.set_defaults(run=run)
     return parser

@@ -7,14 +7,15 @@ size cap; each ``@custom_property`` is a runner with a corpus of its own
 registers the property in ``verify``'s registry, in the order of this
 file, which is the registry's order.
 
-``verify`` imports this module as its last line, so the catalog loads
-with the registry, and a command that never runs ``verify`` never
-compiles it.  Importing it only defines and registers functions: it calls
-nothing else at module level, and it runs none of ``dot``, ``generate`` or
-``serialization``.  The functions of other modules are read through their
-modules when called, not bound here at import, so a wrapper installed on a
-module after this one loaded, as a profiler's, still sees every call;
-only ``FinSpace`` and ``mask_indices`` are bound by name.
+The package registers this module unrun, like each of its modules, and
+``verify``'s last lines run it, so the catalog runs with the registry,
+and a command that never runs ``verify`` never compiles it.  Running it
+only defines and registers functions: it calls nothing else at module
+level, and it runs none of ``dot``, ``generate`` or ``serialization``.
+The functions of other modules are read through their modules when
+called, not bound here when this module runs, so a wrapper installed on a
+module after this one ran, as a profiler's, still sees every call; only
+``FinSpace`` and ``mask_indices`` are bound by name.
 """
 
 from __future__ import annotations

@@ -462,13 +462,29 @@ _LOADED = (
 def test_cli_import_loads_no_multiprocessing():
     # the verifier imports its pool machinery (concurrent.futures, which
     # loads multiprocessing) only when it starts a pool, and the theorem
-    # catalog loads only with the verifier, which this import does not run;
+    # catalog runs only with the verifier, which this import does not run;
     # the command line runs on the standard library without click or
     # dataclasses.  Its import registers every traced module and the
     # catalog but runs only its own code, the errors and the spaces
     loaded = _fresh("import furtherness.cli" + _LOADED)
     assert not {m for m in loaded if not m.startswith("furtherness")}
     assert {f"furtherness.{name}" for name in (*TRACED, "theorems")} <= set(loaded)
+    ran = {m for m, done in loaded.items() if done}
+    assert ran == {"furtherness", "furtherness.cli", "furtherness.errors", "furtherness.spaces"}
+
+
+@pytest.mark.parametrize("argv", [[], ["--help"], ["bogus-command"]])
+def test_a_command_line_naming_no_command_runs_no_command_module(argv):
+    # the full parser, for help or a usage error, reads no command's module,
+    # so it runs neither verify nor the theorem catalog
+    loaded = _fresh(
+        "import contextlib, io, furtherness.cli as C\n"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        "    try:\n"
+        f"        C.main({argv!r})\n"
+        "    except SystemExit:\n"
+        "        pass" + _LOADED
+    )
     ran = {m for m, done in loaded.items() if done}
     assert ran == {"furtherness", "furtherness.cli", "furtherness.errors", "furtherness.spaces"}
 

@@ -63,9 +63,7 @@ def test_every_parameter_is_read():
 
 def _annotated(module):
     """Every function and class that ``module`` defines, and their methods."""
-    # a copy: reading the package's unrun verify module runs it, which
-    # imports the catalog and so binds it in the package
-    for value in list(vars(module).values()):
+    for value in vars(module).values():
         if getattr(value, "__module__", None) != module.__name__:
             continue
         if inspect.isfunction(value):
@@ -95,9 +93,9 @@ def _tracer_targets():
 
 
 def test_catalog_binds_no_traced_function():
-    # verify imports the catalog as its last line, so the catalog loads
-    # while the tracer installs its wrappers, before the later ones are in
-    # place: a traced function bound in the catalog would skip the tracer
+    # the catalog runs while the tracer installs its wrappers, before the
+    # later ones are in place: a traced function bound in the catalog would
+    # skip the tracer
     catalog = vars(importlib.import_module("furtherness.theorems")).values()
 
     def bound(module, attr):
