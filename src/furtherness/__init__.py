@@ -13,10 +13,11 @@ compiled and run only when one of its attributes is first read, so a command
 runs only the modules it uses, and the public names below are read from
 their modules on demand (PEP 562).  That first read runs the module under one
 lock, so another thread reading it meanwhile waits for the whole module.
-The theorem catalog, ``theorems``, is registered like the others, and
-``verify``'s last lines run it, so the two always run together, in either
-order, and always under that lock.  One module is not registered: ``cli``,
-the entry point, which ``python -m`` must find unloaded.
+The theorem catalog, ``theorems``, holds the verifier's registry and is
+registered like the others; ``verify`` imports the registry from it, so
+running ``verify`` runs the catalog first, under that lock, and the catalog
+imports nothing from ``verify``.  One module is not registered: ``cli``, the
+entry point, which ``python -m`` must find unloaded.
 """
 
 import importlib.util

@@ -71,11 +71,24 @@ def document_to_space(doc: Any) -> FinSpace:
     return from_minimal_basis(points, basis)
 
 
+def _object(pairs: list[tuple[str, Any]]) -> dict:
+    """A JSON object as a dict; a key given twice raises ``SchemaError``,
+    where ``json`` alone would keep its last value."""
+    obj = dict(pairs)
+    if len(obj) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise SchemaError(f"the key {key!r} is given twice in one object")
+            seen.add(key)
+    return obj
+
+
 def parse_space(text: str) -> FinSpace:
     if not isinstance(text, (str, bytes, bytearray)):
         raise DocumentSyntaxError(f"a document is text, not {type(text).__name__}")
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, object_pairs_hook=_object)
     except json.JSONDecodeError as e:
         raise DocumentSyntaxError(f"not valid JSON: {e}") from None
     except UnicodeDecodeError as e:

@@ -1,28 +1,32 @@
-"""The theorem catalog: every property the verifier checks.
+"""The theorem catalog: the verifier's registry and every property in it.
 
-Each ``@space_property`` here is a check on one space, which
+The registry's interface comes first: ``VerifyOptions``, the ``Property``
+record, the registry ``PROPERTIES`` itself and the decorators that fill
+it.  Each ``@space_property`` below is a check on one space, which
 ``verify._sweep`` runs over every enumerated topology up to the property's
 size cap; each ``@custom_property`` is a runner with a corpus of its own
 (map pairs, products, seeded random spaces, the enumerators).  Decorating
-registers the property in ``verify``'s registry, in the order of this
-file, which is the registry's order.
+registers the property, in the order of this file, which is the
+registry's order.
 
-The package registers this module unrun, like each of its modules, and
-``verify``'s last lines run it, so the catalog runs with the registry,
-and a command that never runs ``verify`` never compiles it.  Running it
-only defines and registers functions: it calls nothing else at module
-level, and it runs none of ``dot``, ``generate`` or ``serialization``.
-The functions of other modules are read through their modules when
-called, not bound here when this module runs, so a wrapper installed on a
-module after this one ran, as a profiler's, still sees every call; only
-``FinSpace`` and ``mask_indices`` are bound by name.
+This module holds the registry and imports no command module, neither
+``verify`` nor ``cli``: the sweep runner, ``verify``, imports the registry
+from here, so running ``verify`` runs this module first, and a command
+that never runs ``verify`` never compiles it.  The package registers this
+module unrun, like each of its modules.  Running it only defines and
+registers functions: it calls nothing else at module level, and it runs
+none of ``dot``, ``generate`` or ``serialization``.  The functions of
+other modules are read through their modules when called, not bound here
+when this module runs, so a wrapper installed on a module after this one
+ran, as a profiler's, still sees every call; only ``FinSpace``,
+``mask_indices``, ``SpaceError`` and ``_as_int`` are bound by name.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import balls as B
 from . import distance as D
@@ -33,8 +37,67 @@ from . import oracle as ORC
 from . import regions as R
 from . import serialization as SER
 from . import spaces as S
-from .spaces import FinSpace, mask_indices
-from .verify import VerifyOptions, custom_property, space_property
+from .errors import SpaceError
+from .spaces import FinSpace, _as_int, mask_indices
+
+
+class VerifyOptions(NamedTuple):
+    max_n: int = 4
+    samples: int = 1000
+    sample_n: int = 6
+    seed: int = 1
+    jobs: int = 1
+
+
+class Property(NamedTuple):
+    """One registered property.  A space property (``space`` true) is a
+    check(space) -> witness | None, which ``verify._sweep`` runs over the
+    corpus up to ``cap`` points (None: up to ``max_n``); a custom property
+    is a runner(opts) -> (checked, counterexample | None) with a corpus of
+    its own.
+    """
+
+    run: Callable
+    space: bool
+    cap: Optional[int] = None
+
+
+# The registry, in its order: name -> ``Property``.  The catalog's
+# properties come first, in the order of this file; a property registered
+# at run time comes after them.
+PROPERTIES: dict[str, Property] = {}
+
+
+def space_property(name: str, cap: Optional[int] = None):
+    """Register a per-space check swept over the enumerated corpus.
+
+    ``cap``, when given, is the largest space size it runs on, even when
+    ``max_n`` is larger.  A cap that is not an int of at least 1 raises
+    ``SpaceError`` and registers nothing.
+    """
+    if cap is not None:
+        cap = _as_int(cap, "cap")
+        if cap < 1:
+            raise SpaceError(f"cap must be at least 1, got {cap}")
+    return _register(name, True, cap)
+
+
+def custom_property(name: str):
+    """Register a runner(opts) -> (checked, counterexample | None)."""
+    return _register(name, False)
+
+
+def _register(name: str, space: bool, cap: Optional[int] = None):
+    # the registry's names are sorted together in UnknownPropertyError
+    if not isinstance(name, str) or not name:
+        raise SpaceError(f"a property name must be a nonempty string, got {name!r}")
+
+    def deco(run: Callable):
+        # a name registered again keeps its place and gets the new record whole
+        PROPERTIES[name] = Property(run, space, cap)
+        return run
+
+    return deco
 
 
 def _set(space: FinSpace, mask: int) -> list[str]:

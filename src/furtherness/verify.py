@@ -1,19 +1,20 @@
 """Exhaustive and sampled verification of the package's theorems.
 
 Every mathematical claim the library relies on is a named property in the
-registry kept here.  A property runner sweeps a corpus (all labeled
+registry.  A property runner sweeps a corpus (all labeled
 topologies up to a size cap, or seeded random spaces) and reports the first
 counterexample as a replayable space document plus witness data.  The
 command line exposes the registry via ``verify``; the acceptance test
 suite drives the same runners.
 
-This module is the sweep runner.  The properties themselves live in the
-theorem catalog, ``theorems``, which registers them through
-``space_property`` and ``custom_property``.  The last lines of this module
-run the catalog, below the decorators, so running either module runs both,
-in either order, and the registry starts with the catalog's properties.
-The package runs this module only when one of its attributes is first
-read, so a CLI command other than ``verify`` compiles no theorem.
+This module is the sweep runner.  The registry, its decorators
+``space_property`` and ``custom_property``, and the properties themselves
+live in the theorem catalog, ``theorems``, which imports nothing from
+here.  This module imports the registry from the catalog at its top and
+re-exports it, so running this module runs the catalog first, and the
+registry starts with the catalog's properties.  The package runs this
+module only when one of its attributes is first read, so a CLI command
+other than ``verify`` compiles no theorem.
 
 Runners are deterministic: corpora are enumerated in a fixed order, random
 sampling is seeded, and parallel sweeps merge results in enumeration order.
@@ -24,20 +25,19 @@ from __future__ import annotations
 import os
 import time
 from functools import partial
-from typing import Callable, NamedTuple, Optional
+from typing import NamedTuple, Optional
 
 from .errors import SizeTooLargeError, SpaceError, UnknownPropertyError
 from .generate import ENUMERATION_LIMIT, _bases, default_labels
 from .regions import SUBSET_TABLE_LIMIT
 from .spaces import FinSpace, _as_int, _iterable
 
-
-class VerifyOptions(NamedTuple):
-    max_n: int = 4
-    samples: int = 1000
-    sample_n: int = 6
-    seed: int = 1
-    jobs: int = 1
+# the registry and its decorators live in the catalog; they are
+# re-exported here, as ``verify.PROPERTIES``, ``verify.space_property`` and
+# so on
+from .theorems import (  # noqa: F401
+    PROPERTIES, Property, VerifyOptions, custom_property, space_property,
+)
 
 
 class VerifyReport(NamedTuple):
@@ -55,24 +55,6 @@ class VerifyReport(NamedTuple):
             "counterexample": self.counterexample,
             "seconds": round(self.seconds, 3),
         }
-
-
-class Property(NamedTuple):
-    """One registered property.  A space property (``space`` true) is a
-    check(space) -> witness | None, which ``_sweep`` runs over the corpus up
-    to ``cap`` points (None: up to ``max_n``); a custom property is a
-    runner(opts) -> (checked, counterexample | None) with a corpus of its own.
-    """
-
-    run: Callable
-    space: bool
-    cap: Optional[int] = None
-
-
-# The registry, in its order: name -> ``Property``.  The catalog's
-# properties come first, in the order of ``theorems``; a property registered
-# at run time comes after them.
-PROPERTIES: dict[str, Property] = {}
 
 
 def run_property(name: str, opts: Optional[VerifyOptions] = None) -> VerifyReport:
@@ -302,44 +284,3 @@ def _sweep(names: list[str], opts: VerifyOptions) -> dict[str, VerifyReport]:
         name: VerifyReport(name, checked[name], name not in found, found.get(name), seconds[name])
         for name, _ in plan
     }
-
-
-def space_property(name: str, cap: Optional[int] = None):
-    """Register a per-space check swept over the enumerated corpus.
-
-    ``cap``, when given, is the largest space size it runs on, even when
-    ``max_n`` is larger.  A cap that is not an int of at least 1 raises
-    ``SpaceError`` and registers nothing.
-    """
-    if cap is not None:
-        cap = _as_int(cap, "cap")
-        if cap < 1:
-            raise SpaceError(f"cap must be at least 1, got {cap}")
-    return _register(name, True, cap)
-
-
-def custom_property(name: str):
-    """Register a runner(opts) -> (checked, counterexample | None)."""
-    return _register(name, False)
-
-
-def _register(name: str, space: bool, cap: Optional[int] = None):
-    # the registry's names are sorted together in UnknownPropertyError
-    if not isinstance(name, str) or not name:
-        raise SpaceError(f"a property name must be a nonempty string, got {name!r}")
-
-    def deco(run: Callable):
-        # a name registered again keeps its place and gets the new record whole
-        PROPERTIES[name] = Property(run, space, cap)
-        return run
-
-    return deco
-
-
-from . import theorems  # noqa: E402
-
-# The package registers the catalog unrun, like each of its modules, so the
-# import above only binds it; this first read runs it, which registers every
-# property.  It runs under the package's run lock, as every module does, and
-# never under an import lock that a thread holding the run lock could wait on.
-vars(theorems)

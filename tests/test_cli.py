@@ -46,6 +46,17 @@ def test_validate_rejects_bad_family(space_file, capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("command", ["validate", "matrix"])
+def test_repeated_key_is_input_error(tmp_path, capsys, command):
+    # a repeated key would otherwise keep its last value, here the
+    # indiscrete basis of a
+    path = tmp_path / "space.json"
+    path.write_text('{"points":["a","b"],"min_basis":{"a":["a"],"a":["a","b"],"b":["a","b"]}}')
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "the key 'a' is given twice" in err
+
+
 def test_missing_file_is_input_error(capsys):
     code, _, err = run_cli(["validate", "/no/such/file.json"], capsys)
     assert code == 1
@@ -563,8 +574,8 @@ def test_each_command_runs_only_its_modules(space_file, e2, command):
 
 def test_star_import_reads_every_public_name():
     # the public names are read lazily (PEP 562), and dir() still lists
-    # them; only the names of verify, which runs the theorem catalog as its
-    # last line, run the catalog
+    # them; only the names of verify, which imports its registry from the
+    # theorem catalog, run the catalog
     got = _fresh(
         "import json, sys, types, furtherness as pkg\n"
         "def catalog_ran():\n"
@@ -693,19 +704,20 @@ def _catalog_names():
 
 
 def test_catalog_imported_first_fills_the_registry_in_its_order():
-    # the first read of a name of the catalog runs it; it runs verify, whose
-    # last line reads the catalog back, half run; the registry still holds
-    # the catalog's names in its order, and a property registered later
-    # comes after them
+    # the first read of a name of the catalog runs it, and it runs no part
+    # of verify, which it never imports; the registry, read later through
+    # verify, holds the catalog's names in its order, and a property
+    # registered later comes after them
     got = _fresh(
-        "import json, furtherness.theorems as T, furtherness as pkg; "
+        "import json, sys, types, furtherness.theorems as T, furtherness as pkg; "
         "T.FinSpace; "
+        "verify_ran = type(sys.modules['furtherness.verify']) is types.ModuleType; "
         "names = list(pkg.PROPERTIES); "
         "pkg.verify.custom_property('later-claim')(lambda opts: (0, None)); "
-        "print(json.dumps([names, list(pkg.PROPERTIES)]))"
+        "print(json.dumps([names, list(pkg.PROPERTIES), verify_ran]))"
     )
     assert len(got[0]) == 49
-    assert got == [_catalog_names(), [*_catalog_names(), "later-claim"]]
+    assert got == [_catalog_names(), [*_catalog_names(), "later-claim"], False]
 
 
 def test_property_registered_first_comes_after_the_catalog():

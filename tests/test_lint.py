@@ -1,6 +1,7 @@
 """Source checks over every module of the package."""
 
 import ast
+import graphlib
 import importlib
 import importlib.util
 import inspect
@@ -109,3 +110,35 @@ def test_catalog_binds_no_traced_function():
         if "." not in attr and bound(module, attr)
     ]
     assert traced == []
+
+
+def _module_imports(tree):
+    """The package modules that a module's own code imports as it runs:
+    ``from . import x`` and ``from .x import y`` outside any def or class."""
+    pending = list(tree.body)
+    while pending:
+        node = pending.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            continue
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:
+                yield node.module.partition(".")[0]
+            else:
+                yield from (alias.name for alias in node.names)
+        else:
+            pending.extend(ast.iter_child_nodes(node))
+
+
+def test_module_imports_have_no_cycle():
+    # imports point one way, cli -> verify -> theorems -> the library
+    # modules, so no module, as it runs, reads back a half-run module that
+    # is importing it
+    package = pathlib.Path(furtherness.__file__).parent
+    modules = {path.stem for path in package.glob("*.py")}
+    graph = {
+        path.stem: set(_module_imports(ast.parse(path.read_text()))) & modules
+        for path in package.glob("*.py")
+    }
+    assert "theorems" in graph["verify"] and "verify" in graph["cli"]
+    # raises CycleError, which names the modules of a cycle
+    graphlib.TopologicalSorter(graph).prepare()

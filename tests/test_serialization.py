@@ -122,6 +122,17 @@ def test_schema_rejects_malformed_fields(doc, why):
         document_to_space(doc)
 
 
+@pytest.mark.parametrize("text, key", [
+    # json alone keeps the last value: a one-point space
+    ('{"points":["a","b"],"points":["a"],"min_basis":{"a":["a"]}}', "points"),
+    # json alone keeps ["a","b"]: the indiscrete space
+    ('{"points":["a","b"],"min_basis":{"a":["a"],"a":["a","b"],"b":["a","b"]}}', "a"),
+])
+def test_parse_rejects_a_repeated_key(text, key):
+    with pytest.raises(SchemaError, match=re.escape(f"the key {key!r} is given twice")):
+        parse_space(text)
+
+
 def test_schema_rejects_unknown_member():
     with pytest.raises(Exception):
         document_to_space({"points": ["a"], "min_basis": {"a": ["a", "z"]}})

@@ -334,11 +334,11 @@ SPACE_PROPS = [name for name, prop in PROPERTIES.items() if prop.space]
 
 def test_worker_that_does_not_fork_loads_the_catalog():
     # a spawned worker starts from a fresh interpreter: it has only what
-    # unpickling the task imports, and _slice_task's module, verify, runs
-    # the catalog; each task carries its bases, so the worker enumerates
-    # nothing unless a check does, as symmetrized-smallest-join does.  The
-    # package registers the catalog unrun, so it has run once it is a plain
-    # module, as sys is
+    # unpickling the task imports, and _slice_task's module, verify, imports
+    # its registry from the catalog, which runs it; each task carries its
+    # bases, so the worker enumerates nothing unless a check does, as
+    # symmetrized-smallest-join does.  The package registers the catalog
+    # unrun, so it has run once it is a plain module, as sys is
     has_catalog = (
         "type(__import__('sys').modules.get('furtherness.theorems')) is type(__import__('sys'))"
     )
