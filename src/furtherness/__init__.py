@@ -3,9 +3,9 @@
 A finite space is carried by the minimal open set of each point; every
 other topological notion (opens, closure, interior, the distance matrix,
 balls, regions, quotients, products) derives from that basis.  The
-``verify`` module re-derives the library's theorems over exhaustively
-enumerated small spaces; the ``furtherness`` console script exposes the
-same machinery on space documents.
+``verify`` module holds every claim the library relies on and checks it
+over exhaustively enumerated small spaces; the ``furtherness`` console
+script exposes the same machinery on space documents.
 
 Every library module is registered at ``import furtherness``: ``import
 furtherness.regions`` and ``sys.modules`` see it at once, but its code is
@@ -13,11 +13,8 @@ compiled and run only when one of its attributes is first read, so a command
 runs only the modules it uses, and the public names below are read from
 their modules on demand (PEP 562).  That first read runs the module under one
 lock, so another thread reading it meanwhile waits for the whole module.
-The theorem catalog, ``theorems``, holds the verifier's registry and is
-registered like the others; ``verify`` imports the registry from it, so
-running ``verify`` runs the catalog first, under that lock, and the catalog
-imports nothing from ``verify``.  One module is not registered: ``cli``, the
-entry point, which ``python -m`` must find unloaded.
+One module is not registered: ``cli``, the entry point, which ``python -m``
+must find unloaded.
 """
 
 import importlib.util
@@ -115,13 +112,13 @@ _PUBLIC = {
         "document_to_space", "parse_space", "serialize_space", "space_to_document",
     ),
     "spaces": ("FinSpace", "OpenFamily", "from_minimal_basis", "from_open_sets", "mask_indices"),
-    # reading any of these runs verify, which runs the theorem catalog; no
-    # other name runs it
+    # reading any of these runs verify and its theorem catalog; no other
+    # name runs them
     "verify": ("PROPERTIES", "VerifyOptions", "VerifyReport", "run_all", "run_property"),
 }
 _HOME = {name: module for module, names in _PUBLIC.items() for name in names}
 
-for _name in ("_kernels", "theorems", *_PUBLIC):
+for _name in ("_kernels", *_PUBLIC):
     _register(_name)
 del _name
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 # the package registers its submodules lazily, so binding one here runs
@@ -29,7 +30,10 @@ def _load(path: str) -> FinSpace:
 
 
 def _parse_subset(space: FinSpace, text: str) -> int:
-    return space.mask(part.strip() for part in text.split(",") if part.strip())
+    """The comma-separated labels of ``text``: a part is taken as given when
+    it is a label, and with its surrounding spaces stripped otherwise."""
+    parts = (p if p in space.labels else p.strip() for p in text.split(","))
+    return space.mask(part for part in parts if part)
 
 
 def _region_json(space: FinSpace, rep) -> dict:
@@ -169,8 +173,8 @@ def verify_cmd(args):
 
 def _property(name: str) -> str:
     """A ``--prop`` value: the name of a registered property."""
-    # read here, not at import: the first read runs verify, which runs the
-    # catalog, so no other command runs either
+    # read here, not at import: the first read runs verify, so no other
+    # command runs it
     if name not in verify.PROPERTIES:
         raise argparse.ArgumentTypeError(str(UnknownPropertyError(name, verify.PROPERTIES)))
     return name
@@ -253,9 +257,9 @@ def _parser(names=COMMANDS) -> argparse.ArgumentParser:
             sub.add_argument(file, metavar=file.upper())
         for flag, keywords in options:
             sub.add_argument(flag, **keywords)
-        # reading the defaults runs verify and its catalog.  main builds the
-        # parser of every command only when the first argument names none,
-        # and that parser never parses a verify command line, so it skips them
+        # reading the defaults runs verify.  main builds the parser of every
+        # command only when the first argument names none, and that parser
+        # never parses a verify command line, so it skips them
         if run is verify_cmd and len(names) == 1:
             sub.set_defaults(**verify.VerifyOptions()._asdict())
         sub.set_defaults(run=run)
@@ -267,12 +271,21 @@ def main(argv=None):
     # build only the named command's parser: each costs about 0.3 ms, most
     # of it in argparse's message translation lookups
     parser = _parser(argv[:1] if argv and argv[0] in COMMANDS else COMMANDS)
-    args = parser.parse_args(argv)
-    if args.command is None:
-        parser.print_help()
-        return
     try:
-        args.run(args)
+        try:
+            args = parser.parse_args(argv)  # exits after --help
+            if args.command is None:
+                parser.print_help()
+            else:
+                args.run(args)
+        finally:
+            # a closed stdout shows when its buffer is written out
+            sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader is gone: end quietly, with stdout on the null device
+        # so that the interpreter's flush at exit has nowhere to fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
     except (SpaceError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         sys.exit(1)

@@ -19,7 +19,7 @@ from furtherness import (
     run_property,
     VerifyOptions,
 )
-from furtherness import theorems as T
+from furtherness import verify as T
 from furtherness import verify as V
 
 DEFAULTS = VerifyOptions()

@@ -18,7 +18,7 @@ import pytest
 import furtherness as pkg
 from furtherness import cli as C
 from furtherness import FinSpace, document_to_space, furtherness, furtherness_matrix
-from furtherness import theorems as T
+from furtherness import verify as T
 from furtherness import verify as V
 
 
@@ -371,6 +371,46 @@ def test_a_label_holding_a_separator_cannot_be_named_in_a_subset(space_file, cap
     assert err == "error: unknown point label 'a'\n"
 
 
+def test_a_label_with_surrounding_spaces_is_named_as_given(space_file, e2, capsys):
+    # ' a' is a label beside 'a', so the part ' a' names it; a part that is
+    # no label, as ' c', is read with its spaces stripped
+    space = FinSpace(("a", " a", "c", "d"), e2.basis)
+    path = space_file(space)
+    code, out, _ = run_cli(["region", path, "--subset", " a, c"], capsys)
+    want = C._region_json(space, pkg.region_report(space, space.mask([" a", "c"])))
+    assert code == 0 and json.loads(out) == json.loads(json.dumps(want))
+    assert want["subset"] == (" a", "c")
+    code, out, _ = run_cli(["union", path, "--subsets", "d| a"], capsys)
+    ana = pkg.union_analysis(space, [space.mask(["d"]), space.mask([" a"])])
+    got = json.loads(out)
+    assert code == 0 and got["inputs"] == [["d"], [" a"]]
+    assert got["direct"] == json.loads(json.dumps(C._region_json(space, ana.direct)))
+
+
+@pytest.mark.parametrize(
+    "argv", [["matrix"], ["--help"], ["enumerate", "--n", "5"]], ids=["matrix", "help", "enumerate"]
+)
+def test_a_closed_stdout_ends_the_command_quietly(space_file, e2, argv):
+    # the read end of stdout's pipe is closed before the command writes,
+    # and stdout is buffered, as it is by default: the command exits 1 with
+    # nothing on stderr, not with the interpreter's report of the
+    # BrokenPipeError at exit, nor with an input error
+    if argv == ["matrix"]:
+        argv = ["matrix", space_file(e2)]
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = str(Path(C.__file__).resolve().parents[1])
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        done = subprocess.run(
+            [sys.executable, "-m", "furtherness.cli", *argv],
+            stdout=write, stderr=subprocess.PIPE, env=env, text=True, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (done.returncode, done.stderr) == (1, "")
+
+
 def test_dot_modes(space_file, e1, capsys):
     code, out, _ = run_cli(["dot", space_file(e1)], capsys)
     assert code == 0
@@ -472,14 +512,13 @@ _LOADED = (
 
 def test_cli_import_loads_no_multiprocessing():
     # the verifier imports its pool machinery (concurrent.futures, which
-    # loads multiprocessing) only when it starts a pool, and the theorem
-    # catalog runs only with the verifier, which this import does not run;
-    # the command line runs on the standard library without click or
-    # dataclasses.  Its import registers every traced module and the
-    # catalog but runs only its own code, the errors and the spaces
+    # loads multiprocessing) only when it starts a pool, and this import
+    # does not run the verifier; the command line runs on the standard
+    # library without click or dataclasses.  Its import registers every
+    # traced module but runs only its own code, the errors and the spaces
     loaded = _fresh("import furtherness.cli" + _LOADED)
     assert not {m for m in loaded if not m.startswith("furtherness")}
-    assert {f"furtherness.{name}" for name in (*TRACED, "theorems")} <= set(loaded)
+    assert {f"furtherness.{name}" for name in TRACED} <= set(loaded)
     ran = {m for m, done in loaded.items() if done}
     assert ran == {"furtherness", "furtherness.cli", "furtherness.errors", "furtherness.spaces"}
 
@@ -574,12 +613,11 @@ def test_each_command_runs_only_its_modules(space_file, e2, command):
 
 def test_star_import_reads_every_public_name():
     # the public names are read lazily (PEP 562), and dir() still lists
-    # them; only the names of verify, which imports its registry from the
-    # theorem catalog, run the catalog
+    # them; only the names of verify run verify and its theorem catalog
     got = _fresh(
         "import json, sys, types, furtherness as pkg\n"
         "def catalog_ran():\n"
-        "    return type(sys.modules['furtherness.theorems']) is types.ModuleType\n"
+        "    return type(sys.modules['furtherness.verify']) is types.ModuleType\n"
         "others = [getattr(pkg, n) for n in pkg.__all__ if pkg._HOME.get(n) != 'verify']\n"
         "catalog_before = catalog_ran()\n"
         "from furtherness import *\n"
@@ -645,16 +683,15 @@ def test_threads_reading_the_package_see_every_module_whole():
     assert got == [[], False, dict.fromkeys(pkg._PUBLIC, 1)]
 
 
-@pytest.mark.parametrize("first", ["verify", "theorems"])
-def test_threads_running_verify_and_the_catalog_do_not_deadlock(first):
-    # one thread reads the registry, which runs verify and then the catalog;
-    # another imports the catalog and reads a name of it.  The run of
-    # ``first`` is slowed, and the other thread starts 0.1 s into it.  Both
-    # runs take the package's run lock, so each thread waits for the whole
-    # of the other's run and then sees the whole registry
+def test_threads_reading_and_importing_verify_do_not_deadlock():
+    # one thread reads the registry through the package, which runs verify;
+    # another imports verify and reads a name of it.  The run of verify is
+    # slowed, and the other thread starts 0.1 s into it.  The run takes the
+    # package's run lock, and the import waits for it, so the second thread
+    # waits for the whole run and then sees the whole registry
     got = _fresh(
         "import json, os, sys, threading, time, furtherness as pkg\n"
-        f"spec = object.__getattribute__(sys.modules['furtherness.{first}'], '__spec__')\n"
+        "spec = object.__getattribute__(sys.modules['furtherness.verify'], '__spec__')\n"
         "run = spec.loader.exec_module\n"
         "def slowed(module):\n"
         "    time.sleep(0.5)\n"
@@ -663,11 +700,10 @@ def test_threads_running_verify_and_the_catalog_do_not_deadlock(first):
         "seen = {}\n"
         "def registry():\n"
         "    seen['registry'] = len(pkg.PROPERTIES)\n"
-        "def catalog():\n"
-        "    import furtherness.theorems as T\n"
-        "    seen['catalog'] = [T.FinSpace is pkg.FinSpace, len(pkg.PROPERTIES)]\n"
-        "reads = [registry, catalog] if spec.name.endswith('verify') else [catalog, registry]\n"
-        "threads = [threading.Thread(target=read, daemon=True) for read in reads]\n"
+        "def imported():\n"
+        "    import furtherness.verify as V\n"
+        "    seen['imported'] = [V.FinSpace is pkg.FinSpace, len(V.PROPERTIES)]\n"
+        "threads = [threading.Thread(target=read, daemon=True) for read in (registry, imported)]\n"
         "threads[0].start()\n"
         "time.sleep(0.1)\n"
         "threads[1].start()\n"
@@ -675,7 +711,7 @@ def test_threads_running_verify_and_the_catalog_do_not_deadlock(first):
         "print(json.dumps([[t.is_alive() for t in threads], seen]), flush=True)\n"
         "os._exit(0)  # a thread still waiting would block the interpreter's exit"
     )
-    assert got == [[False, False], {"registry": 49, "catalog": [True, 49]}]
+    assert got == [[False, False], {"registry": 49, "imported": [True, 49]}]
 
 
 def test_registry_read_in_a_fresh_interpreter_is_whole():
@@ -703,21 +739,19 @@ def _catalog_names():
     ]
 
 
-def test_catalog_imported_first_fills_the_registry_in_its_order():
-    # the first read of a name of the catalog runs it, and it runs no part
-    # of verify, which it never imports; the registry, read later through
-    # verify, holds the catalog's names in its order, and a property
-    # registered later comes after them
+def test_verify_imported_first_fills_the_registry_in_catalog_order():
+    # the first read of a name of verify runs it, catalog and all; the
+    # registry holds the catalog's names in its source order, and a
+    # property registered later comes after them
     got = _fresh(
-        "import json, sys, types, furtherness.theorems as T, furtherness as pkg; "
-        "T.FinSpace; "
-        "verify_ran = type(sys.modules['furtherness.verify']) is types.ModuleType; "
+        "import json, furtherness.verify as V, furtherness as pkg; "
+        "V.FinSpace; "
         "names = list(pkg.PROPERTIES); "
-        "pkg.verify.custom_property('later-claim')(lambda opts: (0, None)); "
-        "print(json.dumps([names, list(pkg.PROPERTIES), verify_ran]))"
+        "V.custom_property('later-claim')(lambda opts: (0, None)); "
+        "print(json.dumps([names, list(pkg.PROPERTIES)]))"
     )
     assert len(got[0]) == 49
-    assert got == [_catalog_names(), [*_catalog_names(), "later-claim"], False]
+    assert got == [_catalog_names(), [*_catalog_names(), "later-claim"]]
 
 
 def test_property_registered_first_comes_after_the_catalog():

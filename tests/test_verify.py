@@ -29,7 +29,7 @@ from furtherness import (
 )
 from furtherness import generate
 from furtherness import regions as R
-from furtherness import theorems as T
+from furtherness import verify as T
 from furtherness import verify as V
 from furtherness.spaces import mask_indices
 from oracles import own_sweep, zero_continuous_self_maps
@@ -334,13 +334,13 @@ SPACE_PROPS = [name for name, prop in PROPERTIES.items() if prop.space]
 
 def test_worker_that_does_not_fork_loads_the_catalog():
     # a spawned worker starts from a fresh interpreter: it has only what
-    # unpickling the task imports, and _slice_task's module, verify, imports
-    # its registry from the catalog, which runs it; each task carries its
-    # bases, so the worker enumerates nothing unless a check does, as
-    # symmetrized-smallest-join does.  The package registers the catalog
-    # unrun, so it has run once it is a plain module, as sys is
+    # unpickling the task imports, which runs _slice_task's module, verify,
+    # catalog and all; each task carries its bases, so the worker
+    # enumerates nothing unless a check does, as symmetrized-smallest-join
+    # does.  The package registers verify unrun, so it has run once it is a
+    # plain module, as sys is
     has_catalog = (
-        "type(__import__('sys').modules.get('furtherness.theorems')) is type(__import__('sys'))"
+        "type(__import__('sys').modules.get('furtherness.verify')) is type(__import__('sys'))"
     )
     cached = "__import__('furtherness.generate').generate._bases.cache_info().currsize"
     plan = [(name, PROPERTIES[name].cap or 3) for name in SPACE_PROPS]
