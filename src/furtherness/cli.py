@@ -16,7 +16,7 @@ import sys
 # the package registers its submodules lazily, so binding one here runs
 # none of its code: each command executes only the modules it reads
 from . import balls, distance, dot, generate, order, regions, serialization, verify
-from .errors import DocumentSyntaxError, SpaceError, UnknownPropertyError
+from .errors import DocumentSyntaxError, SpaceError
 from .spaces import FinSpace
 
 
@@ -171,19 +171,14 @@ def verify_cmd(args):
         sys.exit(2)
 
 
-def _property(name: str) -> str:
-    """A ``--prop`` value: the name of a registered property."""
-    # read here, not at import: the first read runs verify, so no other
-    # command runs it
-    if name not in verify.PROPERTIES:
-        raise argparse.ArgumentTypeError(str(UnknownPropertyError(name, verify.PROPERTIES)))
-    return name
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(1, f"{self.prog}: error: {message}\n")
+
+    def _print_message(self, message, file=None):
+        # argparse's own ignores a failed write since 3.11, hiding a closed stdout
+        (file or sys.stderr).write(message)
 
 
 _SUBSET = dict(
@@ -233,7 +228,7 @@ COMMANDS = {
             help="worker processes for sweeps, at most one per CPU (default: %(default)s)",
         )),
         ("--prop", dict(
-            dest="props", action="append", type=_property, metavar="NAME",
+            dest="props", action="append", metavar="NAME",
             help="run one property (repeatable); default all",
         )),
     )),

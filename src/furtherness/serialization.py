@@ -46,6 +46,10 @@ def document_to_space(doc: Any) -> FinSpace:
     if "points" not in doc:
         raise SchemaError('space document needs a "points" list')
     points = _label_list(doc["points"], '"points"')
+    # a JSON escape can spell a lone surrogate, which UTF-8 cannot encode
+    for label in points:
+        if label.encode("utf-8", "replace").decode("utf-8") != label:
+            raise SchemaError(f"the label {label!r} is not valid Unicode text")
     has_opens = "opens" in doc
     has_basis = "min_basis" in doc
     if has_opens == has_basis:

@@ -20,6 +20,7 @@ from furtherness import cli as C
 from furtherness import FinSpace, document_to_space, furtherness, furtherness_matrix
 from furtherness import verify as T
 from furtherness import verify as V
+from tracer_targets import tracer_targets
 
 
 def run_cli(argv, capsys):
@@ -387,17 +388,22 @@ def test_a_label_with_surrounding_spaces_is_named_as_given(space_file, e2, capsy
     assert got["direct"] == json.loads(json.dumps(C._region_json(space, ana.direct)))
 
 
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
-    "argv", [["matrix"], ["--help"], ["enumerate", "--n", "5"]], ids=["matrix", "help", "enumerate"]
+    "argv",
+    [["matrix"], ["--help"], ["region", "--help"], ["enumerate", "--n", "5"]],
+    ids=["matrix", "help", "region-help", "enumerate"],
 )
-def test_a_closed_stdout_ends_the_command_quietly(space_file, e2, argv):
-    # the read end of stdout's pipe is closed before the command writes,
-    # and stdout is buffered, as it is by default: the command exits 1 with
-    # nothing on stderr, not with the interpreter's report of the
-    # BrokenPipeError at exit, nor with an input error
+def test_a_closed_stdout_ends_the_command_quietly(space_file, e2, argv, unbuffered):
+    # the read end of stdout's pipe is closed before the command writes: in
+    # either buffering mode the command exits 1 with nothing on stderr, not
+    # with the interpreter's report of the BrokenPipeError at exit, nor with
+    # an input error, nor, for help that argparse writes, with status 0
     if argv == ["matrix"]:
         argv = ["matrix", space_file(e2)]
     env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
     env["PYTHONPATH"] = str(Path(C.__file__).resolve().parents[1])
     read, write = os.pipe()
     os.close(read)
@@ -492,13 +498,6 @@ def _fresh(probe: str):
     return json.loads(_run_fresh(["-c", probe], check=True).stdout)
 
 
-# the modules perfbench/tracer.py reads from sys.modules right after
-# ``import furtherness.cli``
-TRACED = (
-    "verify", "dot", "order", "generate", "oracle", "regions", "balls",
-    "serialization", "distance", "spaces", "_kernels",
-)
-
 # appended to a probe: prints, for each loaded module of the package and of
 # the libraries the command line must not load, whether its code has run (a
 # lazily registered module is no plain module until then)
@@ -518,7 +517,9 @@ def test_cli_import_loads_no_multiprocessing():
     # traced module but runs only its own code, the errors and the spaces
     loaded = _fresh("import furtherness.cli" + _LOADED)
     assert not {m for m in loaded if not m.startswith("furtherness")}
-    assert {f"furtherness.{name}" for name in TRACED} <= set(loaded)
+    # the modules the tracer reads from sys.modules right after this import
+    traced = {module for module, _, _ in tracer_targets()}
+    assert {f"furtherness.{name}" for name in traced} <= set(loaded)
     ran = {m for m, done in loaded.items() if done}
     assert ran == {"furtherness", "furtherness.cli", "furtherness.errors", "furtherness.spaces"}
 
@@ -766,9 +767,10 @@ def test_property_registered_first_comes_after_the_catalog():
 
 
 def test_verify_unknown_property(capsys):
-    code, _, err = run_cli(["verify", "--prop", "bogus-claim"], capsys)
-    assert code == 1
-    assert "unknown property" in err
+    # run_all refuses the name before any sweep starts
+    code, out, err = run_cli(["verify", "--prop", "bogus"], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: unknown property 'bogus'; known: ")
 
 
 def test_verify_rejects_an_empty_corpus(capsys):
@@ -869,6 +871,17 @@ def test_undecodable_document_is_input_error(tmp_path, capsys):
     code, out, err = run_cli(["validate", str(path)], capsys)
     assert (code, out) == (1, "")
     assert err.startswith("error:") and "UTF-8" in err
+
+
+@pytest.mark.parametrize("command", ["validate", "matrix", "dot"])
+def test_a_lone_surrogate_label_is_input_error(tmp_path, capsys, command):
+    # a JSON escape spells the label, which no UTF-8 output can write: the
+    # table and the DOT text failed on it with a traceback
+    path = tmp_path / "surrogate.json"
+    path.write_text(r'{"points":["\ud800"],"min_basis":{"\ud800":["\ud800"]}}')
+    code, out, err = run_cli([command, str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err.startswith("error:") and "not valid Unicode text" in err
 
 
 def test_deeply_nested_document_is_input_error(tmp_path, capsys):

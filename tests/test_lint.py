@@ -3,12 +3,12 @@
 import ast
 import graphlib
 import importlib
-import importlib.util
 import inspect
 import pathlib
 import typing
 
 import furtherness
+from tracer_targets import tracer_targets
 
 # (module, function, parameter) that a protocol passes and the body need not
 # read: the value an immutable record refuses, and the options of the two
@@ -83,16 +83,6 @@ def test_every_annotation_resolves():
             typing.get_type_hints(obj)
 
 
-def _tracer_targets():
-    """``TARGETS`` of the benchmark's tracer, whose module is only loaded:
-    nothing in it is called."""
-    path = pathlib.Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
-    spec = importlib.util.spec_from_file_location("_perfbench_tracer", path)
-    tracer = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(tracer)
-    return tracer.TARGETS
-
-
 def test_catalog_binds_no_traced_function():
     # verify, with its catalog, runs while the tracer installs its wrappers,
     # before the later ones are in place: a traced function of another
@@ -110,7 +100,7 @@ def test_catalog_binds_no_traced_function():
     # a method is wrapped on its class, which verify shares
     traced = [
         f"{module}.{attr}"
-        for module, attr, _ in _tracer_targets()
+        for module, attr, _ in tracer_targets()
         if "." not in attr and bound(module, attr)
     ]
     assert traced == []

@@ -133,6 +133,19 @@ def test_parse_rejects_a_repeated_key(text, key):
         parse_space(text)
 
 
+@pytest.mark.parametrize("text", [
+    r'{"points":["\ud800"],"min_basis":{"\ud800":["\ud800"]}}',
+    r'{"points":["a","b\udfff"],"opens":[[],["a","b\udfff"]]}',
+])
+def test_parse_rejects_a_label_that_is_no_unicode_text(text):
+    # a JSON escape can spell a lone surrogate, which UTF-8 cannot encode
+    with pytest.raises(SchemaError, match=re.escape("is not valid Unicode text")):
+        parse_space(text)
+    # a surrogate pair spells one character, which it can
+    pair = r'{"points":["\ud83d\ude00"],"opens":[[],["\ud83d\ude00"]]}'
+    assert parse_space(pair).labels == ("😀",)
+
+
 def test_schema_rejects_unknown_member():
     with pytest.raises(Exception):
         document_to_space({"points": ["a"], "min_basis": {"a": ["a", "z"]}})
