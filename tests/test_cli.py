@@ -388,11 +388,20 @@ def test_a_label_with_surrounding_spaces_is_named_as_given(space_file, e2, capsy
     assert got["direct"] == json.loads(json.dumps(C._region_json(space, ana.direct)))
 
 
-@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+_CLOSED_STDOUT_ARGV = {
+    "matrix": ["matrix"], "help": ["--help"], "region-help": ["region", "--help"],
+    "enumerate": ["enumerate", "--n", "5"],
+}
+
+
+# stdout is buffered by default; the case named without a suffix runs that way
 @pytest.mark.parametrize(
-    "argv",
-    [["matrix"], ["--help"], ["region", "--help"], ["enumerate", "--n", "5"]],
-    ids=["matrix", "help", "region-help", "enumerate"],
+    "argv, unbuffered",
+    [
+        pytest.param(argv, unbuffered, id=name + ("-unbuffered" if unbuffered else ""))
+        for unbuffered in (False, True)
+        for name, argv in _CLOSED_STDOUT_ARGV.items()
+    ],
 )
 def test_a_closed_stdout_ends_the_command_quietly(space_file, e2, argv, unbuffered):
     # the read end of stdout's pipe is closed before the command writes: in
