@@ -175,7 +175,7 @@ def transitive_closure(rows):
     return tuple(out)
 
 
-def enumerate_bases(n, t0_only=False):
+def enumerate_bases(n):
     """All minimal bases on points 0..n-1, lexicographic by row masks.
 
     Row i contains bit i and lies inside every earlier row that contains
@@ -183,7 +183,6 @@ def enumerate_bases(n, t0_only=False):
     i, in ascending numeric order, and no other mask is looked at.  Each
     candidate is pruned against the earlier rows it contains, which must
     lie inside it, so each leaf is a valid basis with no final check.
-    With ``t0_only`` rows must be pairwise distinct.
     """
     full = (1 << n) - 1
     out: list[tuple[int, ...]] = []
@@ -203,7 +202,7 @@ def enumerate_bases(n, t0_only=False):
         sub = 0
         while True:
             m = sub | bit
-            ok = not (t0_only and m in rows[:i])
+            ok = True
             below = m & (bit - 1)
             while ok and below:
                 low = below & -below

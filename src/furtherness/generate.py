@@ -5,10 +5,10 @@ basis IS such a relation, read as down-sets), which gives every labeled
 topology exactly once in a fixed order.  An independent cross-generator
 filters raw set families instead; the two must agree and the test suite
 holds them to it.  The enumerated bases of each size are kept in a cache
-as the kernel gives them, and every space is built from its basis
-through the validating constructor, in the process that reads it:
-``enumerate_topologies`` yields the spaces one at a time, and
-``count_topologies`` counts the cached bases.
+as the kernel gives them, and the T0 ones are those whose rows are pairwise
+distinct.  Every space is built from its basis through the validating
+constructor, in the process that reads it: ``enumerate_topologies`` yields
+the spaces one at a time, and ``count_topologies`` counts the cached bases.
 
 Random spaces come from a fixed, documented generator so that seeds are
 portable: a splitmix64 stream seeded with the given value produces one
@@ -40,13 +40,22 @@ def default_labels(n: int) -> tuple[str, ...]:
 
 
 @lru_cache(maxsize=None)
-def _bases(n: int, t0_only: bool) -> tuple[tuple[int, ...], ...]:
+def _bases(n: int) -> tuple[tuple[int, ...], ...]:
     """The enumerated bases of one size, as the kernel gives them.
 
     None is validated here: the spaces are built from them through the
     validating constructor.
     """
-    return tuple(K.enumerate_bases(n, t0_only))
+    return tuple(K.enumerate_bases(n))
+
+
+def _enumerated(n: int, t0_only: bool) -> tuple[tuple[int, ...], ...]:
+    """The cached bases of one size, or with ``t0_only`` those whose rows are
+    pairwise distinct, the predicate of ``FinSpace.is_t0``."""
+    _check_size(n)
+    if t0_only:
+        return tuple(basis for basis in _bases(n) if len(set(basis)) == n)
+    return _bases(n)
 
 
 def _check_size(n: int) -> None:
@@ -57,15 +66,14 @@ def _check_size(n: int) -> None:
 
 def enumerate_topologies(n: int, t0_only: bool = False) -> Iterator[FinSpace]:
     """Every labeled topology on n points, deterministically ordered."""
-    _check_size(n)
+    bases = _enumerated(n, t0_only)
     labels = default_labels(n)
-    for basis in _bases(n, t0_only):
+    for basis in bases:
         yield FinSpace(labels, basis)
 
 
 def count_topologies(n: int, t0_only: bool = False) -> int:
-    _check_size(n)
-    return len(_bases(n, t0_only))
+    return len(_enumerated(n, t0_only))
 
 
 def family_generated_bases(n: int, t0_only: bool = False) -> frozenset[tuple[int, ...]]:

@@ -15,6 +15,7 @@ no-open-in-between scan against the full family.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -35,15 +36,22 @@ def _nothing_between(family, o: int, v: int) -> bool:
     return True
 
 
-# bounded by the most opens one space can have: the largest family fits,
-# and the spaces seen before it are let go with all their tables
-@lru_cache(maxsize=OPEN_FAMILY_LIMIT, typed=True)
 def cover_successors(space: FinSpace, o: int) -> tuple[int, ...]:
     """Opens covering the open ``o``: strict supersets with nothing strictly
-    between.  A mask that is not an open of the space raises ``SpaceError``;
-    the cache is typed, so a float is refused even when its int is cached."""
+    between.  A mask that is not an open of the space raises ``SpaceError``,
+    one that is not an ``int`` before the cache sees it; a bool reads as its
+    int."""
+    if not isinstance(o, int):
+        raise SpaceError(f"{o!r} is not an open set of the space")
+    return _cover_successors(space, o)
+
+
+# bounded by the most opens one space can have: the largest family fits,
+# and the spaces seen before it are let go with all their tables
+@lru_cache(maxsize=OPEN_FAMILY_LIMIT)
+def _cover_successors(space: FinSpace, o: int) -> tuple[int, ...]:
     fam = space.open_family
-    if not isinstance(o, int) or o not in fam:
+    if o not in fam:
         raise SpaceError(f"{o!r} is not an open set of the space")
     candidates = []
     seen = set()
@@ -57,6 +65,10 @@ def cover_successors(space: FinSpace, o: int) -> tuple[int, ...]:
     return canonical_sets(v for v in candidates if _nothing_between(fam, o, v))
 
 
+# the cache's counters, read under the public name
+cover_successors.cache_info = _cover_successors.cache_info
+
+
 class ChainWitness(NamedTuple):
     """A nested run of opens, each step a cover in the open-set lattice."""
 
@@ -67,16 +79,21 @@ class ChainWitness(NamedTuple):
         return len(self.opens) - 1
 
     def validate(self, space: FinSpace, x: PointLike) -> None:
-        """Raise ``SpaceError`` unless this is a nested run of covers from x's open."""
-        if not self.opens:
+        """Raise ``SpaceError`` unless this is a nested run of covers from x's
+        open.  ``opens`` that is not a sequence of ``int`` masks is refused
+        before any lookup; a bool reads as its int."""
+        opens = self.opens
+        if not isinstance(opens, Sequence) or not all(isinstance(o, int) for o in opens):
+            raise SpaceError("chain is not a sequence of int masks")
+        if not opens:
             raise SpaceError("empty chain")
-        if self.opens[0] != space.min_open(x):
+        if opens[0] != space.min_open(x):
             raise SpaceError("chain does not start at the minimal open of x")
         fam = space.open_family
-        for o in self.opens:
+        for o in opens:
             if o not in fam:
                 raise SpaceError("chain contains a non-open set")
-        for o, v in zip(self.opens, self.opens[1:]):
+        for o, v in zip(opens, opens[1:]):
             if not (o & ~v == 0 and o != v):
                 raise SpaceError("chain is not strictly increasing")
             if not _nothing_between(fam, o, v):

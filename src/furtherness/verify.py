@@ -214,7 +214,7 @@ def _slices(top: int) -> list[tuple[int, tuple[tuple[int, ...], ...]]]:
     its own spaces through the validating constructor."""
     out = []
     for n in range(1, top + 1):
-        bases = _bases(n, False)
+        bases = _bases(n)
         out += [(n, bases[start : start + SLICE]) for start in range(0, len(bases), SLICE)]
     return out
 
@@ -1232,7 +1232,7 @@ def _union_triples(opts: VerifyOptions):
     checked = 0
     labels = G.default_labels(5)
     # every 31st space on 5 points, in enumeration order; only these are built
-    for basis in G._bases(5, False)[::31]:
+    for basis in G._bases(5)[::31]:
         sp = FinSpace(labels, basis)
         pairs = set(_qualifying_pairs(*R._closure_pass(sp)))
         members = sorted({s for pair in pairs for s in pair})

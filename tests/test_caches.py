@@ -14,10 +14,10 @@ from furtherness.spaces import OPEN_FAMILY_LIMIT
 # that the public caller refuses past its cap (tests/test_generate.py)
 BOUNDS = {
     # at most one space's open family
-    "furtherness.oracle.cover_successors": OPEN_FAMILY_LIMIT,
+    "furtherness.oracle._cover_successors": OPEN_FAMILY_LIMIT,
     # every distinct distance row of the spaces on at most five points
     "furtherness.regions._p2s_row": R._P2S_ROWS,
-    # keyed by (n, t0_only), n at most ENUMERATION_LIMIT
+    # keyed by n, at most ENUMERATION_LIMIT
     "furtherness.generate._bases": None,
     # keyed by n, at most _FAMILY_LIMIT
     "furtherness.generate._family_scan": None,

@@ -640,6 +640,13 @@ def test_star_import_reads_every_public_name():
     assert got == [[], [], False, True, len(V.PROPERTIES)]
 
 
+def test_dir_lists_every_public_name():
+    # sorted, with the names not yet read among them
+    names = dir(pkg)
+    assert names == sorted(names)
+    assert set(pkg.__all__) <= set(names)
+
+
 def test_reloading_the_package_keeps_its_modules():
     # a space made before the reload is still a FinSpace after it, run or
     # unrun module alike

@@ -26,6 +26,18 @@ def test_t0_counts():
     assert [count_topologies(n, t0_only=True) for n in (1, 2, 3, 4)] == [1, 3, 19, 219]
 
 
+def test_bases_cache_is_keyed_by_the_size_alone():
+    # the T0 answer filters the cached bases, so any truthy flag reads the
+    # one entry of its size
+    G._bases.cache_clear()
+    try:
+        assert {count_topologies(4, k) for k in range(1, 51)} == {219}
+        assert count_topologies(3, [1]) == 19
+        assert G._bases.cache_info().currsize == 2
+    finally:
+        G._bases.cache_clear()
+
+
 def test_no_duplicates():
     for n in (2, 3, 4):
         seen = [sp.basis for sp in enumerate_topologies(n)]
@@ -174,8 +186,8 @@ def test_enumerated_bases_are_validated(monkeypatch):
     real = G.K.enumerate_bases
     bad = (0b011, 0b110, 0b100)  # b is in U_a, U_b is not in U_a
 
-    def enumerate_bases(n, t0_only=False):
-        out = real(n, t0_only)
+    def enumerate_bases(n):
+        out = real(n)
         return out + [bad] if n == 3 else out
 
     G._bases.cache_clear()
@@ -184,7 +196,7 @@ def test_enumerated_bases_are_validated(monkeypatch):
         assert count_topologies(3) == 30  # the kernel's bases, as they come
         with pytest.raises(BasisNotNestedError):
             list(enumerate_topologies(3))
-        bases = G._bases(3, False)
+        bases = G._bases(3)
         plan = [("triangle-inequality", 3)]
         assert V._slice_task(plan, (3, bases[:29]))[0].checked == 29
         with pytest.raises(BasisNotNestedError):

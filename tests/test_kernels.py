@@ -9,7 +9,7 @@ import pytest
 
 import furtherness
 from furtherness import _kernels as K
-from furtherness import family_generated_bases
+from furtherness import enumerate_topologies, family_generated_bases
 from furtherness.regions import subset_table
 
 from oracles import scan_all_masks_bases
@@ -211,19 +211,27 @@ def test_the_point_closures_run_the_closure_kernel_at_most_once_per_point(monkey
 
 @pytest.mark.parametrize("t0_only", [False, True])
 def test_enumerate_bases_walks_the_masks_a_scan_keeps(t0_only):
-    # the same bases in the same order as the scan over every mask
+    # the same bases in the same order as the scan over every mask; the T0
+    # bases are the kernel's, filtered, against the scan's own T0 mode
     for n in range(1, 6):
-        assert K.enumerate_bases(n, t0_only) == scan_all_masks_bases(n, t0_only), n
+        if t0_only:
+            got = [sp.basis for sp in enumerate_topologies(n, t0_only=True)]
+        else:
+            got = K.enumerate_bases(n)
+        assert got == scan_all_masks_bases(n, t0_only), n
 
 
 def test_enumerate_bases_is_lexicographic():
     # against the independent family generator, sorted
     for n in range(1, 5):
         assert K.enumerate_bases(n) == sorted(family_generated_bases(n))
-        assert K.enumerate_bases(n, True) == sorted(family_generated_bases(n, t0_only=True))
+        t0 = [sp.basis for sp in enumerate_topologies(n, t0_only=True)]
+        assert t0 == sorted(family_generated_bases(n, t0_only=True))
 
 
 def test_enumerate_bases_counts_on_six_points():
     # OEIS A000798 and A001035: the topologies and the T0 ones on 6 points
-    assert len(K.enumerate_bases(6)) == 209_527
-    assert len(K.enumerate_bases(6, True)) == 130_023
+    bases = K.enumerate_bases(6)
+    assert len(bases) == 209_527
+    # the T0 ones: rows pairwise distinct, as ``FinSpace.is_t0`` reads them
+    assert sum(len(set(basis)) == 6 for basis in bases) == 130_023

@@ -111,6 +111,18 @@ def test_validate_rejects_repeated_open(e2):
         ChainWitness((e2.mask("a"), e2.mask("a"))).validate(e2, "a")
 
 
+@pytest.mark.parametrize("opens", [5, (1, [3]), (1, 3.0), "ab", [1, None]])
+def test_validate_rejects_a_chain_that_is_not_int_masks(e2, opens):
+    with pytest.raises(SpaceError, match="not a sequence of int masks"):
+        ChainWitness(opens).validate(e2, "a")
+
+
+def test_validate_reads_a_bool_as_its_int():
+    sp = FinSpace(("a", "b"), (1, 3))
+    ChainWitness((True, 3)).validate(sp, "a")
+    ChainWitness([1, 3]).validate(sp, "a")
+
+
 def test_validate_rejects_empty():
     with pytest.raises(SpaceError, match="empty chain"):
         ChainWitness(()).validate(None, 0)
@@ -124,7 +136,7 @@ def test_zero_length_chain(e2):
 def test_cover_successors_refuse_a_mask_that_is_not_open():
     sp = FinSpace(("a", "b", "c"), (1, 3, 7))
     before = cover_successors.cache_info()
-    for bad in (99, 2, -1, 1.5):
+    for bad in (99, 2, -1, 1.5, [1], None):
         with pytest.raises(SpaceError, match="is not an open set"):
             cover_successors(sp, bad)
     after = cover_successors.cache_info()
@@ -133,9 +145,9 @@ def test_cover_successors_refuse_a_mask_that_is_not_open():
     assert after.hits == before.hits
     assert cover_successors(sp, 1) == (3,)
     hits = cover_successors.cache_info().hits
-    # a bool reads as its int; the typed cache keeps it apart from the int
+    # a bool reads as its int and gets the same covers
     assert cover_successors(sp, True) == (3,)
-    assert cover_successors.cache_info().hits == hits
+    assert cover_successors.cache_info().hits == hits + 1
 
 
 def test_cover_successors_refuse_a_float_equal_to_a_cached_open():

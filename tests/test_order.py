@@ -55,6 +55,11 @@ def test_leq_takes_indices_or_labels_and_refuses_anything_else():
         order.leq("a", "z")
 
 
+def test_preorder_n_counts_its_points(e2):
+    assert Preorder(("a", "b", "c"), (0b001, 0b011, 0b111)).n == 3
+    assert specialization_preorder(e2).n == e2.n == 4
+
+
 def test_preorder_covers(e2):
     order = specialization_preorder(e2)
     assert order.covers() == ((0, 1), (1, 2), (3, 2))
