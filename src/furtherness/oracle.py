@@ -15,7 +15,6 @@ no-open-in-between scan against the full family.
 
 from __future__ import annotations
 
-from collections.abc import Sequence
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -80,11 +79,11 @@ class ChainWitness(NamedTuple):
 
     def validate(self, space: FinSpace, x: PointLike) -> None:
         """Raise ``SpaceError`` unless this is a nested run of covers from x's
-        open.  ``opens`` that is not a sequence of ``int`` masks is refused
-        before any lookup; a bool reads as its int."""
+        open.  ``opens`` that is not a tuple or list of ``int`` masks is
+        refused before any lookup; a bool reads as its int."""
         opens = self.opens
-        if not isinstance(opens, Sequence) or not all(isinstance(o, int) for o in opens):
-            raise SpaceError("chain is not a sequence of int masks")
+        if not isinstance(opens, (tuple, list)) or not all(isinstance(o, int) for o in opens):
+            raise SpaceError("chain is not a tuple or list of int masks")
         if not opens:
             raise SpaceError("empty chain")
         if opens[0] != space.min_open(x):

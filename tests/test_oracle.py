@@ -111,9 +111,9 @@ def test_validate_rejects_repeated_open(e2):
         ChainWitness((e2.mask("a"), e2.mask("a"))).validate(e2, "a")
 
 
-@pytest.mark.parametrize("opens", [5, (1, [3]), (1, 3.0), "ab", [1, None]])
+@pytest.mark.parametrize("opens", [5, (1, [3]), (1, 3.0), "ab", [1, None], range(1, 3)])
 def test_validate_rejects_a_chain_that_is_not_int_masks(e2, opens):
-    with pytest.raises(SpaceError, match="not a sequence of int masks"):
+    with pytest.raises(SpaceError, match="not a tuple or list of int masks"):
         ChainWitness(opens).validate(e2, "a")
 
 
