@@ -64,7 +64,7 @@ def _cover_successors(space: FinSpace, o: int) -> tuple[int, ...]:
     return canonical_sets(v for v in candidates if _nothing_between(fam, o, v))
 
 
-# the cache's counters, read under the public name
+# the cache's counters under the public name, where perfbench/tracer.py reads them
 cover_successors.cache_info = _cover_successors.cache_info
 
 
